@@ -159,7 +159,7 @@ def _cmd_channel(spec: SpecFile, target: str) -> tuple[list[str], int]:
         f"channel {target}: rho={format_matrix(out)}",
         f"hermitian: {'yes' if is_density_shaped(s, out) else 'no'}",
         f"trace-preserved: {'yes' if preserved else 'no'}",
-        f"positive: {positivity_certificate(s, out) if is_density_shaped(s, out) else 'unknown'}",
+        f"positive: {positivity_certificate(s, out)}",
     ]
     return lines, 0
 
@@ -188,6 +188,8 @@ def _cmd_quantize(spec: SpecFile, target: str) -> tuple[list[str], int]:
 
 
 def _cmd_selftest(seed: int, cases: int) -> tuple[list[str], int]:
+    if cases < 1:
+        raise _InputError(f"--cases must be at least 1, got {cases}")
     results = run_selftest(seed=seed, cases=cases)
     lines = []
     passed = 0

@@ -24,7 +24,6 @@ appears with no extra choices.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -32,15 +31,14 @@ from .errors import InvariantViolation, ShapeError
 from .hermitian import (
     SelfDualRealModule,
     _dagger_from_hom,
-    _eigen_data,
     _internalize_raw,
     dagger,
+    split_eigenspaces,
 )
 from .linalg import (
     Matrix,
-    det,
     hstack,
-    inverse,
+    inertia,
     kernel_basis,
     kron,
     kron_swap,
@@ -66,9 +64,9 @@ class CSMatSpace:
 
 def csmat(s: SelfDualRealModule) -> CSMatSpace:
     """Iterated kernels: fix the braiding, then fix icplx (x) icplx."""
-    data = _eigen_data(s)
+    data = split_eigenspaces(s)
     d = s.H.dim
-    n = data["half"]
+    n = data.half
     swap = kron_swap(d, d)
     ident = Matrix.identity(d * d)
     sym = hstack(kernel_basis(swap - ident))
@@ -91,24 +89,24 @@ def fixed_locus_real_dimension(space: CSMatSpace) -> int:
 
 def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     """Ambient vector of a gram-self-adjoint operator on the +i eigenspace."""
-    data = _eigen_data(s)
-    n = data["half"]
+    data = split_eigenspaces(s)
+    n = data.half
     if rho.shape != (n, n):
         raise ShapeError(f"operator must be {n}x{n}")
-    form = data["gram"] @ rho
+    form = data.gram @ rho
     if form.conj_transpose() != form:
         raise InvariantViolation("operator is not gram-self-adjoint")
-    coef = rho @ data["gram_inv"]
-    p = data["plus"]
-    c = data["minus"] @ data["witness"]
+    coef = rho @ data.gram_inv
+    p = data.plus
+    c = data.minus @ data.witness
     return vec(p @ coef @ c.transpose() + c @ coef.conj() @ p.transpose())
 
 
 def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
     """Inverse of `operator_to_fixed_vector`; rejects vectors outside the locus."""
-    data = _eigen_data(s)
+    data = split_eigenspaces(s)
     d = s.H.dim
-    n = data["half"]
+    n = data.half
     if v.shape != (d * d, 1):
         raise ShapeError("fixed vector must be an ambient column")
     vm = unvec(v, d, d)
@@ -118,28 +116,28 @@ def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
         raise InvariantViolation("vector is not fixed by icplx (x) icplx")
     if s.H.inv @ vm.conj() @ s.H.inv.transpose() != vm:
         raise InvariantViolation("vector is not involution-fixed")
-    x = data["frame_inv"] @ vm @ data["frame_inv"].transpose()
+    x = data.frame_inv @ vm @ data.frame_inv.transpose()
     block = lambda r0, c0: Matrix.from_rows(
         [x.row(i)[c0:c0 + n] for i in range(r0, r0 + n)])
     if not block(0, 0).is_zero() or not block(n, n).is_zero():
         raise InvariantViolation("vector has components in the like-signed blocks")
-    coef = block(n, 0) @ inverse(data["witness"].transpose())
-    if block(0, n) != data["witness"] @ coef.conj():
+    coef = block(n, 0) @ data.rev_witness.conj().transpose()
+    if block(0, n) != data.witness @ coef.conj():
         raise InvariantViolation("mixed blocks are not conjugation partners")
     if coef.conj_transpose() != coef:
         raise InvariantViolation("coefficient matrix is not Hermitian")
-    rho = coef @ data["gram"]
-    if data["gram"] @ rho != (data["gram"] @ rho).conj_transpose():
+    rho = coef @ data.gram
+    if data.gram @ rho != (data.gram @ rho).conj_transpose():
         raise InvariantViolation("operator is not gram-self-adjoint")
     return rho
 
 
 def is_density_shaped(s: SelfDualRealModule, rho: Matrix) -> bool:
     """Self-adjoint for the extracted gram (positivity not included)."""
-    data = _eigen_data(s)
-    if rho.shape != (data["half"], data["half"]):
+    data = split_eigenspaces(s)
+    if rho.shape != (data.half, data.half):
         return False
-    m = data["gram"] @ rho
+    m = data.gram @ rho
     return m.conj_transpose() == m
 
 
@@ -155,8 +153,8 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
     back.  If g is unitary, the result is asserted to keep the trace and stay
     gram-self-adjoint.
     """
-    data = _eigen_data(s)
-    n = data["half"]
+    data = split_eigenspaces(s)
+    n = data.half
     if g.shape != (n, n):
         raise ShapeError(f"gate must be {n}x{n}")
     if not is_density_shaped(s, rho):
@@ -180,44 +178,16 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
     return direct
 
 
-def _minor_sign(m: Matrix, idx: tuple) -> int:
-    minor = det(Matrix.from_rows([[m.row(i)[j] for j in idx] for i in idx]))
-    if not minor.is_real():
-        raise InvariantViolation("minor of a Hermitian matrix must be real")
-    return minor.sign_real()
-
-
 def positivity_certificate(s: SelfDualRealModule, rho: Matrix) -> str:
-    """'yes' (PSD), 'no' (certified not PSD), or 'unknown'.
+    """'yes' if the state is positive semidefinite, else 'no'; always decided.
 
-    Exact principal minors of gram . rho, the matrix of the expectation form
-    w |-> <w, rho w>.  Leading minors all positive certifies definiteness and
-    any negative principal minor certifies a vector of negative expectation;
-    those two scans are cheap.  A zero on the boundary falls back to the full
-    criterion (every principal minor nonnegative iff PSD), whose 2^n cost is
-    only paid in small dimensions; past that the boundary stays undecided.
+    rho is PSD exactly when gram . rho, the matrix of the expectation form
+    w |-> <w, rho w>, has no negative eigenvalue; `inertia` counts them
+    exactly by congruence diagonalization.
     """
-    data = _eigen_data(s)
     if not is_density_shaped(s, rho):
         raise InvariantViolation("state is not gram-self-adjoint")
-    m = data["gram"] @ rho
-    n = m.rows
-    saw_zero = False
-    for k in range(1, n + 1):
-        sign = _minor_sign(m, tuple(range(k)))
-        if sign < 0:
-            return "no"
-        if sign == 0:
-            saw_zero = True
-    if not saw_zero:
-        return "yes"
-    if n > 8:
-        return "unknown"
-    for k in range(1, n + 1):
-        for idx in itertools.combinations(range(n), k):
-            if _minor_sign(m, idx) < 0:
-                return "no"
-    return "yes"
+    return "no" if inertia(split_eigenspaces(s).gram @ rho)[1] else "yes"
 
 
 def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = False) -> Matrix:
@@ -227,14 +197,14 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
     negative; normalization insists on a positive total so dividing by it
     keeps the mixture positive.
     """
-    data = _eigen_data(s)
-    n = data["half"]
+    data = split_eigenspaces(s)
+    n = data.half
     for _ in range(256):
         terms = Matrix.zero(n, n)
         for _ in range(2 if normalized else rng.randrange(1, 3)):
             w = random_matrix(rng, n, 1)
             weight = Scalar.of(rng.randrange(1, 4))
-            terms = terms + weight * (w @ w.conj_transpose() @ data["gram"])
+            terms = terms + weight * (w @ w.conj_transpose() @ data.gram)
         if not normalized:
             return terms
         t = trace(terms)
@@ -247,7 +217,7 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
 
 def random_selfadjoint(rng: random.Random, s: SelfDualRealModule) -> Matrix:
     """Random gram-self-adjoint operator, indefinite in general."""
-    data = _eigen_data(s)
-    n = data["half"]
+    data = split_eigenspaces(s)
+    n = data.half
     y = random_matrix(rng, n, n)
-    return (y + y.conj_transpose()) @ data["gram"]
+    return (y + y.conj_transpose()) @ data.gram

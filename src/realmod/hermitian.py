@@ -32,8 +32,8 @@ from .equivalence import HermitianSpace
 from .linalg import (
     Matrix,
     block_diag,
-    det,
     hstack,
+    inertia,
     inverse,
     kernel_basis,
     kron,
@@ -102,26 +102,32 @@ class SelfDualRealModule:
         if self.icplx.transpose() @ p @ self.icplx != p:
             raise InvariantViolation("icplx is not a pairing isometry")
 
-    def apply_pairing(self, u: Matrix, w: Matrix) -> Scalar:
-        return (u.transpose() @ self.pair_mat() @ w)[0, 0]
-
 
 @dataclass(frozen=True, slots=True)
 class EigenSplit:
-    """Eigenspace bases of icplx and the involution's swap witness.
+    """Eigenspace bases of icplx, the involution's swap witnesses, the gram.
 
-    `minus` / `plus` hold basis columns of ker(icplx + iI) / ker(icplx - iI);
-    `witness` expresses the involution image of each +i basis vector in the
-    -i basis.  Applying the involution twice is the identity, which makes
-    conj(witness)^-1 the witness in the opposite direction.
+    `minus` / `plus` hold basis columns of ker(icplx + iI) / ker(icplx - iI)
+    and `frame` is the two side by side.  `witness` expresses the involution
+    image of each +i basis vector in the -i basis and `rev_witness` the image
+    of each -i basis vector in the +i basis; applying the involution twice is
+    the identity, so rev_witness . conj(witness) = I.  `gram` is the extracted
+    Hermitian form on the +i basis.
     """
 
-    minus: Matrix    # dim x half
-    plus: Matrix     # dim x half
-    witness: Matrix  # half x half
+    half: int
+    minus: Matrix        # dim x half
+    plus: Matrix         # dim x half
+    witness: Matrix      # half x half
+    rev_witness: Matrix  # half x half
+    frame: Matrix        # dim x dim
+    frame_inv: Matrix
+    gram: Matrix         # half x half
+    gram_inv: Matrix
 
 
-def _eigen_data(s: SelfDualRealModule) -> dict:
+def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
+    """The eigen split of s, checked once and memoized on the structure."""
     if "eigen" in s._memo:
         return s._memo["eigen"]
     s.check()
@@ -160,30 +166,15 @@ def _eigen_data(s: SelfDualRealModule) -> dict:
         gram_inv = inverse(gram)
     except SingularMatrixError:
         raise InvariantViolation("pairing restricts degenerately to the eigenspaces") from None
-    data = {
-        "half": half,
-        "minus": minus,
-        "plus": plus,
-        "witness": witness,
-        "rev_witness": rev_witness,
-        "frame": frame,
-        "frame_inv": frame_inv,
-        "gram": gram,
-        "gram_inv": gram_inv,
-    }
+    data = EigenSplit(half, minus, plus, witness, rev_witness, frame, frame_inv, gram, gram_inv)
     s._memo["eigen"] = data
     return data
 
 
-def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
-    data = _eigen_data(s)
-    return EigenSplit(data["minus"], data["plus"], data["witness"])
-
-
 def extract_hermitian(s: SelfDualRealModule) -> HermitianSpace:
     """Gram of <psi|phi> = pairing(involution(psi) (x) phi) on the +i basis."""
-    data = _eigen_data(s)
-    result = HermitianSpace(data["half"], data["gram"])
+    data = split_eigenspaces(s)
+    result = HermitianSpace(data.half, data.gram)
     result.check()
     return result
 
@@ -231,28 +222,28 @@ def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
 
 
 def _internalize_raw(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> RealHom:
-    d1 = _eigen_data(s1)
-    d2 = _eigen_data(s2)
-    if g.shape != (d2["half"], d1["half"]):
-        raise ShapeError(f"map must be {d2['half']}x{d1['half']}, got {g.rows}x{g.cols}")
+    d1 = split_eigenspaces(s1)
+    d2 = split_eigenspaces(s2)
+    if g.shape != (d2.half, d1.half):
+        raise ShapeError(f"map must be {d2.half}x{d1.half}, got {g.rows}x{g.cols}")
     # the -i block is forced by equivariance: bras transport to bras
-    gm = d2["witness"] @ g.conj() @ inverse(d1["witness"])
-    mat = d2["frame"] @ block_diag([gm, g]) @ d1["frame_inv"]
+    gm = d2.witness @ g.conj() @ d1.rev_witness.conj()
+    mat = d2.frame @ block_diag([gm, g]) @ d1.frame_inv
     return RealHom(s1.H, s2.H, mat)
 
 
 def externalize_map(big: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     """Read off the +i block of an equivariant icplx-commuting map."""
-    d1 = _eigen_data(s1)
-    d2 = _eigen_data(s2)
+    d1 = split_eigenspaces(s1)
+    d2 = split_eigenspaces(s2)
     if big.shape != (s2.H.dim, s1.H.dim):
         raise ShapeError("ambient map has the wrong shape")
     if not is_real_hom(s1.H, s2.H, big):
         raise InvariantViolation("map is not equivariant")
     if big @ s1.icplx != s2.icplx @ big:
         raise InvariantViolation("map does not commute with icplx")
-    coords = d2["frame_inv"] @ big @ d1["frame"]
-    h1, h2 = d1["half"], d2["half"]
+    coords = d2.frame_inv @ big @ d1.frame
+    h1, h2 = d1.half, d2.half
     plus_block = Matrix.from_rows([coords.row(i)[h1:] for i in range(h2, 2 * h2)])
     off_block = Matrix.from_rows([coords.row(i)[:h1] for i in range(h2, 2 * h2)])
     if not off_block.is_zero():
@@ -273,7 +264,7 @@ def internalize_map(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -
     if externalize_map(hom.mat, s1, s2) != g:
         raise InvariantViolation("internalize/externalize failed to invert")
     dag = _dagger_from_hom(hom.mat, g, s1, s2)
-    if _eigen_data(s1)["gram"] @ dag != g.conj_transpose() @ _eigen_data(s2)["gram"]:
+    if split_eigenspaces(s1).gram @ dag != g.conj_transpose() @ split_eigenspaces(s2).gram:
         raise InvariantViolation("adjoint law fails")
     return hom
 
@@ -292,7 +283,7 @@ def _dagger_from_hom(hom_mat: Matrix, g: Matrix,
                      s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     ambient = s1.coev_mat() @ hom_mat.transpose() @ s2.pair_mat()
     out = externalize_map(ambient, s2, s1)
-    if _eigen_data(s1)["gram"] @ out != g.conj_transpose() @ _eigen_data(s2)["gram"]:
+    if split_eigenspaces(s1).gram @ out != g.conj_transpose() @ split_eigenspaces(s2).gram:
         raise InvariantViolation("dagger violates the adjoint law")
     return out
 
@@ -352,13 +343,9 @@ def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> boo
 
 
 def is_positive_definite(h: HermitianSpace) -> bool:
-    """All leading principal minors strictly positive (exact signs)."""
+    """Every eigenvalue of the gram positive (exact inertia)."""
     h.check()
-    for k in range(1, h.dim + 1):
-        minor = det(Matrix.from_rows([h.gram.row(i)[:k] for i in range(k)]))
-        if not minor.is_real() or minor.sign_real() != 1:
-            return False
-    return True
+    return inertia(h.gram)[0] == h.dim
 
 
 # -- standard gates and seeded generators -----------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import InvariantViolation, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, ScalarParseError
 
 
@@ -63,11 +63,6 @@ class Matrix:
     def column(cls, values) -> "Matrix":
         values = [_entry(v) for v in values]
         return cls(len(values), 1, tuple(values))
-
-    @classmethod
-    def row_vector(cls, values) -> "Matrix":
-        values = [_entry(v) for v in values]
-        return cls(1, len(values), tuple(values))
 
     # -- access ---------------------------------------------------------------
 
@@ -397,6 +392,55 @@ def det(m: Matrix) -> Scalar:
                 if prow[j]:
                     krow[j] = krow[j] - f * prow[j]
     return result if sign > 0 else -result
+
+
+def inertia(m: Matrix) -> tuple:
+    """(positive, negative, zero) eigenvalue counts of a Hermitian matrix.
+
+    Exact congruence diagonalization; by Sylvester's law of inertia the sign
+    counts of the pivots are those of the eigenvalues.  Each step takes the
+    first nonzero diagonal entry of the remaining block as the pivot and
+    replaces the block by its Schur complement.  When the remaining diagonal
+    is all zero but some a_jk is not, the congruence e_j <- e_j + conj(a_jk) e_k
+    makes the pivot a_jj = 2|a_jk|^2 > 0 (the exact counterpart of a
+    Bunch-Kaufman 2x2 pivot).  O(n^3) scalar operations, always decided.
+    """
+    if not m.is_square:
+        raise ShapeError("inertia of a non-square matrix")
+    if m.conj_transpose() != m:
+        raise InvariantViolation("inertia of a non-Hermitian matrix")
+    a = [list(m.row(i)) for i in range(m.rows)]
+    rest = list(range(m.rows))
+    pos = neg = 0
+    while rest:
+        p = next((i for i in rest if a[i][i]), None)
+        if p is None:
+            p, k = next(((j, k) for j in rest for k in rest if a[j][k]), (None, None))
+            if p is None:
+                break
+            c = a[p][k].conj()
+            for i in rest:
+                a[i][p] = a[i][p] + c * a[i][k]
+            cc = c.conj()
+            for i in rest:
+                a[p][i] = a[p][i] + cc * a[k][i]
+        if a[p][p].sign_real() > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest.remove(p)
+        prow = a[p]
+        pinv = prow[p].inv()
+        for i in rest:
+            f = a[i][p]
+            if not f:
+                continue
+            f = f * pinv
+            irow = a[i]
+            for j in rest:
+                if prow[j]:
+                    irow[j] = irow[j] - f * prow[j]
+    return pos, neg, len(rest)
 
 
 # -- realification -----------------------------------------------------------------

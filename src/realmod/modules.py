@@ -103,23 +103,6 @@ def compose(g: RealHom, f: RealHom) -> RealHom:
     return RealHom(f.source, g.target, g.mat @ f.mat)
 
 
-def associator(m1: RealModule, m2: RealModule, m3: RealModule) -> RealHom:
-    """(m1 (x) m2) (x) m3 -> m1 (x) (m2 (x) m3); the identity reshuffle.
-
-    Kronecker indexing is strictly associative, so both sides are the same
-    object and the structure map is the identity matrix.
-    """
-    return identity_hom(tensor(tensor(m1, m2), m3))
-
-
-def left_unitor(m: RealModule) -> RealHom:
-    return RealHom(tensor(tensor_unit(), m), m, Matrix.identity(m.dim))
-
-
-def right_unitor(m: RealModule) -> RealHom:
-    return RealHom(tensor(m, tensor_unit()), m, Matrix.identity(m.dim))
-
-
 @dataclass(frozen=True, slots=True)
 class FixedPoints:
     """Basis over Q(sqrt2) of the involution-fixed vectors, embedded in the module."""

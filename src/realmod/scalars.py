@@ -21,9 +21,6 @@ import math
 import re
 from fractions import Fraction
 
-# Exact rationals for the public coordinate views.
-Rational = Fraction
-
 _R_ZERO = Fraction(0)
 _R_ONE = Fraction(1)
 
@@ -70,15 +67,6 @@ class Scalar:
     @staticmethod
     def of(a=0, b=0, c=0, d=0) -> "Scalar":
         return Scalar(_as_fraction(a), _as_fraction(b), _as_fraction(c), _as_fraction(d))
-
-    @staticmethod
-    def from_int(n: int) -> "Scalar":
-        return _make(n, 0, 0, 0, 1)
-
-    @staticmethod
-    def from_rational(r) -> "Scalar":
-        r = _as_fraction(r)
-        return _make(r.numerator, 0, 0, 0, r.denominator)
 
     # -- coordinate views ----------------------------------------------------
 

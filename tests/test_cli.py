@@ -1,5 +1,6 @@
 """Command behavior, exit codes, and byte-determinism of the reports."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from realmod import cli
 from realmod.specfile import parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 CORPUS = sorted(DATA.glob("*.spec"))
 
 # every (file, command, target) pair the corpus supports
@@ -135,6 +137,28 @@ def test_selftest_runs_without_an_input_file():
     assert code == 0
     assert lines[-1].endswith("seed=3 cases=5")
     assert all(": ok (" in line for line in lines[:-1])
+
+
+def test_selftest_rejects_an_empty_case_budget(capsys):
+    for cases in ("0", "-5"):
+        assert cli.main(["--command", "selftest", "--cases", cases]) == 2
+        assert capsys.readouterr().out.startswith("error: --cases must be at least 1")
+
+
+def test_selftest_verdicts_survive_python_O():
+    # with dagger sabotaged to return its input, the dagger suite must fail
+    # even when the interpreter strips assert statements
+    code = (
+        "import sys\n"
+        "from realmod import hermitian, selftest\n"
+        "hermitian.dagger = lambda g, s1, s2: g\n"
+        "failed = [r.name for r in selftest.run_selftest(0, 1) if not r.passed]\n"
+        "print(sys.flags.optimize, ' '.join(failed))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 hermitian.dagger\n"
 
 
 def test_main_end_to_end(capsys, tmp_path):

@@ -123,11 +123,15 @@ def test_positivity_certificates():
         positivity_certificate(s, Matrix.from_rows([[0, 1], [0, 0]]))
 
 
-def test_positivity_of_large_boundary_states_is_undecided():
+def test_positivity_of_large_boundary_states_is_decided():
     s = standard_selfdual(9)
     rho = Matrix.from_rows(
         [[1 if i == j and i < 8 else 0 for j in range(9)] for i in range(9)])
-    assert positivity_certificate(s, rho) == "unknown"
+    assert positivity_certificate(s, rho) == "yes"
+    # zero diagonal with a [[0,1],[1,0]] block: eigenvalues +1 and -1
+    swap = Matrix.from_rows(
+        [[1 if {i, j} == {0, 1} else 0 for j in range(9)] for i in range(9)])
+    assert positivity_certificate(s, swap) == "no"
 
 
 def test_certificate_sees_through_an_indefinite_gram():

@@ -1,10 +1,11 @@
 """Exact matrices: arithmetic, elimination, tensor calculus, text form."""
 
+import itertools
 import random
 
 import pytest
 
-from realmod.errors import ShapeError, SingularMatrixError
+from realmod.errors import InvariantViolation, ShapeError, SingularMatrixError
 from realmod.linalg import (
     Matrix,
     MatrixParseError,
@@ -12,6 +13,7 @@ from realmod.linalg import (
     det,
     format_matrix,
     hstack,
+    inertia,
     inverse,
     kernel_basis,
     kron,
@@ -92,6 +94,86 @@ def test_determinant_is_multiplicative():
         b = random_matrix(rng, n, n)
         assert det(a @ b) == det(a) * det(b)
     assert det(Matrix.identity(4)) == ONE
+
+
+def _random_hermitian(rng, n):
+    """Hermitian, often rank-deficient, sometimes with an all-zero diagonal."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        y = random_matrix(rng, n, n)
+        return y + y.conj_transpose()
+    if kind == 1:
+        m = Matrix.zero(n, n)
+        for _ in range(rng.randrange(0, n + 1)):
+            w = random_matrix(rng, n, 1)
+            m = m + Scalar(rng.choice((1, -1, 2))) * (w @ w.conj_transpose())
+        return m
+    y = random_matrix(rng, n, n)
+    m = y + y.conj_transpose()
+    return Matrix.from_rows([[0 if i == j else m[i, j] for j in range(n)] for i in range(n)])
+
+
+def _is_psd_by_principal_minors(m):
+    """Reference: PSD iff every principal minor is nonnegative (2^n dets)."""
+    for k in range(1, m.rows + 1):
+        for idx in itertools.combinations(range(m.rows), k):
+            minor = det(Matrix.from_rows([[m[i, j] for j in idx] for i in idx]))
+            assert minor.is_real()
+            if minor.sign_real() < 0:
+                return False
+    return True
+
+
+def test_inertia_counts_the_signs_of_a_congruent_diagonal():
+    # t^dagger D t, as random_hermitian_space builds its grams, here with
+    # zeros and Q(sqrt2) entries on the diagonal too
+    rng = random.Random(16)
+    values = (ONE, -ONE, Scalar(3), Scalar(0), Scalar(1, -1), Scalar(-3, 2))
+    for _ in range(25):
+        n = rng.randrange(1, 7)
+        d = [rng.choice(values) for _ in range(n)]
+        t = random_invertible(rng, n)
+        signs = [x.sign_real() for x in d]
+        expect = (signs.count(1), signs.count(-1), signs.count(0))
+        assert inertia(t.conj_transpose() @ Matrix.diagonal(d) @ t) == expect
+
+
+def test_inertia_is_invariant_under_congruence():
+    rng = random.Random(17)
+    for _ in range(25):
+        n = rng.randrange(1, 6)
+        a = _random_hermitian(rng, n)
+        t = random_invertible(rng, n)
+        got = inertia(a)
+        assert inertia(t.conj_transpose() @ a @ t) == got
+        assert got[0] + got[1] == rank(a)
+
+
+def test_inertia_agrees_with_the_principal_minor_criterion():
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        a = _random_hermitian(rng, n)
+        pos, neg, zero = inertia(a)
+        assert pos + neg + zero == n
+        assert (neg == 0) == _is_psd_by_principal_minors(a)
+        assert (pos == 0) == _is_psd_by_principal_minors(-a)
+
+
+def test_inertia_edge_cases():
+    assert inertia(Matrix.zero(0, 0)) == (0, 0, 0)
+    assert inertia(Matrix.zero(3, 3)) == (0, 0, 3)
+    # all-zero diagonal: only the 2x2 congruence pivot can start; with
+    # a_01 = 1+i the pivot is nonzero only for the coefficient conj(a_01)
+    one_plus_i = ONE + I
+    assert inertia(Matrix.from_rows([[0, one_plus_i], [one_plus_i.conj(), 0]])) == (1, 1, 0)
+    assert inertia(Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])) == (1, 1, 1)
+    with pytest.raises(InvariantViolation):
+        inertia(Matrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(InvariantViolation):
+        inertia(Matrix.from_rows([[I]]))
+    with pytest.raises(ShapeError):
+        inertia(Matrix.zero(2, 3))
 
 
 def test_kron_mixed_product_and_vec():
