@@ -32,7 +32,6 @@ from .hermitian import (
     SelfDualRealModule,
     _dagger_from_hom,
     _internalize_raw,
-    dagger,
     split_eigenspaces,
 )
 from .linalg import (
@@ -47,7 +46,7 @@ from .linalg import (
     vec,
 )
 from .scalars import Scalar
-from .modules import random_matrix, random_scalar
+from .modules import random_matrix
 
 
 @dataclass(frozen=True, slots=True)

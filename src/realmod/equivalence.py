@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, SingularMatrixError
 from .linalg import Matrix, hstack, inverse, solve, vstack
-from .modules import RealHom, RealModule, random_real_scalar
+from .modules import RealHom, RealModule
 from .scalars import I, INV_SQRT2, ONE, Scalar
 
 

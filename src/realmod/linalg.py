@@ -3,15 +3,39 @@
 Matrices are immutable, row-major, and every operation is exact.  Echelon
 reduction uses first-nonzero pivoting and emits kernel vectors with free
 columns in ascending index order, so all derived bases are deterministic.
+
+Products (`@` and `kron`) are fused raw-integer kernels.  They read a row's
+nonzero entries once, as `(column, na, nb, nc, nd, den)` tuples, and only for
+rows a nonzero of the other factor reaches; the self-dual structures and
+Kronecker operands are block-sparse, so most entries are never touched.  `@`
+sums the integer numerators of each output entry over a running common
+denominator and builds one normalized Scalar per nonzero entry; `kron` builds
+one per nonzero product.  Zero entries stay the shared ZERO.  The results are
+the canonical Scalars that per-entry Scalar arithmetic would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd
+from operator import is_not
 
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, ScalarParseError
+from .scalars import ONE, ZERO, Scalar, _make, format_scalar, parse_scalar, ScalarParseError
+
+
+def _nonzeros(entries: tuple, start: int, width: int) -> list:
+    """(column, na, nb, nc, nd, den) of each nonzero in entries[start:start+width].
+
+    The shared ZERO is skipped by an identity test at C speed, which matters
+    for the wide, mostly-ZERO rows of Kronecker products.
+    """
+    row = entries[start:start + width]
+    return [(j, x.na, x.nb, x.nc, x.nd, x.den)
+            for j, x in compress(enumerate(row), map(is_not, row, repeat(ZERO)))
+            if x.na or x.nb or x.nc or x.nd]
 
 
 def _entry(value) -> Scalar:
@@ -117,18 +141,38 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
+        brows = [None] * k  # nonzero entries of b's rows, read on first use
         out = [ZERO] * (n * m)
         for i in range(n):
-            arow = a[i * k:(i + 1) * k]
+            acc = {}  # column -> [na, nb, nc, nd, den], the running sum of row i
+            for t, a1, b1, c1, d1, e1 in _nonzeros(a, i * k, k):
+                row = brows[t]
+                if row is None:
+                    row = brows[t] = _nonzeros(b, t * m, m)
+                for j, a2, b2, c2, d2, e2 in row:
+                    # the product formula of Scalar.__mul__, on raw numerators
+                    pa = a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2
+                    pb = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+                    pc = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
+                    pd = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+                    pe = e1 * e2
+                    s = acc.get(j)
+                    if s is None:
+                        acc[j] = [pa, pb, pc, pd, pe]
+                    elif s[4] == pe:
+                        s[0] += pa
+                        s[1] += pb
+                        s[2] += pc
+                        s[3] += pd
+                    else:
+                        g = gcd(s[4], pe)
+                        u, v = pe // g, s[4] // g
+                        acc[j] = [s[0] * u + pa * v, s[1] * u + pb * v,
+                                  s[2] * u + pc * v, s[3] * u + pd * v, s[4] * u]
             base = i * m
-            for t in range(k):
-                f = arow[t]
-                if not f:
-                    continue
-                brow = b[t * m:(t + 1) * m]
-                for j in range(m):
-                    if brow[j]:
-                        out[base + j] = out[base + j] + f * brow[j]
+            for j, (sa, sb, sc, sd, se) in acc.items():
+                if sa or sb or sc or sd:
+                    out[base + j] = _make(sa, sb, sc, sd, se)
         return Matrix(n, m, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -220,19 +264,19 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i1*b.rows + i2, j1*b.cols + j2)."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
     out = [ZERO] * (rows * cols)
+    brows = [_nonzeros(b.entries, i2 * b.cols, b.cols) for i2 in range(b.rows)]
     for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            f = a[i1, j1]
-            if not f:
-                continue
-            rbase = i1 * b.rows
-            cbase = j1 * b.cols
-            for i2 in range(b.rows):
-                base = (rbase + i2) * cols + cbase
-                brow = b.row(i2)
-                for j2 in range(b.cols):
-                    if brow[j2]:
-                        out[base + j2] = f * brow[j2]
+        for j1, a1, b1, c1, d1, e1 in _nonzeros(a.entries, i1 * a.cols, a.cols):
+            base = i1 * b.rows * cols + j1 * b.cols
+            for brow in brows:
+                for j2, a2, b2, c2, d2, e2 in brow:
+                    # the product formula of Scalar.__mul__, on raw numerators
+                    out[base + j2] = _make(a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2,
+                                           a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                                           a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+                                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+                                           e1 * e2)
+                base += cols
     return Matrix(rows, cols, tuple(out))
 
 

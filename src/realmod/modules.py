@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CompositionError, InvariantViolation, ShapeError, SingularMatrixError
+from .errors import CompositionError, InvariantViolation
 from .linalg import (
     Matrix,
     block_diag,

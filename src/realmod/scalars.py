@@ -201,11 +201,8 @@ class Scalar:
     def is_real(self) -> bool:
         return self.nc == 0 and self.nd == 0
 
-    def is_zero(self) -> bool:
-        return self.na == 0 and self.nb == 0 and self.nc == 0 and self.nd == 0
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.na or self.nb or self.nc or self.nd)
 
     def real_part(self) -> "Scalar":
         """(x + conj(x)) / 2, i.e. the Q(sqrt2) coordinate pair (a, b)."""
@@ -331,6 +328,10 @@ class ScalarParseError(ValueError):
 
 
 _RATIONAL_RE = re.compile(r"\d+(?:/\d+)?")
+# Longest rational literal `p` or `p/q`, in characters.  It keeps every digit
+# run well inside the interpreter's int/str conversion limit (4300 digits by
+# default), so an oversized literal is a positioned parse error, not a crash.
+MAX_LITERAL_LENGTH = 1000
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -372,6 +373,9 @@ def parse_scalar(text: str) -> Scalar:
         if text[i].isdigit():
             m = _RATIONAL_RE.match(text, i)
             term_start = i
+            if m.end() - term_start > MAX_LITERAL_LENGTH:
+                raise ScalarParseError(
+                    f"literal longer than {MAX_LITERAL_LENGTH} characters", term_start)
             try:
                 coeff = Fraction(m.group())
             except ZeroDivisionError:

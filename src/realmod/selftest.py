@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import density, equivalence, hermitian, linalg, modules, quantization, scalars, specfile
+from . import density, equivalence, hermitian, linalg, modules, quantization, specfile
 from .errors import InvariantViolation
 from .linalg import Matrix, hstack, inverse, kernel_basis, kron, kron_swap, rank, rref, solve, vec, unvec
 from .scalars import I, ONE, SQRT2, ZERO, Scalar, format_scalar, parse_scalar, ScalarParseError
@@ -418,13 +418,18 @@ _SUITES = (
 
 
 def run_selftest(seed: int = 0, cases: int = 100) -> tuple:
-    """Run every suite with its own deterministic generator."""
+    """Run every suite with its own deterministic generator.
+
+    A suite that ran no case fails: a verdict must never pass vacuously.
+    """
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     results = []
     for name, fn in _SUITES:
         rng = random.Random(f"{seed}:{name}")
         try:
             ran = fn(rng, cases)
-            results.append(SuiteResult(name, ran, None))
+            results.append(SuiteResult(name, ran, None if ran else "no case ran"))
         except (AssertionError, InvariantViolation) as exc:
             results.append(SuiteResult(name, 0, str(exc) or exc.__class__.__name__))
     return tuple(results)

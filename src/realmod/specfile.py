@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .linalg import Matrix, MatrixParseError, parse_matrix
+from .scalars import MAX_LITERAL_LENGTH
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KINDS = ("module", "realvs", "hermitian", "gate", "realset", "quantize", "channel", "check")
@@ -95,6 +96,8 @@ def _tokens(line: str):
 def _parse_int(text: str, lineno: int, col: int, minimum: int = 0) -> int:
     if not re.fullmatch(r"-?\d+", text):
         raise SpecFileError(f"expected an integer, got {text!r}", lineno, col)
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise SpecFileError(f"integer longer than {MAX_LITERAL_LENGTH} characters", lineno, col)
     value = int(text)
     if value < minimum:
         raise SpecFileError(f"integer must be at least {minimum}", lineno, col)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from realmod import cli
+from realmod import cli, selftest
 from realmod.specfile import parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -142,7 +142,21 @@ def test_selftest_runs_without_an_input_file():
 def test_selftest_rejects_an_empty_case_budget(capsys):
     for cases in ("0", "-5"):
         assert cli.main(["--command", "selftest", "--cases", cases]) == 2
-        assert capsys.readouterr().out.startswith("error: --cases must be at least 1")
+        assert capsys.readouterr().out == f"error: --cases must be at least 1, got {cases}\n"
+
+
+def test_library_selftest_rejects_an_empty_case_budget():
+    for cases in (0, -5):
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            selftest.run_selftest(seed=0, cases=cases)
+
+
+def test_a_suite_that_ran_no_case_fails(monkeypatch):
+    monkeypatch.setattr(selftest, "_SUITES", (("empty", lambda rng, cases: 0),
+                                              ("full", lambda rng, cases: cases)))
+    empty, full = selftest.run_selftest(seed=0, cases=3)
+    assert (empty.passed, empty.failure) == (False, "no case ran")
+    assert (full.passed, full.cases) == (True, 3)
 
 
 def test_selftest_verdicts_survive_python_O():
@@ -178,6 +192,24 @@ def test_main_end_to_end(capsys, tmp_path):
     assert cli.main(["--input", str(bad), "--command", "check"]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error:") and "line 1" in out
+
+
+def test_oversized_literals_are_positioned_input_errors(capsys, tmp_path):
+    # 5000 digits exceed the interpreter's int/str conversion limit
+    huge = "1" * 5000
+    cases = (
+        (f"hermitian h dim=1 gram={huge}\n",
+         "error: literal longer than 1000 characters (line 1, column 24)\n"),
+        (f"hermitian h dim=1 gram=1,0;0,1/{huge}+i\n",
+         "error: literal longer than 1000 characters (line 1, column 30)\n"),
+        (f"hermitian h dim={huge} gram=1\n",
+         "error: integer longer than 1000 characters (line 1, column 17)\n"),
+    )
+    path = tmp_path / "huge.spec"
+    for text, expected in cases:
+        path.write_text(text)
+        assert cli.main(["--input", str(path), "--command", "check"]) == 2
+        assert capsys.readouterr().out == expected
 
 
 def test_console_script_invocation():

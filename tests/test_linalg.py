@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,7 +30,7 @@ from realmod.linalg import (
     vstack,
 )
 from realmod.modules import random_invertible, random_matrix
-from realmod.scalars import I, ONE, SQRT2, Scalar
+from realmod.scalars import I, ONE, SQRT2, ZERO, Scalar
 
 
 def test_constructors_and_shape_checks():
@@ -50,6 +52,106 @@ def test_arithmetic_against_hand_values():
     assert (SQRT2 * a)[1, 1] == Scalar(2)
     assert a.conj_transpose()[1, 0] == -I
     assert -a + a == Matrix.zero(2, 2)
+
+
+# -- the product kernels against a per-entry Scalar reference -------------------
+
+_ENTRY_POOL = (
+    Scalar(0, Fraction(1, 3)),             # 1/3*r2
+    Scalar(0, 0, Fraction(1, 2)),          # 1/2*i
+    Scalar(Fraction(-2, 3), 0, 0, 1),      # -2/3 + i*r2
+    Scalar(1, Fraction(1, 2), Fraction(-1, 6), Fraction(1, 4)),
+    ONE, -ONE, I, SQRT2, Scalar(3),
+)
+
+
+def _sparse_matrix(rng, rows, cols):
+    """About half zeros, one whole zero row and column when there is room.
+
+    Some zeros are fresh objects rather than the shared ZERO, so the kernels'
+    identity shortcut cannot stand in for the numeric test.
+    """
+    zero_row = rng.randrange(rows) if rows > 1 else None
+    zero_col = rng.randrange(cols) if cols > 1 else None
+    out = []
+    for i in range(rows):
+        for j in range(cols):
+            if i == zero_row or j == zero_col or rng.random() < 0.5:
+                out.append(rng.choice((ZERO, Scalar(), ONE - ONE)))
+            else:
+                out.append(rng.choice(_ENTRY_POOL) * rng.choice((1, -2, Fraction(1, 5))))
+    return Matrix(rows, cols, tuple(out))
+
+
+def _naive_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = ZERO
+            for t in range(a.cols):
+                total = total + a[i, t] * b[t, j]
+            out.append(total)
+    return Matrix(a.rows, b.cols, tuple(out))
+
+
+def _naive_kron(a, b):
+    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        a[i1, j1] * b[i2, j2]
+        for i1 in range(a.rows) for i2 in range(b.rows)
+        for j1 in range(a.cols) for j2 in range(b.cols)))
+
+
+def _is_normal(x):
+    return x.den > 0 and gcd(x.na, x.nb, x.nc, x.nd, x.den) == 1
+
+
+def test_products_agree_with_the_per_entry_reference():
+    rng = random.Random(29)
+    for _ in range(200):
+        n, k, m = (rng.randrange(1, 8) for _ in range(3))
+        a = _sparse_matrix(rng, n, k)
+        b = _sparse_matrix(rng, k, m)
+        got = a @ b
+        assert got == _naive_matmul(a, b)
+        assert all(_is_normal(x) for x in got.entries)
+        c = _sparse_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 4))
+        got = kron(a, c)
+        assert got == _naive_kron(a, c)
+        assert all(_is_normal(x) for x in got.entries)
+
+
+def test_cancelling_products_give_canonical_zero():
+    x = Scalar(Fraction(1, 3), 0, Fraction(1, 2), Fraction(-1, 7))
+    cases = (
+        (Matrix.from_rows([[1, 1]]), Matrix.column([x, -x])),
+        # equal values over different denominators: 1/2 * 2/3 - 1/3 * 1
+        (Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]]), Matrix.column([Fraction(2, 3), -1])),
+        (Matrix.from_rows([[I, SQRT2, 1]]), Matrix.column([I, SQRT2, -1])),  # -1 + 2 - 1
+    )
+    for a, b in cases:
+        z = (a @ b)[0, 0]
+        assert z == ZERO
+        assert (z.na, z.nb, z.nc, z.nd, z.den) == (0, 0, 0, 0, 1)
+    # a partial cancellation still lands in lowest terms: 1/6 + 1/3 = 1/2
+    half = (Matrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
+            @ Matrix.column([Fraction(1, 3), Fraction(2, 3)]))[0, 0]
+    assert (half.na, half.nb, half.nc, half.nd, half.den) == (1, 0, 0, 0, 2)
+
+
+def test_products_of_empty_shapes():
+    b = Matrix.from_rows([[1, I], [SQRT2, 0], [2, 3]])
+    assert Matrix(0, 3, ()) @ b == Matrix(0, 2, ())
+    assert Matrix(2, 0, ()) @ Matrix(0, 4, ()) == Matrix.zero(2, 4)
+    assert kron(Matrix(0, 2, ()), b) == Matrix(0, 4, ())
+    assert kron(b, Matrix(0, 2, ())) == Matrix(0, 4, ())
+    assert kron(b, Matrix(1, 0, ())) == Matrix(3, 0, ())
+
+
+def test_product_shape_mismatch():
+    with pytest.raises(ShapeError):
+        Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+    with pytest.raises(ShapeError):
+        Matrix(0, 1, ()) @ Matrix(2, 0, ())
 
 
 def test_rref_is_idempotent_and_canonical():

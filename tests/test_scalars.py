@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from realmod.scalars import (
     I,
     INV_SQRT2,
+    MAX_LITERAL_LENGTH,
     ONE,
     SQRT2,
     ZERO,
@@ -159,3 +160,12 @@ def test_parse_error_reports_offset():
         assert exc.offset == 2
     else:
         raise AssertionError("expected a parse error")
+
+
+def test_literal_length_is_bounded():
+    longest = "1/" + "3" * (MAX_LITERAL_LENGTH - 2)
+    assert parse_scalar(longest) == Scalar(Fraction(1, int(longest[2:])))
+    for text, offset in ((longest + "3", 0), ("2-" + longest + "3*i", 2), ("7" * 5000, 0)):
+        with pytest.raises(ScalarParseError, match="literal longer than") as info:
+            parse_scalar(text)
+        assert info.value.offset == offset
