@@ -31,6 +31,7 @@ from .scalars import (
     SQRT2,
     ZERO,
     Scalar,
+    ScalarFormatError,
     ScalarParseError,
     format_scalar,
     parse_scalar,
@@ -132,6 +133,7 @@ __all__ = [
     "RealVS",
     "SQRT2",
     "Scalar",
+    "ScalarFormatError",
     "ScalarParseError",
     "SelfDualRealModule",
     "SpecFile",

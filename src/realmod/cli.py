@@ -39,6 +39,7 @@ from .hermitian import (
 from .linalg import format_matrix
 from .modules import RealModule
 from .quantization import RealSet, quantize
+from .scalars import ScalarFormatError
 from .selftest import run_selftest
 from .specfile import SpecFile, SpecFileError, Stanza, parse_spec
 
@@ -225,7 +226,7 @@ def run(spec: SpecFile | None, command: str, target: str | None = None,
             }[command]
             return handler(spec, target)
         raise _InputError(f"unknown command {command!r}")
-    except _InputError as exc:
+    except (_InputError, ScalarFormatError) as exc:
         return [f"error: {exc}"], 2
     except _RUN_ERRORS as exc:
         head = command if target is None else f"{command} {target}"

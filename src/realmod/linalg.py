@@ -531,15 +531,19 @@ def format_matrix(m: Matrix) -> str:
 
 
 def parse_matrix(text: str) -> Matrix:
-    rows = []
+    entries = []
     ncols = None
     pos = 0
+    seen = {}  # cell text -> Scalar, within this matrix only
     for row_text in text.split(";"):
         row = []
         col_pos = pos
         for cell in row_text.split(","):
             try:
-                row.append(parse_scalar(cell))
+                x = seen.get(cell)
+                if x is None:
+                    x = seen[cell] = parse_scalar(cell)
+                row.append(x)
             except ScalarParseError as e:
                 raise MatrixParseError(str(e), col_pos + e.offset) from None
             col_pos += len(cell) + 1
@@ -547,6 +551,6 @@ def parse_matrix(text: str) -> Matrix:
             ncols = len(row)
         elif len(row) != ncols:
             raise MatrixParseError("ragged matrix rows", pos)
-        rows.append(row)
+        entries.extend(row)
         pos += len(row_text) + 1
-    return Matrix.from_rows(rows)
+    return Matrix(len(entries) // ncols, ncols, tuple(entries))

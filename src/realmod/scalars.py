@@ -12,13 +12,16 @@ the signs of p and q.  No floating point is used anywhere.
 The textual form is a sum of terms `p/q`, `p/q*r2`, `p/q*i`, `p/q*i*r2`
 (e.g. ``1/2+1/2*i*r2``); parsing accepts optional whitespace and either marker
 order, printing is canonical and space-free, and parse(format(x)) == x holds
-bit-exactly.
+bit-exactly.  Literals are ASCII digits only.  The parser adds each term's
+integers p and q into the four numerators over a running common denominator
+and normalizes once; no Fraction is built per term.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 _R_ZERO = Fraction(0)
@@ -302,12 +305,29 @@ INV_SQRT2 = Scalar(_R_ZERO, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 _SUFFIXES = ("", "*r2", "*i", "*i*r2")
 
 
+class ScalarFormatError(ValueError):
+    """A coordinate has more decimal digits than the interpreter converts to text."""
+
+
+def _too_long(v: int, limit: int) -> bool:
+    """Whether |v| has more than `limit` decimal digits, decided without str()."""
+    # |v| < 2**b < 10**(b*30103//100000 + 1), so only a long b needs the exact test
+    return v.bit_length() * 30103 // 100000 >= limit and abs(v) >= 10 ** limit
+
+
 def format_scalar(x: Scalar) -> str:
-    """Canonical space-free text: terms in coordinate order, e.g. ``1/2-1/2*i``."""
+    """Canonical space-free text: terms in coordinate order, e.g. ``1/2-1/2*i``.
+
+    Raises ScalarFormatError, before any int-to-str conversion, when a reduced
+    coordinate has more digits than `sys.get_int_max_str_digits()` allows.
+    """
+    limit = sys.get_int_max_str_digits()
     parts: list[str] = []
     for coord, suffix in zip((x.a, x.b, x.c, x.d), _SUFFIXES):
         if not coord:
             continue
+        if limit and (_too_long(coord.numerator, limit) or _too_long(coord.denominator, limit)):
+            raise ScalarFormatError(f"cannot print a scalar coordinate of more than {limit} digits")
         if not parts:
             parts.append(f"{coord}{suffix}")
         elif coord > 0:
@@ -327,92 +347,87 @@ class ScalarParseError(ValueError):
         self.offset = offset
 
 
-_RATIONAL_RE = re.compile(r"\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 # Longest rational literal `p` or `p/q`, in characters.  It keeps every digit
 # run well inside the interpreter's int/str conversion limit (4300 digits by
 # default), so an oversized literal is a positioned parse error, not a crash.
 MAX_LITERAL_LENGTH = 1000
 
 
+def _skip_ws(text: str, j: int, n: int) -> int:
+    while j < n and text[j].isspace():
+        j += 1
+    return j
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse the textual form back into a Scalar (inverse of format_scalar)."""
-    coords = {(False, False): _R_ZERO, (False, True): _R_ZERO,
-              (True, False): _R_ZERO, (True, True): _R_ZERO}
-    i = 0
+    """Parse the textual form back into a Scalar (inverse of format_scalar).
+
+    Each term `p/q` is added, as integers, to one of four numerators over a
+    running common denominator; `_make` normalizes the sum once at the end.
+    """
+    nums = [0, 0, 0, 0]  # numerators of 1, r2, i, i*r2 over den
+    den = 1
     n = len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def parse_marker(j: int):
-        # returns (is_i, next_position)
-        if text.startswith("r2", j):
-            return False, j + 2
-        if j < n and text[j] == "i":
-            return True, j + 1
-        raise ScalarParseError("expected i or r2", j)
-
-    i = skip_ws(i)
+    i = _skip_ws(text, 0, n)
     if i == n:
         raise ScalarParseError("empty scalar", i)
     first = True
     while True:
-        sign = 1
+        negative = False
         if i < n and text[i] in "+-":
-            if text[i] == "-":
-                sign = -1
-            i = skip_ws(i + 1)
+            negative = text[i] == "-"
+            i = _skip_ws(text, i + 1, n)
         elif not first:
             raise ScalarParseError("expected + or - between terms", i)
         if i >= n:
             raise ScalarParseError("expected term", i)
-        has_i = False
-        has_r2 = False
-        if text[i].isdigit():
+        if "0" <= text[i] <= "9":  # ASCII only: str.isdigit also accepts '²'
             m = _RATIONAL_RE.match(text, i)
-            term_start = i
-            if m.end() - term_start > MAX_LITERAL_LENGTH:
-                raise ScalarParseError(
-                    f"literal longer than {MAX_LITERAL_LENGTH} characters", term_start)
-            try:
-                coeff = Fraction(m.group())
-            except ZeroDivisionError:
-                raise ScalarParseError("zero denominator", term_start) from None
+            if m.end() - i > MAX_LITERAL_LENGTH:
+                raise ScalarParseError(f"literal longer than {MAX_LITERAL_LENGTH} characters", i)
+            p = int(m.group(1))
+            q = int(m.group(2) or 1)
+            if not q:
+                raise ScalarParseError("zero denominator", i)
             i = m.end()
-            while i < n and text[i] == "*":
-                is_i, i2 = parse_marker(i + 1)
-                if (is_i and has_i) or (not is_i and has_r2):
-                    raise ScalarParseError("repeated marker", i + 1)
-                if is_i:
-                    has_i = True
-                else:
-                    has_r2 = True
-                i = i2
+            more = text.startswith("*", i)  # markers follow a literal after '*'
+            if more:
+                i += 1
         elif text[i] in "ir":
-            coeff = _R_ONE
-            while True:
-                is_i, i2 = parse_marker(i)
-                if (is_i and has_i) or (not is_i and has_r2):
-                    raise ScalarParseError("repeated marker", i)
-                if is_i:
-                    has_i = True
-                else:
-                    has_r2 = True
-                i = i2
-                if i < n and text[i] == "*":
-                    i += 1
-                else:
-                    break
+            p = q = 1
+            more = True
         else:
             raise ScalarParseError(f"unexpected character {text[i]!r}", i)
-        coords[(has_i, has_r2)] += sign * coeff
+        k = 0  # coordinate index: bit 1 marks r2, bit 2 marks i
+        while more:
+            if text.startswith("r2", i):
+                bit, nxt = 1, i + 2
+            elif text.startswith("i", i):
+                bit, nxt = 2, i + 1
+            else:
+                raise ScalarParseError("expected i or r2", i)
+            if k & bit:
+                raise ScalarParseError("repeated marker", i)
+            k |= bit
+            i = nxt
+            more = text.startswith("*", i)
+            if more:
+                i += 1
+        if negative:
+            p = -p
+        if q == den:
+            nums[k] += p
+        else:
+            g = math.gcd(den, q)
+            u = q // g
+            nums = [x * u for x in nums]
+            nums[k] += p * (den // g)
+            den *= u
         first = False
-        i = skip_ws(i)
+        i = _skip_ws(text, i, n)
         if i == n:
             break
         if text[i] not in "+-":
             raise ScalarParseError(f"unexpected character {text[i]!r}", i)
-    return Scalar(coords[(False, False)], coords[(False, True)],
-                  coords[(True, False)], coords[(True, True)])
+    return _make(nums[0], nums[1], nums[2], nums[3], den)

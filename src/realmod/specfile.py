@@ -74,27 +74,19 @@ class SpecFile:
         return tuple(st.name for st in self.stanzas if st.kind == kind)
 
 
+_TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace()
+_INT = re.compile(r"-?[0-9]+")  # ASCII digits, like scalar literals
+
+
 def _tokens(line: str):
     """(text, 1-based column) pairs, whitespace-separated, comment-stripped."""
     cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    out = []
-    col = 0
-    while col < len(line):
-        if line[col].isspace():
-            col += 1
-            continue
-        end = col
-        while end < len(line) and not line[end].isspace():
-            end += 1
-        out.append((line[col:end], col + 1))
-        col = end
-    return out
+    return [(m.group(), m.start() + 1)
+            for m in _TOKEN.finditer(line, 0, cut if cut >= 0 else len(line))]
 
 
 def _parse_int(text: str, lineno: int, col: int, minimum: int = 0) -> int:
-    if not re.fullmatch(r"-?\d+", text):
+    if not _INT.fullmatch(text):
         raise SpecFileError(f"expected an integer, got {text!r}", lineno, col)
     if len(text) > MAX_LITERAL_LENGTH:
         raise SpecFileError(f"integer longer than {MAX_LITERAL_LENGTH} characters", lineno, col)

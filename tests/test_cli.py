@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from realmod import cli, selftest
-from realmod.specfile import parse_spec
+from realmod.specfile import SpecFileError, parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -212,6 +214,32 @@ def test_oversized_literals_are_positioned_input_errors(capsys, tmp_path):
         assert capsys.readouterr().out == expected
 
 
+def test_non_ascii_digits_are_positioned_input_errors(capsys, tmp_path):
+    path = tmp_path / "digits.spec"
+    for text, expected in (
+        ("hermitian h dim=1 gram=²\n", "error: unexpected character '²' (line 1, column 24)\n"),
+        ("hermitian h dim=٢ gram=1,0;0,1\n", "error: expected an integer, got '٢' (line 1, column 17)\n"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["--input", str(path), "--command", "check"]) == 2
+        assert capsys.readouterr().out == expected
+
+
+def test_unprintable_coordinates_are_input_errors(capsys, tmp_path):
+    # in-bound literals whose sum has a denominator past the int/str limit:
+    # five 900-digit denominators under the default limit of 4300 digits
+    limit = sys.get_int_max_str_digits()
+    terms = "+".join(f"1/{10 ** 899 + k}" for k in range(1, (limit or 4300) // 899 + 2))
+    path = tmp_path / "sum.spec"
+    path.write_text(f"hermitian h dim=1 gram={terms}\n")
+    assert cli.main(["--input", str(path), "--command", "check"]) == 0
+    assert capsys.readouterr().out == "check hermitian h: ok\n"
+    code = cli.main(["--input", str(path), "--command", "hermitian", "--target", "h"])
+    out = capsys.readouterr().out
+    if limit:  # with no limit the gram simply prints
+        assert (code, out) == (2, f"error: cannot print a scalar coordinate of more than {limit} digits\n")
+
+
 def test_console_script_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "realmod.cli",
@@ -228,3 +256,66 @@ def test_seed_changes_nothing_but_the_summary_line():
     assert len(a) == len(b)
     assert a[:-1] == b[:-1]  # same suites, same case counts
     assert a[-1] != b[-1]
+
+
+# -- grammar fuzzer ----------------------------------------------------------------
+
+_FUZZ_ALPHABET = "0123456789/+-*ir2 ,;=#\t²٣"
+_fuzz_junk = st.one_of(st.sampled_from(("²", "-²*i", "1+²", "٣/٤*i", "1/٣", "", "1/0", "i*i", "1 2")),
+                       st.text(alphabet=_FUZZ_ALPHABET, max_size=5))
+
+
+def _mostly(valid, junk=_fuzz_junk, odds=10):
+    """`valid`, except junk text once in `odds` draws."""
+    return st.integers(1, odds).flatmap(lambda k: valid if k > 1 else junk)
+
+
+_fuzz_cell = _mostly(st.sampled_from(("0", "1", "-1", "2", "1/2", "-3/4", "1*i", "-i", "r2", "1/2*r2", "i*r2", "1+i")),
+                     odds=5)
+
+
+def _fuzz_matrix(n, good):
+    cells = st.lists(st.lists(_fuzz_cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.one_of(st.sampled_from(good), cells.map(lambda rows: ";".join(",".join(r) for r in rows)))
+
+
+@st.composite
+def _fuzz_spec(draw):
+    """A spec file near the grammar: a prefix of stanza templates, then a few edits."""
+    n = draw(st.integers(1, 2))
+    dim = draw(_mostly(st.just(str(n)), st.sampled_from(("0", "3", "-1", "٢", "²"))))
+    forms = ("1", "2", "-1") if n == 1 else ("1,0;0,1", "1,0;0,-1", "2,1*i;-1*i,1", "0,1;1,0")
+    states = ("1", "1/2") if n == 1 else ("1/2,0;0,1/2", "1,0;0,0", "1/2,1/2*i;-1/2*i,1/2")
+    templates = [  # each stanza refers only to those before it
+        f"hermitian h dim={dim} gram={draw(_fuzz_matrix(n, forms))}",
+        f"gate g on=h mat={draw(_fuzz_matrix(n, forms))}",
+        f"gate r on=h mat={draw(_fuzz_matrix(n, states))}",
+        "channel c gate=g rho=r",
+        f"check k target={draw(st.sampled_from(('h', 'g', 'c', 'x')))}",
+        f"quantize q basis={draw(st.sampled_from(('a', 'a,b', 'a,b,c', 'a,a')))}",
+        f"module m dim={dim} inv={draw(_fuzz_matrix(n, forms))}",
+        f"realvs v dim={dim} g={draw(_fuzz_matrix(n, forms))} J={draw(_fuzz_matrix(n, forms))}",
+        f"realset s size={dim} tau={draw(_mostly(st.sampled_from(('0', '1,0', '0,1', '٠'))))}",
+    ]
+    text = "\n".join(templates[:draw(st.integers(1, len(templates)))])
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):  # insert, replace or delete a character
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        ch = "" if edit == "delete" else draw(st.sampled_from(_FUZZ_ALPHABET + "\n"))
+        text = text[:at] + ch + text[at + (0 if edit == "insert" else 1):]
+    return text
+
+
+@given(_fuzz_spec())
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_any_spec_text_gets_an_exit_code_and_no_traceback(text):
+    try:
+        spec = parse_spec(text)
+    except SpecFileError:
+        return  # exit 2 with a positioned message
+    runs = [("check", None)] + [(command, name) for command in (
+        "check", "hermitian", "dagger", "unitary", "channel", "quantize") for name in "hgrcq"]
+    for command, target in runs:
+        _, code = cli.run(spec, command, target)
+        assert code in (0, 1, 2)

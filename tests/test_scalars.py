@@ -1,5 +1,9 @@
 """Field axioms, conjugation, ordering, and the canonical text form."""
 
+import math
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +18,7 @@ from realmod.scalars import (
     SQRT2,
     ZERO,
     Scalar,
+    ScalarFormatError,
     ScalarParseError,
     format_scalar,
     parse_scalar,
@@ -169,3 +174,157 @@ def test_literal_length_is_bounded():
         with pytest.raises(ScalarParseError, match="literal longer than") as info:
             parse_scalar(text)
         assert info.value.offset == offset
+
+
+def test_non_ascii_digits_are_rejected_at_their_offset():
+    # str.isdigit accepts '²' and the Arabic-Indic digits; the grammar does not
+    for text, message, offset in (
+        ("²", "unexpected character '²'", 0),
+        ("٣/٤*i", "unexpected character '٣'", 0),
+        ("1/٣", "unexpected character '/'", 1),
+        ("1+²*i", "unexpected character '²'", 2),
+    ):
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert (str(info.value), info.value.offset) == (message, offset)
+
+
+def test_format_refuses_coordinates_past_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int/str conversion is unlimited in this interpreter")
+    widest = 10 ** limit - 1  # exactly `limit` digits: still printable
+    assert format_scalar(Scalar(Fraction(1, widest))) == "1/" + "9" * limit
+    assert format_scalar(Scalar(0, 0, -widest)) == "-" + "9" * limit + "*i"
+    for x in (Scalar(10 ** limit), Scalar(0, Fraction(1, 10 ** limit)), Scalar(0, 0, 0, -(2 ** (4 * limit)))):
+        with pytest.raises(ScalarFormatError, match=f"more than {limit} digits"):
+            format_scalar(x)
+    # the shared denominator is past the limit, but each reduced coordinate is not
+    p, q = 10 ** (limit - 1) + 1, 10 ** (limit - 1) + 3
+    assert format_scalar(Scalar(Fraction(1, p), 0, Fraction(1, q))) == f"1/{p}+1/{q}*i"
+
+
+# -- differential check against a Fraction-per-term reference parser ----------
+
+_REF_RATIONAL = re.compile(r"[0-9]+(?:/[0-9]+)?")
+
+
+def _reference_parse(text):
+    """The earlier Fraction-based algorithm, with the ASCII-digit grammar."""
+    coords = {(False, False): Fraction(0), (False, True): Fraction(0),
+              (True, False): Fraction(0), (True, True): Fraction(0)}
+    i = 0
+    n = len(text)
+
+    def skip_ws(j):
+        while j < n and text[j].isspace():
+            j += 1
+        return j
+
+    def parse_marker(j):
+        if text.startswith("r2", j):
+            return False, j + 2
+        if j < n and text[j] == "i":
+            return True, j + 1
+        raise ScalarParseError("expected i or r2", j)
+
+    i = skip_ws(i)
+    if i == n:
+        raise ScalarParseError("empty scalar", i)
+    first = True
+    while True:
+        sign = 1
+        if i < n and text[i] in "+-":
+            if text[i] == "-":
+                sign = -1
+            i = skip_ws(i + 1)
+        elif not first:
+            raise ScalarParseError("expected + or - between terms", i)
+        if i >= n:
+            raise ScalarParseError("expected term", i)
+        has_i = False
+        has_r2 = False
+        if text[i] in "0123456789":
+            m = _REF_RATIONAL.match(text, i)
+            if m.end() - i > MAX_LITERAL_LENGTH:
+                raise ScalarParseError(f"literal longer than {MAX_LITERAL_LENGTH} characters", i)
+            try:
+                coeff = Fraction(m.group())
+            except ZeroDivisionError:
+                raise ScalarParseError("zero denominator", i) from None
+            i = m.end()
+            while i < n and text[i] == "*":
+                is_i, i2 = parse_marker(i + 1)
+                if (is_i and has_i) or (not is_i and has_r2):
+                    raise ScalarParseError("repeated marker", i + 1)
+                has_i, has_r2 = has_i or is_i, has_r2 or not is_i
+                i = i2
+        elif text[i] in "ir":
+            coeff = Fraction(1)
+            while True:
+                is_i, i2 = parse_marker(i)
+                if (is_i and has_i) or (not is_i and has_r2):
+                    raise ScalarParseError("repeated marker", i)
+                has_i, has_r2 = has_i or is_i, has_r2 or not is_i
+                i = i2
+                if i < n and text[i] == "*":
+                    i += 1
+                else:
+                    break
+        else:
+            raise ScalarParseError(f"unexpected character {text[i]!r}", i)
+        coords[(has_i, has_r2)] += sign * coeff
+        first = False
+        i = skip_ws(i)
+        if i == n:
+            break
+        if text[i] not in "+-":
+            raise ScalarParseError(f"unexpected character {text[i]!r}", i)
+    return Scalar(coords[(False, False)], coords[(False, True)],
+                  coords[(True, False)], coords[(True, True)])
+
+
+def _outcome(parse, text):
+    try:
+        x = parse(text)
+    except ScalarParseError as exc:
+        return str(exc), exc.offset
+    return x.na, x.nb, x.nc, x.nd, x.den
+
+
+def _seeded_texts(count):
+    rng = random.Random(20231)
+    chars = "0123456789/+-*ir2 \t\u00a0²٣"
+    pieces = ["1", "0", "2", "1/2", "3/4", "12/18", "5/0", "0/7", "*", "/", "i", "r2", "r",
+              "*i", "*r2", "+", "-", " ", "\t", "²", "٣"]
+    texts = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            texts.append("".join(rng.choice(chars) for _ in range(rng.randint(0, 12))))
+        else:
+            texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(0, 9))))
+    return texts
+
+
+def test_parser_agrees_with_the_fraction_reference():
+    texts = _seeded_texts(4000)
+    parsed = 0
+    for text in texts:
+        got = _outcome(parse_scalar, text)
+        assert got == _outcome(_reference_parse, text), text
+        if len(got) == 5:
+            parsed += 1
+            assert got[4] > 0 and math.gcd(*got) == 1, text  # lowest terms
+    assert 200 < parsed < len(texts) - 200  # both outcomes are well exercised
+
+
+def test_mixed_denominators_round_trip_in_lowest_terms():
+    rng = random.Random(7)
+    for _ in range(300):
+        x = Scalar(*(Fraction(rng.randint(-40, 40), rng.randint(1, 36)) for _ in range(4)))
+        y = parse_scalar(format_scalar(x))
+        assert (y.na, y.nb, y.nc, y.nd, y.den) == (x.na, x.nb, x.nc, x.nd, x.den)
+    assert parse_scalar("1/6+1/10*r2-1/15*i+1/4*i*r2-1/6") == Scalar(0, Fraction(1, 10), Fraction(-1, 15), Fraction(1, 4))
+    for text in ("1/3-1/3", "1/2*i-2/4*i", "1/6+1/10*r2-1/10*r2-1/6"):
+        x = parse_scalar(text)
+        assert (x.na, x.nb, x.nc, x.nd, x.den) == (0, 0, 0, 0, 1)

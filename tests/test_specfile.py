@@ -4,7 +4,7 @@ import pytest
 
 from realmod.errors import InvariantViolation
 from realmod.quantization import RealSet
-from realmod.specfile import SpecFileError, parse_spec
+from realmod.specfile import SpecFileError, _tokens, parse_spec
 
 GOOD = """\
 # a comment
@@ -125,3 +125,46 @@ def test_tau_validation_splits_between_parse_and_check():
     st = spec.find("realset", "s")
     with pytest.raises(InvariantViolation):
         RealSet(st.fields["size"], st.fields["tau"]).check()
+
+
+def test_non_ascii_digits_are_positioned_errors():
+    # str.isdigit accepts '²' and the Arabic-Indic digits; the grammar does not
+    for text, expected in (
+        ("hermitian h dim=1 gram=²\n", "unexpected character '²' (line 1, column 24)"),
+        ("hermitian h dim=1 gram=٣/٤*i\n", "unexpected character '٣' (line 1, column 24)"),
+        ("hermitian h dim=1 gram=1/٣\n", "unexpected character '/' (line 1, column 25)"),
+        ("hermitian h dim=٢ gram=1,0;0,1\n", "expected an integer, got '٢' (line 1, column 17)"),
+        ("realset t size=1 tau=٠\n", "expected an integer, got '٠' (line 1, column 22)"),
+        ("realset t size=² tau=0\n", "expected an integer, got '²' (line 1, column 16)"),
+    ):
+        assert err(text) == expected
+
+
+def _reference_tokens(line):
+    """The earlier per-character scan: isspace() separates tokens."""
+    cut = line.find("#")
+    if cut >= 0:
+        line = line[:cut]
+    out = []
+    col = 0
+    while col < len(line):
+        if line[col].isspace():
+            col += 1
+            continue
+        end = col
+        while end < len(line) and not line[end].isspace():
+            end += 1
+        out.append((line[col:end], col + 1))
+        col = end
+    return out
+
+
+def test_tokens_split_on_exactly_the_unicode_whitespace():
+    lines = [
+        "", "   ", "#", "a#b c", "module m\tdim=1 \t inv=1  # tail",
+        "gate\u00a0u on=h", "\x1cmodule\x1dm\x1edim=1\x1finv=1",
+        "\u3000hermitian\u2028h\x85dim=1\u202fgram=1\u205f", "x\u200by",  # zero-width space is not a separator
+        "\tcheck k target=h#kind=module", "quantize q basis=a,b \x0b\x0c",
+    ]
+    for line in lines:
+        assert _tokens(line) == _reference_tokens(line), repr(line)
