@@ -7,10 +7,12 @@ matrices are equal or they are not.  The layers build on each other:
     scalars       the coefficient field, canonical text form included
     linalg        immutable exact matrices, kernels, solving, tensor products
     modules       complex spaces carrying an antilinear involution
+    hermitian     Hermitian spaces, self-dual involutive modules, the one
+                  eigenspace splitting, extraction of the Hermitian form,
+                  the adjoint, unitarity
     equivalence   the fixed-points / complexification equivalence with
                   real vector spaces, and Hermitian forms from pairs (g, J)
-    hermitian     self-dual involutive modules, eigenspace splitting,
-                  extraction of the Hermitian form, the adjoint, unitarity
+                  read off the complexification as a self-dual module
     density       internally symmetric matrices, state spaces, channels
     quantization  finite sets with involution, equivariant bundles, and
                   the quantization that produces standard Hermitian spaces

@@ -81,14 +81,18 @@ def _check_stanza(spec: SpecFile, st: Stanza) -> None:
     elif st.kind == "quantize":
         quantize(len(f["basis"]))  # builds and checks the whole structure
     elif st.kind == "channel":
-        gate = spec.find("gate", f["gate"])
-        on = spec.find("hermitian", gate.fields["on"])
+        on = spec.find("hermitian", spec.find("gate", f["gate"]).fields["on"])
         HermitianSpace(on.fields["dim"], on.fields["gram"]).check()
+        m = on.fields["gram"] @ spec.find("gate", f["rho"]).fields["mat"]
+        if m.conj_transpose() != m:  # the law `channel` asserts on its state
+            raise InvariantViolation("state is not gram-self-adjoint")
     elif st.kind == "check":
         _check_stanza(spec, spec.find(f["kind"], f["target"]))
 
 
 def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
+    if not spec.stanzas:
+        raise _InputError("spec file declares no stanzas")
     lines = []
     failed = False
     stanzas = [st for st in spec.stanzas if target is None or st.name == target]

@@ -1,23 +1,24 @@
-"""Real bilinear geometry and the hyperbolic splitting of a complexification.
+"""Real bilinear geometry, and its complexification as a self-dual module.
 
 A `RealVS` is a vector space over the real subfield Q(sqrt2), optionally with
 a symmetric nondegenerate bilinear form g and an isometric complex structure
 J (J^2 = -I, J^T g J = g).  Its complexification carries plain conjugation as
 involution, and `fixed_points` recovers the original space on the nose.
 
-When J is present, the complexification splits into the -i and +i eigenspaces
-of J.  `hyperbolic_iso` realizes the splitting concretely: on real/imaginary
-parts it is (v, v') -> (1/sqrt2) (v - J v', v + J v'), with inverse
-(v-, v+) -> (1/sqrt2)(v- + v+) + (i/sqrt2)(J v- - J v+), and it intertwines
-conjugation with the swap of the two summands.  Conjugating J through it gives
-the block diagonal diag(-i*I, +i*I).
+With g and J the complexification is a self-dual module: conjugation as
+involution, g as pairing, g^-1 as coevaluation and J as internal complex
+structure (without g, the J-invariant form I + J^T J stands in).  Every
+eigenvector of J used here comes from that module's `split_eigenspaces`.
+`hyperbolic_iso` views the split as mutually inverse equivariant maps between
+the complexification and the -i (+) +i eigenspace sum, where conjugation
+becomes the swap of the summands and J becomes diag(-i*I, +i*I).
 
 A sesquilinear form emerges on the +i summand.  Two independent computations
 must agree exactly:
 
 * formula route:     <v|w> = g(v, w) + i g(J v, w)
-* functorial route:  embed both arguments through the inverse hyperbolic
-  isomorphism and evaluate the complex-bilinear extension of g.
+* functorial route:  the Hermitian form the self-dual module extracts, read
+  on the +i parts (1 - iJ) v / 2 of real vectors.
 
 Both are exposed on the module's real standard basis (an n x n sesquilinear
 form matrix, singular as a matrix since the real basis is not a complex basis)
@@ -28,13 +29,14 @@ valid `HermitianSpace`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantViolation, SingularMatrixError
-from .linalg import Matrix, hstack, inverse, solve, vstack
-from .modules import RealHom, RealModule
-from .scalars import I, INV_SQRT2, ONE, Scalar
+from .hermitian import EigenSplit, HermitianSpace, SelfDualRealModule, split_eigenspaces, swap_blocks
+from .linalg import Matrix, block_diag, hstack, inverse, solve, vec
+from .modules import RealHom, RealModule, random_invertible
+from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +46,7 @@ class RealVS:
     dim: int
     g: Matrix | None = None
     J: Matrix | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def check(self) -> None:
         if self.g is not None:
@@ -66,28 +69,6 @@ class RealVS:
                 raise InvariantViolation("J^2 != -I")
             if self.g is not None and self.J.transpose() @ self.g @ self.J != self.g:
                 raise InvariantViolation("J is not a g-isometry")
-
-
-@dataclass(frozen=True, slots=True)
-class HermitianSpace:
-    """Complex space with an invertible conjugate-symmetric gram matrix."""
-
-    dim: int
-    gram: Matrix
-
-    def check(self) -> None:
-        if self.gram.shape != (self.dim, self.dim):
-            raise InvariantViolation("gram has the wrong shape")
-        if self.gram.conj_transpose() != self.gram:
-            raise InvariantViolation("gram is not conjugate-symmetric")
-        try:
-            inverse(self.gram)
-        except SingularMatrixError:
-            raise InvariantViolation("gram is degenerate") from None
-
-    def pair(self, v: Matrix, w: Matrix) -> Scalar:
-        """<v|w>, antilinear in the first argument."""
-        return (v.conj_transpose() @ self.gram @ w)[0, 0]
 
 
 def complexify(space: RealVS) -> RealModule:
@@ -121,12 +102,18 @@ def complex_basis(space: RealVS) -> list:
     return chosen
 
 
-def _hyperbolic_target(n: int) -> RealModule:
-    half = n // 2
-    swap = Matrix.from_rows(
-        [[ONE if j == i + half else Scalar() for j in range(n)] for i in range(half)]
-        + [[ONE if j == i - half else Scalar() for j in range(n)] for i in range(half, n)])
-    return RealModule(n, swap)
+def _complex_split(space: RealVS) -> EigenSplit:
+    """Split of the complexified (V, g, J) as a self-dual module; memoized."""
+    if "eigen" in space._memo:
+        return space._memo["eigen"]
+    space.check()
+    J = space.J
+    if J is None:
+        raise ValueError("complex_basis requires a complex structure J")
+    g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
+    module = SelfDualRealModule(complexify(space), vec(g).transpose(), vec(inverse(g)), J)
+    space._memo["eigen"] = data = split_eigenspaces(module)
+    return data
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,52 +123,35 @@ class HyperbolicIso:
 
     forward: RealHom
     inverse: RealHom
-    basis: tuple  # the complex basis of (V, J) fixing the eigen-coordinates
 
 
 def hyperbolic_iso(space: RealVS) -> HyperbolicIso:
     """Split the complexification along the eigenspaces of J.
 
-    The forward map sends v + i v' to ((v - J v')/sqrt2, (v + J v')/sqrt2) and
-    intertwines conjugation with the swap involution; the inverse sends
-    (v-, v+) to (v- + v+)/sqrt2 + i (J v- - J v+)/sqrt2.  Both composites are
-    asserted to be the identity.
+    A view over the self-dual split: the inverse sends +i coordinates to the
+    +i basis and -i coordinates to its conjugates (the witness changes basis
+    inside the -i eigenspace), so conjugation becomes the swap of the two
+    summands.  Both composites are asserted to be the identity.
     """
-    basis = complex_basis(space)
-    n = space.dim
-    half = n // 2
-    J = space.J
-    # coordinates on (V, J): columns b_0, J b_0, b_1, J b_1, ...
-    frame = hstack([col for b in basis for col in (b, J @ b)])
-    frame_inv = inverse(frame)
-    # zeta_minus = alpha - i beta and zeta_plus = alpha + i beta rows
-    minus_rows = []
-    plus_rows = []
-    for k in range(half):
-        alpha = Matrix(1, n, frame_inv.row(2 * k))
-        beta = Matrix(1, n, frame_inv.row(2 * k + 1))
-        minus_rows.append(alpha - I * beta)
-        plus_rows.append(alpha + I * beta)
-    forward_mat = INV_SQRT2 * vstack(minus_rows + plus_rows)
-    inv_cols = [INV_SQRT2 * (b + I * (J @ b)) for b in basis]
-    inv_cols += [INV_SQRT2 * (b - I * (J @ b)) for b in basis]
-    inverse_mat = hstack(inv_cols)
+    data = _complex_split(space)
+    ident = Matrix.identity(data.half)
+    forward_mat = block_diag([data.rev_witness.conj(), ident]) @ data.frame_inv
+    inverse_mat = data.frame @ block_diag([data.witness, ident])
     if not (forward_mat @ inverse_mat).is_identity() or not (inverse_mat @ forward_mat).is_identity():
         raise InvariantViolation("hyperbolic splitting is not invertible")
     source = complexify(space)
-    target = _hyperbolic_target(n)
+    target = RealModule(space.dim, swap_blocks(ident, ident))
     forward = RealHom(source, target, forward_mat)
     backward = RealHom(target, source, inverse_mat)
     forward.check()
     backward.check()
-    return HyperbolicIso(forward, backward, tuple(basis))
+    return HyperbolicIso(forward, backward)
 
 
 def diagonalized_complex_structure(space: RealVS) -> Matrix:
     """Conjugate J through the splitting; must equal diag(-i*I, +i*I)."""
     hyper = hyperbolic_iso(space)
-    n = space.dim
-    half = n // 2
+    half = space.dim // 2
     d = hyper.forward.mat @ space.J @ hyper.inverse.mat
     expected = Matrix.diagonal([-I] * half + [I] * half)
     if d != expected:
@@ -204,27 +174,22 @@ def inner_to_hermitian_formula(space: RealVS) -> HermitianSpace:
 
 
 def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
-    """Transport g through the hyperbolic splitting and restrict to the mixed
-    summand; must equal the formula route exactly (asserted)."""
+    """The gram the self-dual complexification extracts, on the complex basis.
+
+    T holds the +i coordinates of (1 - iJ) b_k, twice the +i part of b_k, and
+    the gram is (1/2) T^dagger G T for the extracted gram G.  The -i
+    coordinates must vanish and the formula route must agree (asserted).
+    """
     space.check()
     if space.g is None or space.J is None:
         raise ValueError("needs both g and J")
-    hyper = hyperbolic_iso(space)
-    n = space.dim
-    half = n // 2
-    hinv = hyper.inverse.mat
-    minus_cols = [hinv.column_matrix(k) for k in range(half)]
-    plus_cols = [hinv.column_matrix(half + k) for k in range(half)]
-    # complex-bilinear extension of g evaluated on the embedded eigenvectors
-    gram = Matrix.from_rows(
-        [[(mc.transpose() @ space.g @ pc)[0, 0] for pc in plus_cols] for mc in minus_cols])
-    # the pairing must vanish on the like-signed summands
-    for cols in (minus_cols, plus_cols):
-        for u in cols:
-            for w in cols:
-                if (u.transpose() @ space.g @ w)[0, 0]:
-                    raise InvariantViolation("pairing does not vanish on a like-signed summand")
-    result = HermitianSpace(half, gram)
+    data = _complex_split(space)
+    n, half = space.dim, data.half
+    coords = data.frame_inv @ (Matrix.identity(n) - I * space.J) @ hstack(complex_basis(space))
+    if not Matrix(half, half, coords.entries[:half * half]).is_zero():
+        raise InvariantViolation("(1 - iJ) b has a -i component")
+    t = Matrix(half, half, coords.entries[half * half:])
+    result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.gram @ t))
     result.check()
     if result != inner_to_hermitian_formula(space):
         raise InvariantViolation("functorial and formula routes disagree")
@@ -262,23 +227,13 @@ def standard_complex_structure(n: int) -> Matrix:
     """Block rotation pairing consecutive coordinates; requires n even."""
     if n % 2:
         raise ValueError("complex structures need even dimension")
-    rows = []
-    for i in range(n):
-        row = [Scalar()] * n
-        if i % 2 == 0:
-            row[i + 1] = -ONE
-        else:
-            row[i - 1] = ONE
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    return block_diag([Matrix.from_rows([[ZERO, -ONE], [ONE, ZERO]])] * (n // 2))
 
 
 def random_isometric_pair(rng: random.Random, n: int) -> RealVS:
     """Random (g, J) with g symmetric nondegenerate and J an isometric
     complex structure: J is a conjugated block rotation and g is the
     J-average of a random Gramian, redrawn while degenerate."""
-    from .modules import random_invertible
-
     j0 = standard_complex_structure(n)
     while True:
         q = random_invertible(rng, n, real=True)
@@ -296,7 +251,5 @@ def random_isometric_pair(rng: random.Random, n: int) -> RealVS:
 
 def random_real_vs(rng: random.Random, n: int) -> RealVS:
     """Random space with a symmetric nondegenerate g (no complex structure)."""
-    from .modules import random_invertible
-
     a = random_invertible(rng, n, real=True)
     return RealVS(n, a.transpose() @ a, None)

@@ -4,7 +4,9 @@ A `SelfDualRealModule` is a module H with an equivariant pairing H (x) H -> 1
 and coevaluation 1 -> H (x) H satisfying the snake identities, a symmetric
 pairing, and an equivariant complex structure icplx (icplx^2 = -I) that is an
 isometry of the pairing.  The involution swaps the +-i eigenspaces of icplx;
-the +i eigenspace is the underlying Hilbert space.
+the +i eigenspace is the underlying Hilbert space.  `split_eigenspaces` is the
+one engine that splits a complex structure; `equivalence` splits (V, g, J)
+through it too.
 
 Restricting the pairing to (-i) (x) (+i) and pulling back along the involution
 witness yields an invertible conjugate-symmetric gram: `extract_hermitian`.
@@ -28,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
-from .equivalence import HermitianSpace
 from .linalg import (
     Matrix,
     block_diag,
@@ -39,9 +40,38 @@ from .linalg import (
     kron,
     unvec,
     vec,
+    vstack,
 )
 from .modules import RealModule, RealHom, is_real_hom, random_invertible
 from .scalars import I, INV_SQRT2, ONE, Scalar
+
+
+@dataclass(frozen=True, slots=True)
+class HermitianSpace:
+    """Complex space with an invertible conjugate-symmetric gram matrix."""
+
+    dim: int
+    gram: Matrix
+
+    def check(self) -> None:
+        if self.gram.shape != (self.dim, self.dim):
+            raise InvariantViolation("gram has the wrong shape")
+        if self.gram.conj_transpose() != self.gram:
+            raise InvariantViolation("gram is not conjugate-symmetric")
+        try:
+            inverse(self.gram)
+        except SingularMatrixError:
+            raise InvariantViolation("gram is degenerate") from None
+
+    def pair(self, v: Matrix, w: Matrix) -> Scalar:
+        """<v|w>, antilinear in the first argument."""
+        return (v.conj_transpose() @ self.gram @ w)[0, 0]
+
+
+def swap_blocks(upper: Matrix, lower: Matrix) -> Matrix:
+    """[[0, upper], [lower, 0]]; swap_blocks(I, I) is the swap involution."""
+    return vstack([hstack([Matrix.zero(upper.rows, lower.cols), upper]),
+                   hstack([lower, Matrix.zero(lower.rows, upper.cols)])])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -142,15 +172,12 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
     frame = hstack([minus, plus])
     frame_inv = inverse(frame)
     half = d // 2
-    # involution images of the +i basis, in frame coordinates
-    image_coords = frame_inv @ s.H.inv @ plus.conj()
-    witness = Matrix.from_rows([image_coords.row(i) for i in range(half)])
-    if not Matrix.from_rows([image_coords.row(i) for i in range(half, d)]).is_zero():
-        raise InvariantViolation("involution does not swap the icplx eigenspaces")
-    # reverse witness: involution images of the -i basis, in +i coordinates
-    rev_coords = frame_inv @ s.H.inv @ minus.conj()
-    rev_witness = Matrix.from_rows([rev_coords.row(i) for i in range(half, d)])
-    if not Matrix.from_rows([rev_coords.row(i) for i in range(half)]).is_zero():
+    # involution images of the frame, in frame coordinates: the +i basis goes
+    # to the -i span (witness), the -i basis to the +i span (rev_witness)
+    coords = frame_inv @ s.H.inv @ frame.conj()
+    witness = Matrix.from_rows([coords.row(i)[half:] for i in range(half)])
+    rev_witness = Matrix.from_rows([coords.row(i)[:half] for i in range(half, d)])
+    if coords != swap_blocks(witness, rev_witness):
         raise InvariantViolation("involution does not swap the icplx eigenspaces")
     if rev_witness @ witness.conj() != Matrix.identity(half):
         raise InvariantViolation("involution witness does not square to the identity")
@@ -188,20 +215,12 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     """
     h.check()
     n = h.dim
-    zero = Matrix.zero(n, n)
     ident = Matrix.identity(n)
-    swap = Matrix.from_rows(
-        [list(zero.row(i)) + list(ident.row(i)) for i in range(n)]
-        + [list(ident.row(i)) + list(zero.row(i)) for i in range(n)])
-    module = RealModule(2 * n, swap)
+    module = RealModule(2 * n, swap_blocks(ident, ident))
     icplx = block_diag([Matrix.diagonal([-I] * n), Matrix.diagonal([I] * n)]) if n else Matrix.zero(0, 0)
-    pair_mat = Matrix.from_rows(
-        [list(zero.row(i)) + list(h.gram.row(i)) for i in range(n)]
-        + [list(h.gram.transpose().row(i)) + list(zero.row(i)) for i in range(n)])
+    pair_mat = swap_blocks(h.gram, h.gram.transpose())
     gram_dual = h.gram.inverse().conj()
-    coev_mat = Matrix.from_rows(
-        [list(zero.row(i)) + list(gram_dual.row(i)) for i in range(n)]
-        + [list(gram_dual.transpose().row(i)) + list(zero.row(i)) for i in range(n)])
+    coev_mat = swap_blocks(gram_dual, gram_dual.transpose())
     s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
     s.check()
     return s

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import CompositionError, InvariantViolation
 from .linalg import (
@@ -137,8 +138,6 @@ def fixed_points(m: RealModule) -> FixedPoints:
 
 
 def random_scalar(rng: random.Random, span: int = 9) -> Scalar:
-    from fractions import Fraction
-
     def rat():
         return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
@@ -146,8 +145,6 @@ def random_scalar(rng: random.Random, span: int = 9) -> Scalar:
 
 
 def random_real_scalar(rng: random.Random, span: int = 9) -> Scalar:
-    from fractions import Fraction
-
     return Scalar(Fraction(rng.randint(-span, span), rng.randint(1, span)),
                   Fraction(rng.randint(-span, span), rng.randint(1, span)))
 

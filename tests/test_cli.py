@@ -111,6 +111,29 @@ def test_check_reports_a_failing_stanza():
     assert lines[1] == "check module ok: ok"
 
 
+def test_check_fails_a_channel_whose_state_the_channel_command_rejects():
+    head = "hermitian h dim=2 gram=1,0;0,1\ngate g on=h mat=1,0;0,1\n"
+    spec = parse_spec(head + "gate rho on=h mat=1,1;0,1\nchannel c gate=g rho=rho\n")
+    assert cli.run(spec, "channel", "c") == (["channel c: FAIL (state is not gram-self-adjoint)"], 1)
+    assert cli.run(spec, "check", "c") == (["check channel c: FAIL (state is not gram-self-adjoint)"], 1)
+    lines, code = cli.run(spec, "check")
+    assert code == 1 and lines[-1] == "check channel c: FAIL (state is not gram-self-adjoint)"
+    # self-adjointness is read on the declared gram, not the identity
+    indefinite = "hermitian h dim=2 gram=1,0;0,-1\ngate g on=h mat=1,0;0,1\n"
+    for rho, verdict, code in (("1,1;-1,1", "ok", 0), ("1,1;1,1", "FAIL (state is not gram-self-adjoint)", 1)):
+        spec = parse_spec(indefinite + f"gate rho on=h mat={rho}\nchannel c gate=g rho=rho\n")
+        assert cli.run(spec, "check", "c") == ([f"check channel c: {verdict}"], code)
+        assert cli.run(spec, "channel", "c")[1] == code
+
+
+def test_a_file_without_stanzas_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "empty.spec"
+    for text in ("# nothing\n", "", "\n   \n# a comment\n"):
+        path.write_text(text)
+        assert cli.main(["--input", str(path), "--command", "check"]) == 2
+        assert capsys.readouterr().out == "error: spec file declares no stanzas\n"
+
+
 def test_check_with_target_filter():
     spec = load("qubit.spec")
     lines, code = cli.run(spec, "check", "twist")
@@ -297,7 +320,7 @@ def _fuzz_spec(draw):
         f"realvs v dim={dim} g={draw(_fuzz_matrix(n, forms))} J={draw(_fuzz_matrix(n, forms))}",
         f"realset s size={dim} tau={draw(_mostly(st.sampled_from(('0', '1,0', '0,1', '٠'))))}",
     ]
-    text = "\n".join(templates[:draw(st.integers(1, len(templates)))])
+    text = "\n".join(templates[:draw(st.integers(0, len(templates)))])  # 0: no stanza at all
     for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):  # insert, replace or delete a character
         at = draw(st.integers(0, len(text)))
         edit = draw(st.sampled_from(("insert", "replace", "delete")))
@@ -316,6 +339,9 @@ def test_any_spec_text_gets_an_exit_code_and_no_traceback(text):
         return  # exit 2 with a positioned message
     runs = [("check", None)] + [(command, name) for command in (
         "check", "hermitian", "dagger", "unitary", "channel", "quantize") for name in "hgrcq"]
-    for command, target in runs:
-        _, code = cli.run(spec, command, target)
+    results = {(command, target): cli.run(spec, command, target) for command, target in runs}
+    for lines, code in results.values():
         assert code in (0, 1, 2)
+        assert lines  # every answer, an error included, is at least one report line
+    if results[("channel", "c")][1] == 1:  # check asserts every law the command does
+        assert results[("check", "c")][1] == 1

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from realmod import hermitian
 from realmod.equivalence import (
     HermitianSpace,
     RealVS,
@@ -23,6 +24,9 @@ from realmod.errors import InvariantViolation
 from realmod.linalg import Matrix, inverse
 from realmod.modules import fixed_points
 from realmod.scalars import I, ONE, Scalar
+
+# seeded isometric pairs at every even dimension up to 6
+SPACES = [random_isometric_pair(random.Random(3800 + 10 * n + k), n) for n in (2, 4, 6) for k in range(4)]
 
 
 def test_complexify_then_fix_is_the_identity_on_points():
@@ -53,8 +57,8 @@ def test_real_vs_validation():
 
 def test_hyperbolic_iso_is_mutually_inverse_and_equivariant():
     rng = random.Random(32)
-    for _ in range(30):
-        space = random_isometric_pair(rng, rng.choice((2, 4)))
+    for n in [2, 4, 6] * 10:
+        space = random_isometric_pair(rng, n)
         iso = hyperbolic_iso(space)
         assert (iso.forward.mat @ iso.inverse.mat).is_identity()
         assert (iso.inverse.mat @ iso.forward.mat).is_identity()
@@ -64,8 +68,8 @@ def test_hyperbolic_iso_is_mutually_inverse_and_equivariant():
 
 def test_hyperbolic_coordinates_diagonalize_j():
     rng = random.Random(33)
-    for _ in range(20):
-        space = random_isometric_pair(rng, rng.choice((2, 4)))
+    for n in [2, 4, 6] * 7:
+        space = random_isometric_pair(rng, n)
         d = diagonalized_complex_structure(space)
         n = space.dim
         half = n // 2
@@ -77,8 +81,8 @@ def test_hyperbolic_coordinates_diagonalize_j():
 
 def test_formula_and_functorial_routes_agree():
     rng = random.Random(34)
-    for _ in range(30):
-        space = random_isometric_pair(rng, rng.choice((2, 4)))
+    for n in [2, 4, 6] * 10:
+        space = random_isometric_pair(rng, n)
         h1 = inner_to_hermitian_formula(space)
         h2 = inner_to_hermitian_functorial(space)
         assert h1.gram == h2.gram
@@ -130,3 +134,71 @@ def test_j_transport_matches_gram_transport():
     j_moved = RealVS(space.dim, space.g, inverse(space.J) @ space.J @ space.J)
     assert j_moved.J == space.J
     assert inner_to_hermitian_formula(j_moved).gram == inner_to_hermitian_formula(space).gram
+
+
+def test_the_splitting_holds_for_rescaled_eigenbases(monkeypatch):
+    # the engine's echelon kernels make the +i basis the conjugate of the -i
+    # basis, so both witnesses are the identity; rescaling the -i basis by
+    # k + 2 and the +i basis by i makes witness diag(-i/(k+2)) and rev_witness
+    # diag(-i(k+2)), which the maps must absorb
+    kernel_basis = hermitian.kernel_basis
+    calls = []
+
+    def rescaled(m):
+        calls.append(m)
+        factors = [Scalar(k + 2) for k in range(m.rows)] if len(calls) % 2 else [I] * m.rows
+        return [f * v for f, v in zip(factors, kernel_basis(m))]
+
+    monkeypatch.setattr(hermitian, "kernel_basis", rescaled)
+    for space in SPACES:
+        fresh = RealVS(space.dim, space.g, space.J)
+        iso = hyperbolic_iso(fresh)
+        assert (iso.forward.mat @ iso.inverse.mat).is_identity()
+        iso.forward.check()
+        iso.inverse.check()
+        half = space.dim // 2
+        assert diagonalized_complex_structure(fresh) == Matrix.diagonal([-I] * half + [I] * half)
+        assert inner_to_hermitian_functorial(fresh) == inner_to_hermitian_formula(fresh)
+    assert calls
+
+
+def test_the_splitting_depends_on_j_alone():
+    # without g the J-invariant form I + J^T J stands in; the maps do not change
+    for space in SPACES[:6]:
+        bare = RealVS(space.dim, None, space.J)
+        assert hyperbolic_iso(bare) == hyperbolic_iso(space)
+        with pytest.raises(ValueError, match="^needs both g and J$"):
+            inner_to_hermitian_functorial(bare)
+
+
+J2 = standard_complex_structure(2)
+INVALID = [  # (space, exception, message through hyperbolic_iso, through the functorial route)
+    (RealVS(2, Matrix.from_rows([[1, 0], [0, 0]]), J2), InvariantViolation,
+     "g must be nondegenerate", "g must be nondegenerate"),
+    (RealVS(2, Matrix.identity(2), Matrix.identity(2)), InvariantViolation, "J^2 != -I", "J^2 != -I"),
+    (RealVS(2, Matrix.from_rows([[1, 0], [0, 2]]), J2), InvariantViolation,
+     "J is not a g-isometry", "J is not a g-isometry"),
+    (RealVS(2, Matrix.identity(2), None), ValueError,
+     "complex_basis requires a complex structure J", "needs both g and J"),
+]
+
+
+@pytest.mark.parametrize("space, exc, iso_message, functorial_message", INVALID)
+def test_invalid_pairs_are_rejected_with_the_validation_message(space, exc, iso_message, functorial_message):
+    with pytest.raises(exc) as caught:
+        hyperbolic_iso(space)
+    assert str(caught.value) == iso_message
+    with pytest.raises(exc) as caught:
+        inner_to_hermitian_functorial(space)
+    assert str(caught.value) == functorial_message
+    assert space._memo == {}
+
+
+def test_a_memo_changes_neither_equality_nor_hash():
+    for space in SPACES[:4]:
+        fresh = RealVS(space.dim, space.g, space.J)
+        hyperbolic_iso(space)
+        assert space._memo and not fresh._memo
+        assert space == fresh and fresh == space
+        assert hash(space) == hash(fresh)
+        assert "_memo" not in repr(space)
