@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvariantViolation, SingularMatrixError
+from .errors import InvariantViolation
 from .hermitian import EigenSplit, HermitianSpace, SelfDualRealModule, split_eigenspaces, swap_blocks
-from .linalg import Matrix, block_diag, hstack, inverse, solve, vec
+from .linalg import Matrix, block_diag, hstack, inverse, rank, solve, vec
 from .modules import RealHom, RealModule, random_invertible
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
@@ -56,10 +56,8 @@ class RealVS:
                 raise InvariantViolation("g must have real entries")
             if self.g.transpose() != self.g:
                 raise InvariantViolation("g must be symmetric")
-            try:
-                inverse(self.g)
-            except SingularMatrixError:
-                raise InvariantViolation("g must be nondegenerate") from None
+            if rank(self.g) != self.dim:
+                raise InvariantViolation("g must be nondegenerate")
         if self.J is not None:
             if self.J.shape != (self.dim, self.dim):
                 raise InvariantViolation("J has the wrong shape")

@@ -38,6 +38,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     kron,
+    rank,
     unvec,
     vec,
     vstack,
@@ -58,10 +59,8 @@ class HermitianSpace:
             raise InvariantViolation("gram has the wrong shape")
         if self.gram.conj_transpose() != self.gram:
             raise InvariantViolation("gram is not conjugate-symmetric")
-        try:
-            inverse(self.gram)
-        except SingularMatrixError:
-            raise InvariantViolation("gram is degenerate") from None
+        if rank(self.gram) != self.dim:
+            raise InvariantViolation("gram is degenerate")
 
     def pair(self, v: Matrix, w: Matrix) -> Scalar:
         """<v|w>, antilinear in the first argument."""
@@ -231,7 +230,7 @@ def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
     if t.shape != (s.H.dim, s.H.dim):
         raise ShapeError("frame change has the wrong shape")
     t_inv = inverse(t)
-    module = RealModule(s.H.dim, t @ s.H.inv @ inverse(t.conj()))
+    module = RealModule(s.H.dim, t @ s.H.inv @ t_inv.conj())
     pair_mat = t_inv.transpose() @ s.pair_mat() @ t_inv
     coev_mat = t @ s.coev_mat() @ t.transpose()
     icplx = t @ s.icplx @ t_inv
@@ -352,13 +351,7 @@ def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> boo
     """Invertible isometry; for square g, isometry already forces invertibility."""
     if not is_internal_isometry(g, s1, s2):
         return False
-    if g.rows != g.cols:
-        return False
-    try:
-        inverse(g)
-    except SingularMatrixError:
-        return False
-    return True
+    return g.rows == g.cols and rank(g) == g.rows
 
 
 def is_positive_definite(h: HermitianSpace) -> bool:

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over Q(i, sqrt2).
 
-Matrices are immutable, row-major, and every operation is exact.  Echelon
-reduction uses first-nonzero pivoting and emits kernel vectors with free
-columns in ascending index order, so all derived bases are deterministic.
+Matrices are immutable, row-major, and every operation is exact.  One pivot
+step, `_pivot`, is the only row-update loop: echelon reduction, `det` and
+`inertia` all eliminate through it.  Echelon reduction uses first-nonzero
+pivoting and emits kernel vectors with free columns in ascending index order,
+so all derived bases are deterministic.
 
 Products (`@` and `kron`) are fused raw-integer kernels.  They read a row's
 nonzero entries once, as `(column, na, nb, nc, nd, den)` tuples, and only for
@@ -304,6 +306,26 @@ def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
 # -- echelon reduction and friends ----------------------------------------------
 
 
+def _pivot(rows: list, r: int, c: int, targets, cols) -> Scalar:
+    """Scale row r so that its column-c entry is 1, then clear column c from
+    every row in `targets` over `cols`; returns the pivot before scaling."""
+    prow = rows[r]
+    pivot = prow[c]
+    inv = pivot.inv()
+    nonzero = []
+    for j in cols:
+        if prow[j]:
+            prow[j] = x = prow[j] * inv
+            nonzero.append((j, x))
+    for k in targets:
+        krow = rows[k]
+        f = krow[c]
+        if f:
+            for j, x in nonzero:
+                krow[j] = krow[j] - f * x
+    return pivot
+
+
 def _rref(rows: list, ncols: int) -> list:
     """In-place reduced row echelon form; returns pivot column indices.
 
@@ -314,29 +336,13 @@ def _rref(rows: list, ncols: int) -> list:
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        pivot_row = None
         for k in range(r, nrows):
             if rows[k][c]:
-                pivot_row = k
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        prow = rows[r]
-        for j in range(c, ncols):
-            if prow[j]:
-                prow[j] = prow[j] * inv
-        for k in range(nrows):
-            if k == r:
-                continue
-            f = rows[k][c]
-            if not f:
-                continue
-            krow = rows[k]
-            for j in range(c, ncols):
-                if prow[j]:
-                    krow[j] = krow[j] - f * prow[j]
+        rows[r], rows[k] = rows[k], rows[r]
+        _pivot(rows, r, c, [i for i in range(nrows) if i != r], range(c, ncols))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -405,37 +411,23 @@ def solve(a: Matrix, b: Matrix):
 
 
 def det(m: Matrix) -> Scalar:
+    """Product of the forward-elimination pivots, negated once per row swap."""
     if not m.is_square:
         raise ShapeError("determinant of a non-square matrix")
     n = m.rows
     rows = [list(m.row(i)) for i in range(n)]
-    sign = 1
     result = ONE
     for c in range(n):
-        pivot_row = None
         for k in range(c, n):
             if rows[k][c]:
-                pivot_row = k
                 break
-        if pivot_row is None:
+        else:
             return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        result = result * pivot
-        pinv = pivot.inv()
-        for k in range(c + 1, n):
-            f = rows[k][c]
-            if not f:
-                continue
-            f = f * pinv
-            krow = rows[k]
-            prow = rows[c]
-            for j in range(c, n):
-                if prow[j]:
-                    krow[j] = krow[j] - f * prow[j]
-    return result if sign > 0 else -result
+        if k != c:
+            rows[c], rows[k] = rows[k], rows[c]
+            result = -result
+        result = result * _pivot(rows, c, c, range(c + 1, n), range(c, n))
+    return result
 
 
 def inertia(m: Matrix) -> tuple:
@@ -468,22 +460,11 @@ def inertia(m: Matrix) -> tuple:
             cc = c.conj()
             for i in rest:
                 a[p][i] = a[p][i] + cc * a[k][i]
-        if a[p][p].sign_real() > 0:
+        rest.remove(p)
+        if _pivot(a, p, p, rest, rest).sign_real() > 0:  # Schur complement on rest
             pos += 1
         else:
             neg += 1
-        rest.remove(p)
-        prow = a[p]
-        pinv = prow[p].inv()
-        for i in rest:
-            f = a[i][p]
-            if not f:
-                continue
-            f = f * pinv
-            irow = a[i]
-            for j in rest:
-                if prow[j]:
-                    irow[j] = irow[j] - f * prow[j]
     return pos, neg, len(rest)
 
 

@@ -67,6 +67,8 @@ def test_unitary_verdicts_and_exit_codes():
     lines, code = cli.run(spec, "unitary", "shear")
     assert code == 1
     assert lines[0].startswith("unitary shear: no")
+    singular = parse_spec("hermitian h dim=2 gram=1,0;0,1\ngate g on=h mat=1,0;0,0\n")
+    assert cli.run(singular, "unitary", "g") == (["unitary g: no (g†g ≠ id)"], 1)
 
 
 def test_channel_report_shape():
@@ -109,6 +111,8 @@ def test_check_reports_a_failing_stanza():
     assert code == 1
     assert lines[0].startswith("check module bad: FAIL")
     assert lines[1] == "check module ok: ok"
+    spec = parse_spec("hermitian h dim=2 gram=1,1;1,1\n")
+    assert cli.run(spec, "check") == (["check hermitian h: FAIL (gram is degenerate)"], 1)
 
 
 def test_check_fails_a_channel_whose_state_the_channel_command_rejects():

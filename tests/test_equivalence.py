@@ -44,6 +44,8 @@ def test_complexify_then_fix_is_the_identity_on_points():
 def test_real_vs_validation():
     with pytest.raises(InvariantViolation):
         RealVS(2, Matrix.from_rows([[1, 1], [0, 1]]), None).check()  # not symmetric
+    with pytest.raises(InvariantViolation, match="^g must be nondegenerate$"):
+        RealVS(2, Matrix.from_rows([[1, 1], [1, 1]]), None).check()
     with pytest.raises(InvariantViolation):
         RealVS(2, Matrix.identity(2), Matrix.identity(2)).check()  # J^2 != -1
     with pytest.raises(InvariantViolation):

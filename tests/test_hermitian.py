@@ -49,8 +49,10 @@ def test_extraction_inverts_construction():
 def test_construction_rejects_bad_grams():
     with pytest.raises(InvariantViolation):
         make_selfdual(HermitianSpace(2, Matrix.from_rows([[1, 1], [0, 1]])))
-    with pytest.raises(InvariantViolation):
-        make_selfdual(HermitianSpace(2, Matrix.from_rows([[1, 1], [1, 1]])))  # degenerate
+    degenerate = HermitianSpace(2, Matrix.from_rows([[1, 1], [1, 1]]))
+    for build in (degenerate.check, lambda: make_selfdual(degenerate)):
+        with pytest.raises(InvariantViolation, match="^gram is degenerate$"):
+            build()
 
 
 def test_eigenspace_split_halves_the_dimension():
@@ -147,6 +149,11 @@ def test_gate_table():
     assert is_unitary(had @ ph @ had, s, s)
     assert not is_unitary(Matrix.from_rows([[1, 1], [0, 1]]), s, s)
     assert not is_unitary(Scalar(2) * Matrix.identity(2), s, s)
+    assert not is_unitary(Matrix.from_rows([[1, 0], [0, 0]]), s, s)
+    # an isometry into a larger space is not unitary
+    embed = Matrix.column([1, 0])
+    assert is_internal_isometry(embed, standard_selfdual(1), s)
+    assert not is_unitary(embed, standard_selfdual(1), s)
 
 
 def test_unitary_words_are_unitary():

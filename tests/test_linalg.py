@@ -188,6 +188,108 @@ def test_inverse_and_solve():
         inverse(Matrix.from_rows([[1, 1], [1, 1]]))
 
 
+# -- elimination against references that share no code with the engine ---------
+
+
+def _gauss_jordan(m):
+    """Reference: Scalar-level Gauss-Jordan elimination with first-nonzero
+    pivoting, one whole row at a time.
+
+    Returns the reduced rows, the pivot columns and the signed product of the
+    pivots, which for a square m of full rank is its determinant.
+    """
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots, product = [], ONE
+    for c in range(m.cols):
+        r = len(pivots)
+        k = next((k for k in range(r, m.rows) if rows[k][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            product = -product
+        p = rows[r][c]
+        product = product * p
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(m.rows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots, product
+
+
+def _elimination_case(rng):
+    """n <= 6, square or not, mixed denominators; often a zero leading entry
+    (forcing a row swap), a zero row and column, or a dependent row."""
+    rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+    if rng.random() < 0.5:
+        cols = rows
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _sparse_matrix(rng, rows, cols)
+    entries = [[rng.choice(_ENTRY_POOL) * rng.choice((1, -2, Fraction(1, 5))) for _ in range(cols)]
+               for _ in range(rows)]
+    entries[0][0] = ZERO
+    if kind == 2 and rows > 2:
+        a, b = rng.choice(_ENTRY_POOL), rng.choice(_ENTRY_POOL)
+        entries[-1] = [a * x + b * y for x, y in zip(entries[0], entries[1])]
+    return Matrix.from_rows(entries)
+
+
+def test_elimination_agrees_with_the_gauss_jordan_reference():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(120):
+        m = _elimination_case(rng)
+        ref, pivots, product = _gauss_jordan(m)
+        assert rref(m) == (Matrix.from_rows(ref), tuple(pivots))
+        assert rank(m) == len(pivots)
+        free = [f for f in range(m.cols) if f not in pivots]
+        assert kernel_basis(m) == [
+            Matrix.column([ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
+                           for j in range(m.cols)])
+            for f in free]
+        b = m @ random_matrix(rng, m.cols, 1) if rng.random() < 0.5 else random_matrix(rng, m.rows, 1)
+        aug, aug_pivots, _ = _gauss_jordan(hstack([m, b]))
+        x = solve(m, b)
+        if m.cols in aug_pivots:
+            assert x is None
+        else:
+            assert x == Matrix.column([aug[aug_pivots.index(j)][m.cols] if j in aug_pivots else ZERO
+                                       for j in range(m.cols)])
+        full = len(pivots) == m.rows
+        if m.is_square:
+            assert det(m) == (product if full else ZERO)
+            if full:
+                inv_rows = _gauss_jordan(hstack([m, Matrix.identity(m.rows)]))[0]
+                assert inverse(m) == Matrix.from_rows([r[m.cols:] for r in inv_rows])
+            else:
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+        shape = "square" if m.is_square else "wide" if m.cols > m.rows else "tall"
+        seen.add((shape, full, not m[0, 0], x is None))
+    # every branch of the engine was reached: swaps on invertible matrices,
+    # singular squares, both rectangular shapes, consistent and inconsistent
+    assert {("square", True, True, False), ("square", False, True, False),
+            ("square", False, True, True), ("square", True, False, False)} <= seen
+    assert {shape for shape, *_ in seen} == {"square", "wide", "tall"}
+
+
+def test_determinant_of_a_scaled_permutation_is_its_signed_product():
+    values = [Scalar(Fraction(2, 3)), SQRT2, -I, Scalar(1, Fraction(1, 2), Fraction(-1, 6)),
+              Scalar(5), Scalar(Fraction(-1, 7), 0, 1)]
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            p = Matrix.from_rows([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+            expect = Scalar((-1) ** inversions)
+            assert det(p) == expect
+            for v in values[:n]:
+                expect = expect * v
+            assert det(p @ Matrix.diagonal(values[:n])) == expect
+
+
 def test_determinant_is_multiplicative():
     rng = random.Random(14)
     for _ in range(15):
@@ -215,11 +317,45 @@ def _random_hermitian(rng, n):
     return Matrix.from_rows([[0 if i == j else m[i, j] for j in range(n)] for i in range(n)])
 
 
+def _det_reference(m):
+    """Forward elimination with its own row updates, so that the minor
+    criterion shares no code with `inertia`."""
+    n = m.rows
+    rows = [list(m.row(i)) for i in range(n)]
+    sign = 1
+    result = ONE
+    for c in range(n):
+        pivot_row = None
+        for k in range(c, n):
+            if rows[k][c]:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            sign = -sign
+        pivot = rows[c][c]
+        result = result * pivot
+        pinv = pivot.inv()
+        for k in range(c + 1, n):
+            f = rows[k][c]
+            if not f:
+                continue
+            f = f * pinv
+            krow = rows[k]
+            prow = rows[c]
+            for j in range(c, n):
+                if prow[j]:
+                    krow[j] = krow[j] - f * prow[j]
+    return result if sign > 0 else -result
+
+
 def _is_psd_by_principal_minors(m):
     """Reference: PSD iff every principal minor is nonnegative (2^n dets)."""
     for k in range(1, m.rows + 1):
         for idx in itertools.combinations(range(m.rows), k):
-            minor = det(Matrix.from_rows([[m[i, j] for j in idx] for i in idx]))
+            minor = _det_reference(Matrix.from_rows([[m[i, j] for j in idx] for i in idx]))
             assert minor.is_real()
             if minor.sign_real() < 0:
                 return False
