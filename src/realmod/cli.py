@@ -16,6 +16,14 @@ Commands:
     quantize   build a quantize stanza: module, icplx, gram, certificates
     selftest   run the seeded property suites (no input file required)
 
+Every stanza's object is built in one place, the table `_BUILD` (kind ->
+builder): a module, realvs, hermitian or realset stanza gives its checked
+object, a gate gives (matrix, space), a channel gives (gate, state, space)
+once the state is gram-self-adjoint, a quantize stanza gives its quantized
+structure and a check stanza its target's object.  `check` runs the builder
+of each stanza and the commands take their objects from `_build` only, so
+`check` asserts every law whose failure makes a command exit 1.
+
 Exit codes: 0 all verdicts passed, 1 a verdict failed, 2 input error.
 """
 
@@ -29,7 +37,6 @@ from .density import positivity_certificate, trace
 from .equivalence import HermitianSpace, RealVS
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
 from .hermitian import (
-    SelfDualRealModule,
     adjoint_oracle,
     dagger,
     extract_hermitian,
@@ -41,53 +48,49 @@ from .modules import RealModule
 from .quantization import RealSet, quantize
 from .scalars import ScalarFormatError
 from .selftest import run_selftest
-from .specfile import SpecFile, SpecFileError, Stanza, parse_spec
+from .specfile import SpecFile, SpecFileError, parse_spec
 
 _RUN_ERRORS = (InvariantViolation, ShapeError, SingularMatrixError, ZeroDivisionError)
-
-
-def _selfdual_for(spec: SpecFile, name: str) -> SelfDualRealModule:
-    """A self-dual module named in the file: a quantize or hermitian stanza."""
-    q = spec.find("quantize", name)
-    h = spec.find("hermitian", name)
-    if q is not None and h is not None:
-        raise _InputError(f"{name!r} names both a quantize and a hermitian stanza; rename one")
-    if q is not None:
-        return quantize(len(q.fields["basis"]))
-    if h is not None:
-        space = HermitianSpace(h.fields["dim"], h.fields["gram"])
-        return make_selfdual(space)
-    raise _InputError(f"no quantize or hermitian stanza named {name!r}")
 
 
 class _InputError(Exception):
     pass
 
 
-def _check_stanza(spec: SpecFile, st: Stanza) -> None:
-    """Raise if the stanza's object violates an invariant."""
-    f = st.fields
-    if st.kind == "module":
-        RealModule(f["dim"], f["inv"]).check()
-    elif st.kind == "realvs":
-        RealVS(f["dim"], f["g"], f["J"]).check()
-    elif st.kind == "hermitian":
-        HermitianSpace(f["dim"], f["gram"]).check()
-    elif st.kind == "gate":
-        on = spec.find("hermitian", f["on"])
-        HermitianSpace(on.fields["dim"], on.fields["gram"]).check()
-    elif st.kind == "realset":
-        RealSet(f["size"], f["tau"]).check()
-    elif st.kind == "quantize":
-        quantize(len(f["basis"]))  # builds and checks the whole structure
-    elif st.kind == "channel":
-        on = spec.find("hermitian", spec.find("gate", f["gate"]).fields["on"])
-        HermitianSpace(on.fields["dim"], on.fields["gram"]).check()
-        m = on.fields["gram"] @ spec.find("gate", f["rho"]).fields["mat"]
-        if m.conj_transpose() != m:  # the law `channel` asserts on its state
-            raise InvariantViolation("state is not gram-self-adjoint")
-    elif st.kind == "check":
-        _check_stanza(spec, spec.find(f["kind"], f["target"]))
+def _checked(obj):
+    obj.check()
+    return obj
+
+
+def _build_channel(spec: SpecFile, f: dict) -> tuple:
+    gate, space = _build(spec, "gate", f["gate"])
+    rho = spec.find("gate", f["rho"]).fields["mat"]  # on the gate's space, as parsing ensured
+    m = space.gram @ rho
+    if m.conj_transpose() != m:  # the law `channel` asserts on its state
+        raise InvariantViolation("state is not gram-self-adjoint")
+    return gate, rho, space
+
+
+# kind -> builder(spec, fields): the stanza's object, every law of it checked
+_BUILD = {
+    "module": lambda spec, f: _checked(RealModule(f["dim"], f["inv"])),
+    "realvs": lambda spec, f: _checked(RealVS(f["dim"], f["g"], f["J"])),
+    "hermitian": lambda spec, f: _checked(HermitianSpace(f["dim"], f["gram"])),
+    "gate": lambda spec, f: (f["mat"], _build(spec, "hermitian", f["on"])),
+    "realset": lambda spec, f: _checked(RealSet(f["size"], f["tau"])),
+    "quantize": lambda spec, f: quantize(len(f["basis"])),  # builds and checks the whole structure
+    "channel": _build_channel,
+    "check": lambda spec, f: _build(spec, f["kind"], f["target"]),
+}
+_NOUN = {"quantize": "quantize stanza"}
+
+
+def _build(spec: SpecFile, kind: str, name: str):
+    """The checked object of the stanza `kind name`; an input error if there is none."""
+    st = spec.find(kind, name)
+    if st is None:
+        raise _InputError(f"no {_NOUN.get(kind, kind)} named {name!r}")
+    return _BUILD[kind](spec, st.fields)
 
 
 def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
@@ -101,7 +104,7 @@ def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
     for st in stanzas:
         label = (st.fields["kind"], st.fields["target"]) if st.kind == "check" else (st.kind, st.name)
         try:
-            _check_stanza(spec, st)
+            _BUILD[st.kind](spec, st.fields)
             lines.append(f"check {label[0]} {label[1]}: ok")
         except _RUN_ERRORS as exc:
             lines.append(f"check {label[0]} {label[1]}: FAIL ({exc})")
@@ -110,8 +113,13 @@ def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
 
 
 def _cmd_hermitian(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    s = _selfdual_for(spec, target)
-    h = extract_hermitian(s)
+    kinds = [kind for kind in ("quantize", "hermitian") if spec.find(kind, target) is not None]
+    if len(kinds) > 1:
+        raise _InputError(f"{target!r} names both a quantize and a hermitian stanza; rename one")
+    if not kinds:
+        raise _InputError(f"no quantize or hermitian stanza named {target!r}")
+    built = _build(spec, kinds[0], target)
+    h = extract_hermitian(built if kinds[0] == "quantize" else make_selfdual(built))
     gram = h.gram
     lines = [
         f"hermitian {target}: dim={h.dim}",
@@ -122,19 +130,11 @@ def _cmd_hermitian(spec: SpecFile, target: str) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _gate(spec: SpecFile, name: str) -> tuple[Stanza, HermitianSpace]:
-    st = spec.find("gate", name)
-    if st is None:
-        raise _InputError(f"no gate named {name!r}")
-    on = spec.find("hermitian", st.fields["on"])
-    return st, HermitianSpace(on.fields["dim"], on.fields["gram"])
-
-
 def _cmd_dagger(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    st, space = _gate(spec, target)
+    mat, space = _build(spec, "gate", target)
     s = make_selfdual(space)
-    d = dagger(st.fields["mat"], s, s)
-    oracle = adjoint_oracle(st.fields["mat"], space, space)
+    d = dagger(mat, s, s)
+    oracle = adjoint_oracle(mat, space, space)
     lines = [
         f"dagger {target}: mat={format_matrix(d)}",
         "adjoint-law: ok",  # asserted inside dagger
@@ -144,22 +144,18 @@ def _cmd_dagger(spec: SpecFile, target: str) -> tuple[list[str], int]:
 
 
 def _cmd_unitary(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    st, space = _gate(spec, target)
+    mat, space = _build(spec, "gate", target)
     s = make_selfdual(space)
-    if is_unitary(st.fields["mat"], s, s):
+    if is_unitary(mat, s, s):
         return [f"unitary {target}: yes"], 0
     return [f"unitary {target}: no (g†g ≠ id)"], 1
 
 
 def _cmd_channel(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    st = spec.find("channel", target)
-    if st is None:
-        raise _InputError(f"no channel named {target!r}")
-    gate, space = _gate(spec, st.fields["gate"])
-    rho, _ = _gate(spec, st.fields["rho"])
+    gate, rho, space = _build(spec, "channel", target)
     s = make_selfdual(space)
-    out = apply_channel(gate.fields["mat"], rho.fields["mat"], s)
-    preserved = trace(out) == trace(rho.fields["mat"])
+    out = apply_channel(gate, rho, s)
+    preserved = trace(out) == trace(rho)
     lines = [
         f"channel {target}: rho={format_matrix(out)}",
         "hermitian: yes",  # checked inside positivity_certificate, which raises otherwise
@@ -170,11 +166,8 @@ def _cmd_channel(spec: SpecFile, target: str) -> tuple[list[str], int]:
 
 
 def _cmd_quantize(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    st = spec.find("quantize", target)
-    if st is None:
-        raise _InputError(f"no quantize stanza named {target!r}")
-    labels = st.fields["basis"]
-    s = quantize(len(labels))
+    s = _build(spec, "quantize", target)
+    labels = spec.find("quantize", target).fields["basis"]
     h = extract_hermitian(s)
     p = s.pair_mat()
     c = s.coev_mat()

@@ -73,7 +73,7 @@ def swap_blocks(upper: Matrix, lower: Matrix) -> Matrix:
                    hstack([lower, Matrix.zero(lower.rows, upper.cols)])])
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class SelfDualRealModule:
     """Module with compatible self-duality and internal complex structure."""
 
@@ -81,16 +81,7 @@ class SelfDualRealModule:
     pairing: Matrix  # 1 x dim^2
     coev: Matrix     # dim^2 x 1
     icplx: Matrix    # dim x dim
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, SelfDualRealModule):
-            return NotImplemented
-        return (self.H, self.pairing, self.coev, self.icplx) == \
-            (other.H, other.pairing, other.coev, other.icplx)
-
-    def __hash__(self):
-        return hash((self.H, self.pairing, self.coev, self.icplx))
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pair_mat(self) -> Matrix:
         """pairing reshaped to dim x dim: pairing(u (x) w) = u^T pair_mat w."""
@@ -166,8 +157,7 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
     plus_vecs = kernel_basis(s.icplx - I * ident)
     if 2 * len(minus_vecs) != d or 2 * len(plus_vecs) != d:
         raise InvariantViolation("icplx eigenspaces do not halve the dimension")
-    minus = hstack(minus_vecs)
-    plus = hstack(plus_vecs)
+    minus, plus = (hstack(minus_vecs), hstack(plus_vecs)) if d else (ident, ident)  # 0 x 0 at d = 0
     frame = hstack([minus, plus])
     frame_inv = inverse(frame)
     half = d // 2
@@ -221,7 +211,7 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     gram_dual = h.gram.inverse().conj()
     coev_mat = swap_blocks(gram_dual, gram_dual.transpose())
     s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
-    s.check()
+    split_eigenspaces(s)  # checks s once and keeps its split
     return s
 
 
@@ -235,7 +225,7 @@ def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
     coev_mat = t @ s.coev_mat() @ t.transpose()
     icplx = t @ s.icplx @ t_inv
     out = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
-    out.check()
+    split_eigenspaces(out)  # checks out once and keeps its split
     return out
 
 

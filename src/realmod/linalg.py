@@ -104,9 +104,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return self.entries[j::self.cols] if self.cols else ()
 
-    def column_matrix(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, self.col(j))
-
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)

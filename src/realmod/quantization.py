@@ -350,8 +350,7 @@ def quantize_set(base: RealSet) -> SelfDualRealModule:
     icplx = reflect_map(imaginary_unit_endo(base)).mat
     pair_mat = module.inv  # the tau permutation, symmetric since tau is involutive
     s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(inverse(pair_mat)), icplx)
-    s.check()
-    h = extract_hermitian(s)
+    h = extract_hermitian(s)  # checks s through its split
     if h.gram != Matrix.identity(h.dim):
         raise InvariantViolation("quantization did not produce the standard inner product")
     return s

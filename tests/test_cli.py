@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from realmod import cli, selftest
+from realmod import cli, hermitian, selftest
 from realmod.specfile import SpecFileError, parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -128,6 +128,17 @@ def test_check_fails_a_channel_whose_state_the_channel_command_rejects():
         spec = parse_spec(indefinite + f"gate rho on=h mat={rho}\nchannel c gate=g rho=rho\n")
         assert cli.run(spec, "check", "c") == ([f"check channel c: {verdict}"], code)
         assert cli.run(spec, "channel", "c")[1] == code
+
+
+def test_a_command_checks_its_self_dual_structure_once(monkeypatch):
+    calls = []
+    check = hermitian.SelfDualRealModule.check
+    monkeypatch.setattr(hermitian.SelfDualRealModule, "check", lambda s: calls.append(s) or check(s))
+    for name, command, target in RUNS:
+        if command != "check":
+            calls.clear()
+            lines, _ = cli.run(load(name), command, target)
+            assert len(calls) == 1, (command, target, lines)
 
 
 def test_a_file_without_stanzas_is_an_input_error(capsys, tmp_path):
@@ -341,11 +352,15 @@ def test_any_spec_text_gets_an_exit_code_and_no_traceback(text):
         spec = parse_spec(text)
     except SpecFileError:
         return  # exit 2 with a positioned message
-    runs = [("check", None)] + [(command, name) for command in (
-        "check", "hermitian", "dagger", "unitary", "channel", "quantize") for name in "hgrcq"]
+    commands = ("hermitian", "dagger", "unitary", "channel", "quantize")
+    names = "hgrckqmvs"  # every stanza name the templates declare
+    runs = [("check", None)] + [(command, name) for command in ("check",) + commands for name in names]
     results = {(command, target): cli.run(spec, command, target) for command, target in runs}
     for lines, code in results.values():
         assert code in (0, 1, 2)
         assert lines  # every answer, an error included, is at least one report line
-    if results[("channel", "c")][1] == 1:  # check asserts every law the command does
-        assert results[("check", "c")][1] == 1
+    for command in commands:  # check asserts every law a command does; "not unitary" is an answer
+        for name in names:
+            lines, code = results[(command, name)]
+            if code == 1 and lines != [f"unitary {name}: no (g†g ≠ id)"]:
+                assert results[("check", name)][1] == 1, (command, name, lines)

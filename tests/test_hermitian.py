@@ -7,6 +7,7 @@ import pytest
 from realmod.equivalence import HermitianSpace
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
+    SelfDualRealModule,
     adjoint_oracle,
     conjugate_selfdual,
     dagger,
@@ -26,6 +27,7 @@ from realmod.hermitian import (
 )
 from realmod.linalg import Matrix, inverse
 from realmod.modules import random_invertible, random_matrix
+from realmod.quantization import quantize
 from realmod.scalars import I, ONE, Scalar
 
 GRAMS = [
@@ -76,6 +78,41 @@ def test_extraction_is_invariant_under_transport():
         moved.check()
         got = extract_hermitian(moved)
         assert got.gram.conj_transpose() == got.gram
+
+
+def test_a_memo_changes_neither_equality_nor_hash():
+    for gram in GRAMS[:4]:
+        s = make_selfdual(HermitianSpace(gram.rows, gram))
+        fresh = SelfDualRealModule(s.H, s.pairing, s.coev, s.icplx)
+        split_eigenspaces(s)
+        assert s._memo and not fresh._memo
+        assert s == fresh and fresh == s
+        assert hash(s) == hash(fresh)
+        assert "_memo" not in repr(s)
+    one, two = (make_selfdual(HermitianSpace(1, Matrix.identity(1) * k)) for k in (1, 2))
+    assert one != two
+
+
+def test_each_builder_checks_its_structure_once(monkeypatch):
+    calls = []
+    check = SelfDualRealModule.check
+    monkeypatch.setattr(SelfDualRealModule, "check", lambda s: calls.append(s) or check(s))
+    rng = random.Random(50)
+    s = make_selfdual(random_hermitian_space(rng, 2))
+    moved = conjugate_selfdual(s, random_invertible(rng, 4))
+    q = quantize(2)
+    assert calls == [s, moved, q]
+    for built in (s, moved, q):  # every consumer reads the kept split
+        extract_hermitian(built)
+        dagger(Matrix.identity(built.H.dim // 2), built, built)
+    assert len(calls) == 3
+
+
+def test_the_zero_space_round_trips():
+    zero = HermitianSpace(0, Matrix.zero(0, 0))
+    s = make_selfdual(zero)
+    assert extract_hermitian(s) == zero
+    assert dagger(Matrix.zero(0, 0), s, s) == Matrix.zero(0, 0)
 
 
 def test_dagger_is_conjugate_transpose_for_the_standard_form():

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every import sits at module level (a function-level import can hide an import
-cycle), and the modules import each other without a cycle.
+cycle), the modules import each other without a cycle, and no module uses a
+bare `assert` (`python -O` strips it, so no verdict may rest on one).
 
 Stdlib only.  `__init__.py` is exempt from the unused-name scan: its imports
 are the public re-exports.
@@ -103,3 +104,21 @@ def test_the_scans_see_an_inner_import_and_a_cycle():
     assert _package_imports(tree) == {"b"}
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def _asserts(tree: ast.Module) -> list:
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_no_module_uses_a_bare_assert():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _asserts(tree)]
+    assert found == []
+
+
+def test_the_scan_sees_an_assert():
+    tree = ast.parse("assert x\ndef f(y):\n    assert y, 'message'\n    return 'assert'\n"
+                     "class C:\n    def m(self):\n        raise AssertionError\n")
+    assert _asserts(tree) == [1, 3]
