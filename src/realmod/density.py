@@ -36,11 +36,11 @@ from .hermitian import (
 )
 from .linalg import (
     Matrix,
-    hstack,
     inertia,
     kernel_basis,
     kron,
     kron_swap,
+    place,
     realify,
     unvec,
     vec,
@@ -68,10 +68,11 @@ def csmat(s: SelfDualRealModule) -> CSMatSpace:
     n = data.half
     swap = kron_swap(d, d)
     ident = Matrix.identity(d * d)
-    sym = hstack(kernel_basis(swap - ident))
+    sym_vecs = kernel_basis(swap - ident)
+    sym = place(d * d, len(sym_vecs), [(0, j, v) for j, v in enumerate(sym_vecs)])
     ii = kron(s.icplx, s.icplx)
     coords = kernel_basis((ii - ident) @ sym)
-    basis = sym @ hstack(coords) if coords else Matrix.zero(d * d, 0)
+    basis = sym @ place(sym.cols, len(coords), [(0, j, v) for j, v in enumerate(coords)])
     if basis.cols != n * n:
         raise InvariantViolation(
             f"symmetric icplx-fixed part has dimension {basis.cols}, expected {n * n}")
@@ -116,12 +117,10 @@ def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
     if s.H.inv @ vm.conj() @ s.H.inv.transpose() != vm:
         raise InvariantViolation("vector is not involution-fixed")
     x = data.frame_inv @ vm @ data.frame_inv.transpose()
-    block = lambda r0, c0: Matrix.from_rows(
-        [x.row(i)[c0:c0 + n] for i in range(r0, r0 + n)])
-    if not block(0, 0).is_zero() or not block(n, n).is_zero():
+    if not x.block(0, 0, n, n).is_zero() or not x.block(n, n, n, n).is_zero():
         raise InvariantViolation("vector has components in the like-signed blocks")
-    coef = block(n, 0) @ data.rev_witness.conj().transpose()
-    if block(0, n) != data.witness @ coef.conj():
+    coef = x.block(n, 0, n, n) @ data.rev_witness.conj().transpose()
+    if x.block(0, n, n, n) != data.witness @ coef.conj():
         raise InvariantViolation("mixed blocks are not conjugation partners")
     if coef.conj_transpose() != coef:
         raise InvariantViolation("coefficient matrix is not Hermitian")

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .hermitian import EigenSplit, HermitianSpace, SelfDualRealModule, split_eigenspaces, swap_blocks
-from .linalg import Matrix, block_diag, hstack, inverse, rank, solve, vec
+from .linalg import Matrix, block_diag, hstack, inverse, place, rank, solve, vec
 from .modules import RealHom, RealModule, random_invertible
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
@@ -74,15 +74,28 @@ def complexify(space: RealVS) -> RealModule:
     return RealModule(space.dim, Matrix.identity(space.dim))
 
 
-def complex_basis(space: RealVS) -> list:
-    """Deterministic complex basis of (V, J): greedy over the standard basis.
+def _require_g_and_j(space: RealVS) -> None:
+    space.check()
+    if space.g is None or space.J is None:
+        raise ValueError("needs both g and J")
 
-    Scans e_0, e_1, ... and keeps each vector that is not already in the real
-    span of the chosen vectors and their J-images.
-    """
+
+def complex_basis(space: RealVS) -> list:
+    """Deterministic complex basis of (V, J), as columns; see `_complex_basis`."""
     space.check()
     if space.J is None:
         raise ValueError("complex_basis requires a complex structure J")
+    sel = _complex_basis(space)
+    return [sel.block(0, k, sel.rows, 1) for k in range(sel.cols)]
+
+
+def _complex_basis(space: RealVS) -> Matrix:
+    """Deterministic complex basis of a checked (V, J), as the columns of one matrix.
+
+    Greedy over the standard basis: scans e_0, e_1, ... and keeps each vector
+    that is not already in the real span of the chosen vectors and their
+    J-images.
+    """
     n = space.dim
     chosen: list[Matrix] = []
     span_cols: list[Matrix] = []
@@ -97,7 +110,15 @@ def complex_basis(space: RealVS) -> list:
         span_cols.append(space.J @ e)
     if 2 * len(chosen) != n:
         raise InvariantViolation("J does not halve the dimension")
-    return chosen
+    return place(n, len(chosen), [(0, k, e) for k, e in enumerate(chosen)])
+
+
+def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
+    """Checked gram of <v|w> = g(v,w) + i g(Jv,w) on the columns of sel."""
+    form = space.g + I * (space.J.transpose() @ space.g)
+    result = HermitianSpace(sel.cols, sel.transpose() @ form @ sel)
+    result.check()
+    return result
 
 
 def _complex_split(space: RealVS) -> EigenSplit:
@@ -159,16 +180,8 @@ def diagonalized_complex_structure(space: RealVS) -> Matrix:
 
 def inner_to_hermitian_formula(space: RealVS) -> HermitianSpace:
     """Gram of <v|w> = g(v,w) + i g(Jv,w) on the deterministic complex basis."""
-    space.check()
-    if space.g is None or space.J is None:
-        raise ValueError("needs both g and J")
-    basis = complex_basis(space)
-    form = space.g + I * (space.J.transpose() @ space.g)
-    sel = hstack(basis)
-    gram = sel.transpose() @ form @ sel
-    result = HermitianSpace(len(basis), gram)
-    result.check()
-    return result
+    _require_g_and_j(space)
+    return _formula_space(space, _complex_basis(space))
 
 
 def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
@@ -176,20 +189,20 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
 
     T holds the +i coordinates of (1 - iJ) b_k, twice the +i part of b_k, and
     the gram is (1/2) T^dagger G T for the extracted gram G.  The -i
-    coordinates must vanish and the formula route must agree (asserted).
+    coordinates must vanish and the formula route, on the same basis, must
+    agree (asserted).
     """
-    space.check()
-    if space.g is None or space.J is None:
-        raise ValueError("needs both g and J")
+    _require_g_and_j(space)
     data = _complex_split(space)
     n, half = space.dim, data.half
-    coords = data.frame_inv @ (Matrix.identity(n) - I * space.J) @ hstack(complex_basis(space))
-    if not Matrix(half, half, coords.entries[:half * half]).is_zero():
+    sel = _complex_basis(space)
+    coords = data.frame_inv @ (Matrix.identity(n) - I * space.J) @ sel
+    if not coords.block(0, 0, half, half).is_zero():
         raise InvariantViolation("(1 - iJ) b has a -i component")
-    t = Matrix(half, half, coords.entries[half * half:])
+    t = coords.block(half, 0, half, half)
     result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.gram @ t))
     result.check()
-    if result != inner_to_hermitian_formula(space):
+    if result != _formula_space(space, sel):
         raise InvariantViolation("functorial and formula routes disagree")
     return result
 
@@ -205,9 +218,7 @@ def hermitian_form_on_real_basis(space: RealVS, route: str = "formula") -> Matri
       through the inverse splitting and evaluate bilinear g, i.e.
       (1/2) (I + i J)^T g (I - i J).
     """
-    space.check()
-    if space.g is None or space.J is None:
-        raise ValueError("needs both g and J")
+    _require_g_and_j(space)
     if route == "formula":
         return space.g + I * (space.J.transpose() @ space.g)
     if route == "functorial":

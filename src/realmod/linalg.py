@@ -6,6 +6,10 @@ step, `_pivot`, is the only row-update loop: echelon reduction, `det` and
 pivoting and emits kernel vectors with free columns in ascending index order,
 so all derived bases are deterministic.
 
+One block engine builds and reads every block matrix: `place` sets blocks
+into a frame of ZERO and `Matrix.block` slices one out.  Both take their shape
+explicitly, so empty blocks and 0-dimensional frames need no special case.
+
 Products (`@` and `kron`) are fused raw-integer kernels.  They read a row's
 nonzero entries once, as `(column, na, nb, nc, nd, den)` tuples, and only for
 rows a nonzero of the other factor reaches; the self-dual structures and
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd
 from operator import is_not
 
@@ -100,6 +104,15 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols block whose top-left entry is (r0, c0)."""
+        _fit(self.rows, self.cols, r0, c0, rows, cols)
+        out = []
+        for i in range(r0, r0 + rows):
+            start = i * self.cols + c0
+            out.extend(self.entries[start:start + cols])
+        return Matrix(rows, cols, tuple(out))
 
     def col(self, j: int) -> tuple:
         return self.entries[j::self.cols] if self.cols else ()
@@ -215,18 +228,32 @@ class Matrix:
 # -- stacking and tensor products ---------------------------------------------
 
 
+def _fit(rows: int, cols: int, r0: int, c0: int, brows: int, bcols: int) -> None:
+    if min(r0, c0, brows, bcols) < 0 or r0 + brows > rows or c0 + bcols > cols:
+        raise ShapeError(f"{brows}x{bcols} block at ({r0}, {c0}) leaves the {rows}x{cols} frame")
+
+
+def place(rows: int, cols: int, blocks) -> Matrix:
+    """rows x cols matrix holding each (r0, c0, m) block with its top-left
+    entry at (r0, c0), and the shared ZERO everywhere else."""
+    out = [ZERO] * (rows * cols)
+    for r0, c0, m in blocks:
+        _fit(rows, cols, r0, c0, m.rows, m.cols)
+        w = m.cols
+        for i in range(m.rows):
+            start = (r0 + i) * cols + c0
+            out[start:start + w] = m.entries[i * w:(i + 1) * w]
+    return Matrix(rows, cols, tuple(out))
+
+
 def hstack(mats) -> Matrix:
     mats = list(mats)
     if not mats:
         raise ShapeError("hstack of no matrices")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
+    if any(m.rows != mats[0].rows for m in mats):
         raise ShapeError("hstack with mismatched row counts")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in mats), tuple(out))
+    offsets = list(accumulate((m.cols for m in mats), initial=0))
+    return place(mats[0].rows, offsets[-1], [(0, c0, m) for c0, m in zip(offsets, mats)])
 
 
 def vstack(mats) -> Matrix:
@@ -244,19 +271,9 @@ def vstack(mats) -> Matrix:
 
 def block_diag(mats) -> Matrix:
     mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [ZERO] * (rows * cols)
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            base = (r0 + i) * cols + c0
-            row = m.row(i)
-            for j in range(m.cols):
-                out[base + j] = row[j]
-        r0 += m.rows
-        c0 += m.cols
-    return Matrix(rows, cols, tuple(out))
+    r0 = list(accumulate((m.rows for m in mats), initial=0))
+    c0 = list(accumulate((m.cols for m in mats), initial=0))
+    return place(r0[-1], c0[-1], zip(r0, c0, mats))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, ShapeError
 from .hermitian import SelfDualRealModule, extract_hermitian
-from .linalg import Matrix, inverse, kron, kron_swap, vec
+from .linalg import Matrix, inverse, kron, kron_swap, place, vec
 from .modules import RealModule, RealHom, is_real_hom, random_invertible, random_involution
 from .scalars import I, ONE, ZERO
 
@@ -226,33 +226,18 @@ def pushforward(f: RealSetMap, bundle: RealBundle) -> RealBundle:
     """Direct sum over preimages, slots in ascending point order."""
     if bundle.base != f.source:
         raise InvariantViolation("bundle does not live over the map's source")
-    preimages = {y: [x for x in range(f.source.size) if f(x) == y]
-                 for y in range(f.target.size)}
-    fibers = tuple(sum(bundle.fibers[x] for x in preimages[y]) for y in range(f.target.size))
-    phi = []
-    for y in range(f.target.size):
-        ty = f.target.tau[y]
-        src = preimages[y]
-        dst = preimages[ty]
-        rows = fibers[ty]
-        cols = fibers[y]
-        dst_off = {}
-        acc = 0
-        for x in dst:
-            dst_off[x] = acc
-            acc += bundle.fibers[x]
-        blocks = [[ZERO] * cols for _ in range(rows)]
-        col = 0
-        for x in src:
-            tx = f.source.tau[x]
-            r0 = dst_off[tx]
-            p = bundle.phi[x]
-            for i in range(p.rows):
-                for j in range(p.cols):
-                    blocks[r0 + i][col + j] = p[i, j]
-            col += bundle.fibers[x]
-        phi.append(Matrix.from_rows(blocks) if rows and cols else Matrix.zero(rows, cols))
-    out = RealBundle(f.target, fibers, tuple(phi))
+    f.check()
+    # slot[x]: offset of x's fiber inside the fiber over f(x)
+    slot, used = [], [0] * f.target.size
+    for x in range(f.source.size):
+        slot.append(used[f(x)])
+        used[f(x)] += bundle.fibers[x]
+    fibers = tuple(used)
+    phi = tuple(place(fibers[f.target.tau[y]], fibers[y],
+                      [(slot[f.source.tau[x]], slot[x], bundle.phi[x])
+                       for x in range(f.source.size) if f(x) == y])
+                for y in range(f.target.size))
+    out = RealBundle(f.target, fibers, phi)
     out.check()
     return out
 
@@ -291,14 +276,9 @@ def reflect(bundle: RealBundle) -> RealModule:
     bundle.check()
     d = bundle.total_dim()
     off = bundle.offsets()
-    rows = [[ZERO] * d for _ in range(d)]
-    for x in range(bundle.base.size):
-        tx = bundle.base.tau[x]
-        p = bundle.phi[x]
-        for i in range(p.rows):
-            for j in range(p.cols):
-                rows[off[tx] + i][off[x] + j] = p[i, j]
-    module = RealModule(d, Matrix.from_rows(rows) if d else Matrix.zero(0, 0))
+    tau = bundle.base.tau
+    inv = place(d, d, [(off[tau[x]], off[x], p) for x, p in enumerate(bundle.phi)])
+    module = RealModule(d, inv)
     module.check()
     return module
 
@@ -309,14 +289,8 @@ def reflect_map(bmap: RealBundleMap) -> RealHom:
     tgt = reflect(bmap.target)
     soff = bmap.source.offsets()
     toff = bmap.target.offsets()
-    rows = [[ZERO] * src.dim for _ in range(tgt.dim)]
-    for x in range(bmap.source.base.size):
-        y = bmap.base_map(x)
-        m = bmap.mats[x]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                rows[toff[y] + i][soff[x] + j] = m[i, j]
-    mat = Matrix.from_rows(rows) if rows and src.dim else Matrix.zero(tgt.dim, src.dim)
+    f = bmap.base_map
+    mat = place(tgt.dim, src.dim, [(toff[f(x)], soff[x], m) for x, m in enumerate(bmap.mats)])
     hom = RealHom(src, tgt, mat)
     hom.check()
     return hom
@@ -346,8 +320,8 @@ def quantize_set(base: RealSet) -> SelfDualRealModule:
     the identity gram on the orbits.
     """
     base.check()
-    module = reflect(trivial_line_bundle(base))
-    icplx = reflect_map(imaginary_unit_endo(base)).mat
+    hom = reflect_map(imaginary_unit_endo(base))  # i on the reflected line bundle
+    module, icplx = hom.source, hom.mat
     pair_mat = module.inv  # the tau permutation, symmetric since tau is involutive
     s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(inverse(pair_mat)), icplx)
     h = extract_hermitian(s)  # checks s through its split

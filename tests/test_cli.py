@@ -282,7 +282,7 @@ def test_console_script_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "realmod.cli",
          "--input", str(DATA / "qubit.spec"), "--command", "dagger", "--target", "had"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("dagger had: mat=")
     assert proc.stderr == ""

@@ -44,6 +44,12 @@ def test_fixed_locus_has_real_dimension_n_squared():
         assert fixed_locus_real_dimension(space) == n * n
 
 
+def test_the_zero_structure_has_a_zero_dimensional_locus():
+    space = csmat(make_selfdual(HermitianSpace(0, Matrix.zero(0, 0))))
+    assert space.dim == 0 and space.basis.shape == (0, 0)
+    assert fixed_locus_real_dimension(space) == 0
+
+
 def test_dimensions_survive_transport():
     rng = random.Random(51)
     s = make_selfdual(random_hermitian_space(rng, 2))

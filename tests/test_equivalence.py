@@ -92,6 +92,30 @@ def test_formula_and_functorial_routes_agree():
         h1.check()
 
 
+def test_the_zero_space_carries_the_empty_gram():
+    zero = Matrix.zero(0, 0)
+    space = RealVS(0, zero, zero)
+    assert inner_to_hermitian_formula(space) == HermitianSpace(0, zero)
+    assert inner_to_hermitian_functorial(space) == HermitianSpace(0, zero)
+
+
+def test_each_route_checks_its_space_once(monkeypatch):
+    calls = []
+    check = RealVS.check
+    monkeypatch.setattr(RealVS, "check", lambda s: calls.append(s) or check(s))
+    for space in SPACES[:4]:
+        fresh = RealVS(space.dim, space.g, space.J)
+        calls.clear()
+        inner_to_hermitian_formula(fresh)
+        hermitian_form_on_real_basis(fresh, "formula")
+        hermitian_form_on_real_basis(fresh, "functorial")
+        assert len(calls) == 3
+        inner_to_hermitian_functorial(fresh)  # its own check, and the split's on the memo miss
+        assert len(calls) == 5
+        inner_to_hermitian_functorial(fresh)
+        assert len(calls) == 6
+
+
 def test_hermitian_routes_on_the_real_basis_agree():
     rng = random.Random(35)
     for _ in range(20):

@@ -21,6 +21,7 @@ from realmod.linalg import (
     kron,
     kron_swap,
     parse_matrix,
+    place,
     rank,
     realify,
     rref,
@@ -446,6 +447,80 @@ def test_stacking_shapes():
     assert d.is_identity() and d.rows == 5
     with pytest.raises(ShapeError):
         hstack([a, Matrix.zero(3, 1)])
+
+
+# -- the block engine -----------------------------------------------------------------
+
+
+def _random_block(rng, rows, cols):
+    """(r0, c0, m) inside a rows x cols frame, often flush with an edge or empty."""
+    br, bc = rng.randrange(rows + 1), rng.randrange(cols + 1)
+    r0 = rng.choice((0, rows - br, rng.randrange(rows - br + 1)))
+    c0 = rng.choice((0, cols - bc, rng.randrange(cols - bc + 1)))
+    return r0, c0, random_matrix(rng, br, bc)
+
+
+def test_place_matches_a_per_entry_reference():
+    rng = random.Random(4100)
+    for _ in range(80):
+        rows, cols = rng.randrange(6), rng.randrange(6)
+        blocks = [_random_block(rng, rows, cols) for _ in range(rng.randrange(4))]
+        ref = [[None] * cols for _ in range(rows)]  # None: no block covers the entry
+        for r0, c0, m in blocks:
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    ref[r0 + i][c0 + j] = m[i, j]
+        placed = place(rows, cols, blocks)
+        assert placed.shape == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                if ref[i][j] is None:
+                    assert placed[i, j] is ZERO
+                else:
+                    assert placed[i, j] == ref[i][j]
+
+
+def test_block_matches_a_per_entry_reference():
+    rng = random.Random(4101)
+    for _ in range(80):
+        rows, cols = rng.randrange(6), rng.randrange(6)
+        m = random_matrix(rng, rows, cols)
+        r0, c0, shape = _random_block(rng, rows, cols)
+        got = m.block(r0, c0, shape.rows, shape.cols)
+        assert got.shape == shape.shape
+        assert got.entries == tuple(m[r0 + i, c0 + j]
+                                    for i in range(shape.rows) for j in range(shape.cols))
+
+
+def test_placing_the_blocks_of_a_matrix_gives_it_back():
+    rng = random.Random(4102)
+    for _ in range(40):
+        rows, cols = rng.randrange(6), rng.randrange(6)
+        m = random_matrix(rng, rows, cols)
+        r, c = rng.randrange(rows + 1), rng.randrange(cols + 1)
+        quarters = [(r0, c0, m.block(r0, c0, h, w))
+                    for r0, h in ((0, r), (r, rows - r)) for c0, w in ((0, c), (c, cols - c))]
+        assert place(rows, cols, quarters) == m
+
+
+def test_a_block_leaving_the_frame_is_a_shape_error():
+    m = Matrix.identity(3)
+    for r0, c0, rows, cols in ((1, 0, 3, 1), (0, 1, 1, 3), (3, 0, 1, 1), (0, 3, 1, 1),
+                               (-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, -1, 1)):
+        with pytest.raises(ShapeError):
+            m.block(r0, c0, rows, cols)
+        if min(rows, cols) >= 0:
+            with pytest.raises(ShapeError):
+                place(3, 3, [(r0, c0, Matrix.zero(rows, cols))])
+    assert m.block(3, 3, 0, 0).shape == (0, 0)  # an empty block may sit on the far corner
+    assert place(0, 0, [(0, 0, Matrix.zero(0, 0))]) == Matrix.zero(0, 0)
+    assert place(2, 0, []).shape == (2, 0) and place(0, 2, []).shape == (0, 2)
+
+
+def test_stacks_of_empty_blocks_keep_their_shape():
+    assert hstack([Matrix.zero(3, 0), Matrix.zero(3, 0)]).shape == (3, 0)
+    assert block_diag([Matrix.zero(2, 0), Matrix.zero(0, 1)]) == Matrix.zero(2, 1)
+    assert block_diag([]) == Matrix.zero(0, 0)
 
 
 def test_realify_encodes_antilinear_systems():

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from realmod import quantization
 from realmod.errors import InvariantViolation
 from realmod.hermitian import extract_hermitian
 from realmod.linalg import Matrix, inverse, kron
 from realmod.modules import is_real_hom, random_matrix
 from realmod.quantization import (
+    RealBundle,
     RealBundleMap,
     RealSet,
     RealSetMap,
@@ -84,6 +86,30 @@ def test_pullback_and_pushforward_along_the_identity():
     assert reflect(pushforward(ident, bundle)).dim == reflect(bundle).dim
 
 
+def test_zero_dimensional_fibers_reflect_to_zero_dimensions():
+    zero, line = Matrix.zero(0, 0), Matrix.identity(1)
+    base = free_realset(2)  # partners 0 <-> 2 and 1 <-> 3
+    ident = identity_base_map(base)
+    onto = RealSetMap(base, free_realset(1), (0, 0, 1, 1))
+    empty = RealBundle(base, (0,) * 4, (zero,) * 4)
+    assert reflect(empty).dim == 0
+    assert reflect_map(RealBundleMap(empty, empty, ident, (zero,) * 4)).mat == zero
+    assert reflect(pushforward(onto, empty)).dim == 0
+    # empty fibers beside lines: the last empty block sits on the frame's edge
+    mixed = RealBundle(base, (1, 0, 1, 0), (line, zero, line, zero))
+    assert reflect(mixed).inv == Matrix.from_rows([[0, 1], [1, 0]])
+    assert reflect_map(RealBundleMap(mixed, mixed, ident, (line, zero, line, zero))).mat.is_identity()
+    pushed = pushforward(onto, mixed)
+    assert pushed.fibers == (1, 1) and reflect(pushed).inv == reflect(mixed).inv
+
+
+def test_pushforward_along_a_non_equivariant_map_is_rejected():
+    base = free_realset(2)
+    bundle = random_real_bundle(random.Random(66), base)
+    with pytest.raises(InvariantViolation, match="^map does not commute with the involutions$"):
+        pushforward(RealSetMap(base, free_realset(1), (0, 0, 0, 1)), bundle)
+
+
 def test_external_tensor_multiplies_fibers():
     rng = random.Random(63)
     b1 = random_real_bundle(rng, free_realset(1))
@@ -144,6 +170,14 @@ def test_quantize_extracts_identity_gram():
         s.check()
         assert s.H.dim == 2 * n
         assert extract_hermitian(s).gram.is_identity()
+
+
+def test_quantize_reflects_its_line_bundle_only_through_the_endo(monkeypatch):
+    calls = []
+    real = quantization.reflect
+    monkeypatch.setattr(quantization, "reflect", lambda b: calls.append(b) or real(b))
+    quantize(3)
+    assert len(calls) == 2  # the source and target of reflect_map(imaginary_unit_endo)
 
 
 def test_quantize_set_of_a_scrambled_free_involution():
