@@ -157,15 +157,15 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
         raise ShapeError(f"gate must be {n}x{n}")
     if not is_density_shaped(s, rho):
         raise InvariantViolation("state is not gram-self-adjoint")
-    hom = _internalize_raw(g, s, s)
-    dag = _dagger_from_hom(hom.mat, g, s, s)
+    hom_mat = _internalize_raw(g, s, s)
+    dag = _dagger_from_hom(hom_mat, g, s, s)
     direct = g @ rho @ dag
     vm = unvec(operator_to_fixed_vector(s, rho), s.H.dim, s.H.dim)
-    transported = fixed_vector_to_operator(s, vec(hom.mat @ vm @ hom.mat.transpose()))
+    transported = fixed_vector_to_operator(s, vec(hom_mat @ vm @ hom_mat.transpose()))
     if direct != transported:
         raise InvariantViolation("channel routes disagree")
     pm = s.pair_mat()
-    unitary = (hom.mat.transpose() @ pm @ hom.mat) == pm
+    unitary = (hom_mat.transpose() @ pm @ hom_mat) == pm
     if unitary != (dag @ g).is_identity():
         raise InvariantViolation("isometry routes disagree")
     if unitary:

@@ -48,6 +48,9 @@ class RealVS:
     J: Matrix | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
         if self.g is not None:
             if self.g.shape != (self.dim, self.dim):
@@ -75,14 +78,12 @@ def complexify(space: RealVS) -> RealModule:
 
 
 def _require_g_and_j(space: RealVS) -> None:
-    space.check()
     if space.g is None or space.J is None:
         raise ValueError("needs both g and J")
 
 
 def complex_basis(space: RealVS) -> list:
     """Deterministic complex basis of (V, J), as columns; see `_complex_basis`."""
-    space.check()
     if space.J is None:
         raise ValueError("complex_basis requires a complex structure J")
     sel = _complex_basis(space)
@@ -90,7 +91,7 @@ def complex_basis(space: RealVS) -> list:
 
 
 def _complex_basis(space: RealVS) -> Matrix:
-    """Deterministic complex basis of a checked (V, J), as the columns of one matrix.
+    """Deterministic complex basis of (V, J), as the columns of one matrix.
 
     Greedy over the standard basis: scans e_0, e_1, ... and keeps each vector
     that is not already in the real span of the chosen vectors and their
@@ -114,18 +115,15 @@ def _complex_basis(space: RealVS) -> Matrix:
 
 
 def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
-    """Checked gram of <v|w> = g(v,w) + i g(Jv,w) on the columns of sel."""
+    """Gram of <v|w> = g(v,w) + i g(Jv,w) on the columns of sel."""
     form = space.g + I * (space.J.transpose() @ space.g)
-    result = HermitianSpace(sel.cols, sel.transpose() @ form @ sel)
-    result.check()
-    return result
+    return HermitianSpace(sel.cols, sel.transpose() @ form @ sel)
 
 
 def _complex_split(space: RealVS) -> EigenSplit:
     """Split of the complexified (V, g, J) as a self-dual module; memoized."""
     if "eigen" in space._memo:
         return space._memo["eigen"]
-    space.check()
     J = space.J
     if J is None:
         raise ValueError("complex_basis requires a complex structure J")
@@ -160,11 +158,7 @@ def hyperbolic_iso(space: RealVS) -> HyperbolicIso:
         raise InvariantViolation("hyperbolic splitting is not invertible")
     source = complexify(space)
     target = RealModule(space.dim, swap_blocks(ident, ident))
-    forward = RealHom(source, target, forward_mat)
-    backward = RealHom(target, source, inverse_mat)
-    forward.check()
-    backward.check()
-    return HyperbolicIso(forward, backward)
+    return HyperbolicIso(RealHom(source, target, forward_mat), RealHom(target, source, inverse_mat))
 
 
 def diagonalized_complex_structure(space: RealVS) -> Matrix:
@@ -201,7 +195,6 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
         raise InvariantViolation("(1 - iJ) b has a -i component")
     t = coords.block(half, 0, half, half)
     result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.gram @ t))
-    result.check()
     if result != _formula_space(space, sel):
         raise InvariantViolation("functorial and formula routes disagree")
     return result
@@ -250,12 +243,10 @@ def random_isometric_pair(rng: random.Random, n: int) -> RealVS:
         a = random_invertible(rng, n, real=True)
         g0 = a.transpose() @ a
         g = (g0 + J.transpose() @ g0 @ J) * Scalar.of(Fraction(1, 2))
-        space = RealVS(n, g, J)
         try:
-            space.check()
+            return RealVS(n, g, J)
         except InvariantViolation:
             continue
-        return space
 
 
 def random_real_vs(rng: random.Random, n: int) -> RealVS:

@@ -53,6 +53,9 @@ class HermitianSpace:
     dim: int
     gram: Matrix
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
         if self.gram.shape != (self.dim, self.dim):
             raise InvariantViolation("gram has the wrong shape")
@@ -82,6 +85,9 @@ class SelfDualRealModule:
     icplx: Matrix    # dim x dim
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def pair_mat(self) -> Matrix:
         """pairing reshaped to dim x dim: pairing(u (x) w) = u^T pair_mat w."""
         return unvec(self.pairing.transpose(), self.H.dim, self.H.dim)
@@ -92,7 +98,6 @@ class SelfDualRealModule:
 
     def check(self) -> None:
         d = self.H.dim
-        self.H.check()
         if self.pairing.shape != (1, d * d):
             raise InvariantViolation("pairing must be a 1 x dim^2 row")
         if self.coev.shape != (d * d, 1):
@@ -146,10 +151,9 @@ class EigenSplit:
 
 
 def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
-    """The eigen split of s, checked once and memoized on the structure."""
+    """The eigen split of s, computed once and memoized on the structure."""
     if "eigen" in s._memo:
         return s._memo["eigen"]
-    s.check()
     d = s.H.dim
     ident = Matrix.identity(d)
     minus_vecs = kernel_basis(s.icplx + I * ident)
@@ -189,9 +193,7 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
 def extract_hermitian(s: SelfDualRealModule) -> HermitianSpace:
     """Gram of <psi|phi> = pairing(involution(psi) (x) phi) on the +i basis."""
     data = split_eigenspaces(s)
-    result = HermitianSpace(data.half, data.gram)
-    result.check()
-    return result
+    return HermitianSpace(data.half, data.gram)
 
 
 def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
@@ -201,7 +203,6 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     on the mixed blocks symmetrically and the coevaluation is its inverse,
     built from the gram-dual basis in both orders.
     """
-    h.check()
     n = h.dim
     ident = Matrix.identity(n)
     module = RealModule(2 * n, swap_blocks(ident, ident))
@@ -209,9 +210,7 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     pair_mat = swap_blocks(h.gram, h.gram.transpose())
     gram_dual = h.gram.inverse().conj()
     coev_mat = swap_blocks(gram_dual, gram_dual.transpose())
-    s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
-    split_eigenspaces(s)  # checks s once and keeps its split
-    return s
+    return SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
 
 
 def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
@@ -223,20 +222,17 @@ def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
     pair_mat = t_inv.transpose() @ s.pair_mat() @ t_inv
     coev_mat = t @ s.coev_mat() @ t.transpose()
     icplx = t @ s.icplx @ t_inv
-    out = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
-    split_eigenspaces(out)  # checks out once and keeps its split
-    return out
+    return SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
 
 
-def _internalize_raw(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> RealHom:
+def _internalize_raw(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     d1 = split_eigenspaces(s1)
     d2 = split_eigenspaces(s2)
     if g.shape != (d2.half, d1.half):
         raise ShapeError(f"map must be {d2.half}x{d1.half}, got {g.rows}x{g.cols}")
     # the -i block is forced by equivariance: bras transport to bras
     gm = d2.witness @ g.conj() @ d1.rev_witness.conj()
-    mat = d2.frame @ block_diag([gm, g]) @ d1.frame_inv
-    return RealHom(s1.H, s2.H, mat)
+    return d2.frame @ block_diag([gm, g]) @ d1.frame_inv
 
 
 def externalize_map(big: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
@@ -263,8 +259,7 @@ def internalize_map(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -
     The -i block carries the adjoint action on bras; the dagger law
     <phi | dagger(g) psi> = <g phi | psi> is asserted through the grams.
     """
-    hom = _internalize_raw(g, s1, s2)
-    hom.check()
+    hom = RealHom(s1.H, s2.H, _internalize_raw(g, s1, s2))
     if hom.mat @ s1.icplx != s2.icplx @ hom.mat:
         raise InvariantViolation("internalized map does not commute with icplx")
     if externalize_map(hom.mat, s1, s2) != g:
@@ -300,8 +295,7 @@ def dagger(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     coev_mat1 . G^T . pair_mat2 acting on ambient coordinates.  The result is
     asserted to satisfy gram1 . dagger(g) = conj_transpose(g) . gram2.
     """
-    hom = _internalize_raw(g, s1, s2)
-    return _dagger_from_hom(hom.mat, g, s1, s2)
+    return _dagger_from_hom(_internalize_raw(g, s1, s2), g, s1, s2)
 
 
 def dagger_composite_dense(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
@@ -310,12 +304,12 @@ def dagger_composite_dense(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealMo
     Exponentially sized in ambient dimension; used to cross-check `dagger` on
     small modules.
     """
-    hom = _internalize_raw(g, s1, s2)
+    hom_mat = _internalize_raw(g, s1, s2)
     n1, n2 = s1.H.dim, s2.H.dim
     id1 = Matrix.identity(n1)
     id2 = Matrix.identity(n2)
     composite = (kron(id1, s2.pairing)
-                 @ kron(id1, kron(hom.mat, id2))
+                 @ kron(id1, kron(hom_mat, id2))
                  @ kron(s1.coev, id2))
     return externalize_map(composite, s2, s1)
 
@@ -325,9 +319,9 @@ def is_internal_isometry(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModu
 
     Both are computed; they must agree.
     """
-    hom = _internalize_raw(g, s1, s2)
-    route_pairing = (hom.mat.transpose() @ s2.pair_mat() @ hom.mat) == s1.pair_mat()
-    route_dagger = (_dagger_from_hom(hom.mat, g, s1, s2) @ g).is_identity()
+    hom_mat = _internalize_raw(g, s1, s2)
+    route_pairing = (hom_mat.transpose() @ s2.pair_mat() @ hom_mat) == s1.pair_mat()
+    route_dagger = (_dagger_from_hom(hom_mat, g, s1, s2) @ g).is_identity()
     if route_pairing != route_dagger:
         raise InvariantViolation("isometry routes disagree")
     return route_pairing
@@ -342,7 +336,6 @@ def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> boo
 
 def is_positive_definite(h: HermitianSpace) -> bool:
     """Every eigenvalue of the gram positive (exact inertia)."""
-    h.check()
     return inertia(h.gram)[0] == h.dim
 
 

@@ -196,6 +196,14 @@ class Matrix:
         """Entrywise complex conjugation."""
         return Matrix(self.rows, self.cols, tuple(x.conj() for x in self.entries))
 
+    def real_part(self) -> "Matrix":
+        """Entrywise real part, a matrix over Q(sqrt2)."""
+        return Matrix(self.rows, self.cols, tuple(x.real_part() for x in self.entries))
+
+    def imag_part(self) -> "Matrix":
+        """Entrywise imaginary part, a matrix over Q(sqrt2)."""
+        return Matrix(self.rows, self.cols, tuple(x.imag_part() for x in self.entries))
+
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
 
@@ -488,25 +496,16 @@ def inertia(m: Matrix) -> tuple:
 def realify(mat: Matrix, conj_part: Matrix) -> Matrix:
     """Real form of the additive map v -> mat*v + conj_part*conj(v).
 
-    Coordinates split as (Re v, Im v) over the real subfield Q(sqrt2); the
-    result is a 2r x 2c matrix with real entries.
+    Coordinates split as (Re v, Im v) over the real subfield Q(sqrt2); with
+    S = mat + conj_part and D = mat - conj_part the result is the 2r x 2c real
+    matrix [[Re S, -Im D], [Im S, Re D]].
     """
     if mat.shape != conj_part.shape:
         raise ShapeError("mat and conj_part must share a shape")
     r, c = mat.rows, mat.cols
-    out = [ZERO] * (4 * r * c)
-    width = 2 * c
-    for i in range(r):
-        for j in range(c):
-            a = mat[i, j]
-            b = conj_part[i, j]
-            are, aim = a.real_part(), a.imag_part()
-            bre, bim = b.real_part(), b.imag_part()
-            out[i * width + j] = are + bre
-            out[i * width + j + c] = bim - aim
-            out[(i + r) * width + j] = aim + bim
-            out[(i + r) * width + j + c] = are - bre
-    return Matrix(2 * r, 2 * c, tuple(out))
+    s, d = mat + conj_part, mat - conj_part
+    return place(2 * r, 2 * c, [(0, 0, s.real_part()), (0, c, -d.imag_part()),
+                                (r, 0, s.imag_part()), (r, c, d.real_part())])
 
 
 # -- text form -----------------------------------------------------------------------

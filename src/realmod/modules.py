@@ -35,6 +35,9 @@ class RealModule:
     dim: int
     inv: Matrix
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
         if self.inv.shape != (self.dim, self.dim):
             raise InvariantViolation(
@@ -54,6 +57,9 @@ class RealHom:
     source: RealModule
     target: RealModule
     mat: Matrix
+
+    def __post_init__(self) -> None:
+        self.check()
 
     def check(self) -> None:
         if self.mat.shape != (self.target.dim, self.source.dim):
@@ -119,18 +125,10 @@ def fixed_points(m: RealModule) -> FixedPoints:
     over Q(sqrt2) in the (Re v, Im v) coordinates; the deterministic kernel of
     that system is reassembled into complex columns.
     """
-    m.check()
     n = m.dim
     system = realify(-Matrix.identity(n), m.inv)
-    basis = []
-    for k in kernel_basis(system):
-        entries = []
-        for j in range(n):
-            x = k[j, 0]
-            y = k[n + j, 0]
-            # x, y are real scalars; the fixed vector is x + i*y
-            entries.append(Scalar(x.a, x.b, y.a, y.b))
-        basis.append(Matrix.column(entries))
+    # the kernel vector (x, y) of real coordinates is the fixed vector x + i*y
+    basis = [k.block(0, 0, n, 1) + I * k.block(n, 0, n, 1) for k in kernel_basis(system)]
     return FixedPoints(len(basis), tuple(basis))
 
 

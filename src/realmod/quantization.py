@@ -43,8 +43,10 @@ class InternalComplex:
     unit: Matrix       # 2 x 1
     conj_endo: Matrix  # 2 x 2
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
-        self.carrier.check()
         c = self.carrier
         if self.mult.shape != (2, 4) or self.unit.shape != (2, 1):
             raise ShapeError("multiplication must be 2x4 and unit 2x1")
@@ -77,9 +79,7 @@ def internal_complex() -> InternalComplex:
         [ZERO, ONE, ONE, ZERO],
     ])
     unit = Matrix.from_rows([[ONE], [ZERO]])
-    out = InternalComplex(carrier, mult, unit, conj_endo)
-    out.check()
-    return out
+    return InternalComplex(carrier, mult, unit, conj_endo)
 
 
 # -- finite sets with involution ---------------------------------------------------
@@ -89,6 +89,9 @@ def internal_complex() -> InternalComplex:
 class RealSet:
     size: int
     tau: tuple  # involutive permutation of range(size)
+
+    def __post_init__(self) -> None:
+        self.check()
 
     def check(self) -> None:
         if self.size < 0:
@@ -123,9 +126,10 @@ class RealSetMap:
     target: RealSet
     values: tuple
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
-        self.source.check()
-        self.target.check()
         if len(self.values) != self.source.size:
             raise ShapeError("map must assign every point")
         for x, y in enumerate(self.values):
@@ -153,8 +157,10 @@ class RealBundle:
     fibers: tuple  # fiber dimensions
     phi: tuple     # phi[x]: fibers[x] -> fibers[tau(x)]
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
-        self.base.check()
         if len(self.fibers) != self.base.size or len(self.phi) != self.base.size:
             raise ShapeError("one fiber and one identification per point")
         for x in range(self.base.size):
@@ -190,10 +196,10 @@ class RealBundleMap:
     base_map: RealSetMap
     mats: tuple  # mats[x]: source fiber at x -> target fiber at base_map(x)
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
-        self.source.check()
-        self.target.check()
-        self.base_map.check()
         if self.base_map.source != self.source.base or self.base_map.target != self.target.base:
             raise InvariantViolation("base map does not match the bundles")
         if len(self.mats) != self.source.base.size:
@@ -217,16 +223,13 @@ def pullback(f: RealSetMap, bundle: RealBundle) -> RealBundle:
         raise InvariantViolation("bundle does not live over the map's target")
     fibers = tuple(bundle.fibers[f(x)] for x in range(f.source.size))
     phi = tuple(bundle.phi[f(x)] for x in range(f.source.size))
-    out = RealBundle(f.source, fibers, phi)
-    out.check()
-    return out
+    return RealBundle(f.source, fibers, phi)
 
 
 def pushforward(f: RealSetMap, bundle: RealBundle) -> RealBundle:
     """Direct sum over preimages, slots in ascending point order."""
     if bundle.base != f.source:
         raise InvariantViolation("bundle does not live over the map's source")
-    f.check()
     # slot[x]: offset of x's fiber inside the fiber over f(x)
     slot, used = [], [0] * f.target.size
     for x in range(f.source.size):
@@ -237,9 +240,7 @@ def pushforward(f: RealSetMap, bundle: RealBundle) -> RealBundle:
                       [(slot[f.source.tau[x]], slot[x], bundle.phi[x])
                        for x in range(f.source.size) if f(x) == y])
                 for y in range(f.target.size))
-    out = RealBundle(f.target, fibers, phi)
-    out.check()
-    return out
+    return RealBundle(f.target, fibers, phi)
 
 
 def product_realset(a: RealSet, b: RealSet) -> RealSet:
@@ -255,17 +256,13 @@ def external_tensor(b1: RealBundle, b2: RealBundle) -> RealBundle:
                    for x in range(b1.base.size) for y in range(b2.base.size))
     phi = tuple(kron(b1.phi[x], b2.phi[y])
                 for x in range(b1.base.size) for y in range(b2.base.size))
-    out = RealBundle(base, fibers, phi)
-    out.check()
-    return out
+    return RealBundle(base, fibers, phi)
 
 
 def complex_to_real_bundle(n: int) -> RealBundle:
     """A plain rank-n space as a bundle over the free two-point orbit."""
     ident = Matrix.identity(n)
-    out = RealBundle(free_realset(1), (n, n), (ident, ident))
-    out.check()
-    return out
+    return RealBundle(free_realset(1), (n, n), (ident, ident))
 
 
 # -- reflection into modules -------------------------------------------------------
@@ -273,27 +270,21 @@ def complex_to_real_bundle(n: int) -> RealBundle:
 
 def reflect(bundle: RealBundle) -> RealModule:
     """Total space; the involution permutes fiber blocks through phi."""
-    bundle.check()
     d = bundle.total_dim()
     off = bundle.offsets()
     tau = bundle.base.tau
     inv = place(d, d, [(off[tau[x]], off[x], p) for x, p in enumerate(bundle.phi)])
-    module = RealModule(d, inv)
-    module.check()
-    return module
+    return RealModule(d, inv)
 
 
 def reflect_map(bmap: RealBundleMap) -> RealHom:
-    bmap.check()
     src = reflect(bmap.source)
-    tgt = reflect(bmap.target)
+    tgt = src if bmap.target == bmap.source else reflect(bmap.target)
     soff = bmap.source.offsets()
     toff = bmap.target.offsets()
     f = bmap.base_map
     mat = place(tgt.dim, src.dim, [(toff[f(x)], soff[x], m) for x, m in enumerate(bmap.mats)])
-    hom = RealHom(src, tgt, mat)
-    hom.check()
-    return hom
+    return RealHom(src, tgt, mat)
 
 
 # -- quantization ------------------------------------------------------------------
@@ -307,9 +298,7 @@ def imaginary_unit_endo(base: RealSet) -> RealBundleMap:
     bundle = trivial_line_bundle(base)
     reps = set(base.orbit_representatives())
     mats = tuple(Matrix.from_rows([[I if x in reps else -I]]) for x in range(base.size))
-    out = RealBundleMap(bundle, bundle, identity_base_map(base), mats)
-    out.check()
-    return out
+    return RealBundleMap(bundle, bundle, identity_base_map(base), mats)
 
 
 def quantize_set(base: RealSet) -> SelfDualRealModule:
@@ -319,12 +308,11 @@ def quantize_set(base: RealSet) -> SelfDualRealModule:
     orbit line has unit norm; the extracted Hermitian space is asserted to be
     the identity gram on the orbits.
     """
-    base.check()
     hom = reflect_map(imaginary_unit_endo(base))  # i on the reflected line bundle
     module, icplx = hom.source, hom.mat
     pair_mat = module.inv  # the tau permutation, symmetric since tau is involutive
     s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(inverse(pair_mat)), icplx)
-    h = extract_hermitian(s)  # checks s through its split
+    h = extract_hermitian(s)
     if h.gram != Matrix.identity(h.dim):
         raise InvariantViolation("quantization did not produce the standard inner product")
     return s
@@ -368,6 +356,4 @@ def random_real_bundle(rng: random.Random, base: RealSet, max_dim: int = 2) -> R
         else:
             phi[x] = random_invertible(rng, d)
             phi[tx] = inverse(phi[x].conj())
-    out = RealBundle(base, tuple(dims), tuple(phi))
-    out.check()
-    return out
+    return RealBundle(base, tuple(dims), tuple(phi))

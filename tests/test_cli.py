@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from realmod import cli, hermitian, selftest
+from realmod.equivalence import HermitianSpace
 from realmod.specfile import SpecFileError, parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -136,6 +137,17 @@ def test_a_command_checks_its_self_dual_structure_once(monkeypatch):
     monkeypatch.setattr(hermitian.SelfDualRealModule, "check", lambda s: calls.append(s) or check(s))
     for name, command, target in RUNS:
         if command != "check":
+            calls.clear()
+            lines, _ = cli.run(load(name), command, target)
+            assert len(calls) == 1, (command, target, lines)
+
+
+def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
+    calls = []
+    check = HermitianSpace.check
+    monkeypatch.setattr(HermitianSpace, "check", lambda h: calls.append(h) or check(h))
+    for name, command, target in RUNS:
+        if command in ("dagger", "unitary", "channel"):
             calls.clear()
             lines, _ = cli.run(load(name), command, target)
             assert len(calls) == 1, (command, target, lines)

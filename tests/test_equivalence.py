@@ -3,6 +3,7 @@ Hermitian form carried by an inner product with a compatible complex
 structure."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from realmod import hermitian
 from realmod.equivalence import (
     HermitianSpace,
     RealVS,
+    complex_basis,
     complexify,
     diagonalized_complex_structure,
     hermitian_form_on_real_basis,
@@ -104,16 +106,19 @@ def test_each_route_checks_its_space_once(monkeypatch):
     check = RealVS.check
     monkeypatch.setattr(RealVS, "check", lambda s: calls.append(s) or check(s))
     for space in SPACES[:4]:
-        fresh = RealVS(space.dim, space.g, space.J)
         calls.clear()
+        fresh = RealVS(space.dim, space.g, space.J)
+        assert len(calls) == 1  # construction checks the space; no route checks it again
+        complexify(fresh)
+        complex_basis(fresh)
+        hyperbolic_iso(fresh)
+        diagonalized_complex_structure(fresh)
         inner_to_hermitian_formula(fresh)
+        inner_to_hermitian_functorial(fresh)
+        inner_to_hermitian_functorial(fresh)
         hermitian_form_on_real_basis(fresh, "formula")
         hermitian_form_on_real_basis(fresh, "functorial")
-        assert len(calls) == 3
-        inner_to_hermitian_functorial(fresh)  # its own check, and the split's on the memo miss
-        assert len(calls) == 5
-        inner_to_hermitian_functorial(fresh)
-        assert len(calls) == 6
+        assert len(calls) == 1
 
 
 def test_hermitian_routes_on_the_real_basis_agree():
@@ -198,13 +203,13 @@ def test_the_splitting_depends_on_j_alone():
 
 
 J2 = standard_complex_structure(2)
-INVALID = [  # (space, exception, message through hyperbolic_iso, through the functorial route)
-    (RealVS(2, Matrix.from_rows([[1, 0], [0, 0]]), J2), InvariantViolation,
+INVALID = [  # (space, built on use; exception; message through hyperbolic_iso, through the functorial route)
+    (partial(RealVS, 2, Matrix.from_rows([[1, 0], [0, 0]]), J2), InvariantViolation,
      "g must be nondegenerate", "g must be nondegenerate"),
-    (RealVS(2, Matrix.identity(2), Matrix.identity(2)), InvariantViolation, "J^2 != -I", "J^2 != -I"),
-    (RealVS(2, Matrix.from_rows([[1, 0], [0, 2]]), J2), InvariantViolation,
+    (partial(RealVS, 2, Matrix.identity(2), Matrix.identity(2)), InvariantViolation, "J^2 != -I", "J^2 != -I"),
+    (partial(RealVS, 2, Matrix.from_rows([[1, 0], [0, 2]]), J2), InvariantViolation,
      "J is not a g-isometry", "J is not a g-isometry"),
-    (RealVS(2, Matrix.identity(2), None), ValueError,
+    (partial(RealVS, 2, Matrix.identity(2), None), ValueError,
      "complex_basis requires a complex structure J", "needs both g and J"),
 ]
 
@@ -212,12 +217,11 @@ INVALID = [  # (space, exception, message through hyperbolic_iso, through the fu
 @pytest.mark.parametrize("space, exc, iso_message, functorial_message", INVALID)
 def test_invalid_pairs_are_rejected_with_the_validation_message(space, exc, iso_message, functorial_message):
     with pytest.raises(exc) as caught:
-        hyperbolic_iso(space)
+        hyperbolic_iso(space())
     assert str(caught.value) == iso_message
     with pytest.raises(exc) as caught:
-        inner_to_hermitian_functorial(space)
+        inner_to_hermitian_functorial(space())
     assert str(caught.value) == functorial_message
-    assert space._memo == {}
 
 
 def test_a_memo_changes_neither_equality_nor_hash():

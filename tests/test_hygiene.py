@@ -1,7 +1,10 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every import sits at module level (a function-level import can hide an import
-cycle), the modules import each other without a cycle, and no module uses a
-bare `assert` (`python -O` strips it, so no verdict may rest on one).
+cycle), the modules import each other without a cycle, no module uses a bare
+`assert` (`python -O` strips it, so no verdict may rest on one), and every
+class with a `check` runs it in `__post_init__`, the one place a `.check()`
+call may appear (an object that exists has passed its laws, so no caller
+checks it again).
 
 Stdlib only.  `__init__.py` is exempt from the unused-name scan: its imports
 are the public re-exports.
@@ -122,3 +125,51 @@ def test_the_scan_sees_an_assert():
     tree = ast.parse("assert x\ndef f(y):\n    assert y, 'message'\n    return 'assert'\n"
                      "class C:\n    def m(self):\n        raise AssertionError\n")
     assert _asserts(tree) == [1, 3]
+
+
+def _is_check_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "check")
+
+
+def _check_sites(tree: ast.Module) -> tuple:
+    """(names of the classes that define `check`, those among them whose
+    `__post_init__` does not call `self.check()`, lines of every other
+    `.check()` call)."""
+    checked, unchecked, allowed = [], [], set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        if "check" not in methods:
+            continue
+        checked.append(cls.name)
+        post = methods.get("__post_init__")
+        calls = {node for node in ast.walk(post) if _is_check_call(node)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"} if post else set()
+        if not calls:
+            unchecked.append(cls.name)
+        allowed |= calls
+    stray = sorted(node.lineno for node in ast.walk(tree) if _is_check_call(node) and node not in allowed)
+    return checked, unchecked, stray
+
+
+def test_every_checked_type_checks_itself_at_construction_and_only_there():
+    checked, unchecked, stray = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = _check_sites(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        checked += found[0]
+        unchecked += [f"{path.name}: {name}" for name in found[1]]
+        stray += [f"{path.name}:{line}" for line in found[2]]
+    assert len(checked) == 10
+    assert unchecked == []
+    assert stray == []
+
+
+def test_the_scan_sees_an_unchecked_type_and_a_stray_check():
+    tree = ast.parse(
+        "class A:\n    def __post_init__(self):\n        self.check()\n    def check(self):\n        pass\n"
+        "class B:\n    def check(self):\n        self.check()\n"
+        "class C:\n    def __post_init__(self):\n        self.other.check()\n    def check(self):\n        pass\n"
+        "def f(x):\n    x.check()\n    _check(x)\n    run(x, check=True)\n")
+    assert _check_sites(tree) == (["A", "B", "C"], ["B", "C"], [8, 11, 15])

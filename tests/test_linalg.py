@@ -531,6 +531,38 @@ def test_realify_encodes_antilinear_systems():
     assert ker[0][0, 0] != 0 and ker[0][1, 0] == 0
 
 
+def _realify_per_entry(mat, conj_part):
+    """The per-entry four-block loop `realify` replaces, kept as its reference."""
+    r, c = mat.rows, mat.cols
+    out = [ZERO] * (4 * r * c)
+    width = 2 * c
+    for i in range(r):
+        for j in range(c):
+            a, b = mat[i, j], conj_part[i, j]
+            are, aim = a.real_part(), a.imag_part()
+            bre, bim = b.real_part(), b.imag_part()
+            out[i * width + j] = are + bre
+            out[i * width + j + c] = bim - aim
+            out[(i + r) * width + j] = aim + bim
+            out[(i + r) * width + j + c] = are - bre
+    return Matrix(2 * r, 2 * c, tuple(out))
+
+
+def test_realify_matches_the_per_entry_reference():
+    rng = random.Random(4103)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(60)]
+    for rows, cols in shapes:
+        # sparse operands mix fresh and shared zeros; dense ones mix denominators up to 9
+        make = rng.choice((_sparse_matrix, lambda g, r, c: random_matrix(g, r, c, span=9)))
+        mat, conj_part = make(rng, rows, cols), make(rng, rows, cols)
+        got = realify(mat, conj_part)
+        assert got == _realify_per_entry(mat, conj_part)
+        assert got.shape == (2 * rows, 2 * cols)
+        assert all(x.is_real() and _is_normal(x) for x in got.entries)
+    with pytest.raises(ShapeError, match="^mat and conj_part must share a shape$"):
+        realify(Matrix.zero(2, 1), Matrix.zero(1, 2))
+
+
 def test_matrix_text_round_trip():
     rng = random.Random(17)
     for _ in range(20):

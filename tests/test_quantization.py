@@ -177,7 +177,7 @@ def test_quantize_reflects_its_line_bundle_only_through_the_endo(monkeypatch):
     real = quantization.reflect
     monkeypatch.setattr(quantization, "reflect", lambda b: calls.append(b) or real(b))
     quantize(3)
-    assert len(calls) == 2  # the source and target of reflect_map(imaginary_unit_endo)
+    assert len(calls) == 1  # the endo's source, which is also its target
 
 
 def test_quantize_set_of_a_scrambled_free_involution():
