@@ -121,14 +121,16 @@ def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
 
 
 def _complex_split(space: RealVS) -> EigenSplit:
-    """Split of the complexified (V, g, J) as a self-dual module; memoized."""
+    """Split of the complexified (V, g, J) as a self-dual module; memoized,
+    with the complexification itself kept beside it as `_memo["complex"]`."""
     if "eigen" in space._memo:
         return space._memo["eigen"]
     J = space.J
     if J is None:
         raise ValueError("complex_basis requires a complex structure J")
     g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
-    module = SelfDualRealModule(complexify(space), vec(g).transpose(), vec(inverse(g)), J)
+    space._memo["complex"] = source = complexify(space)
+    module = SelfDualRealModule(source, vec(g).transpose(), vec(inverse(g)), J)
     space._memo["eigen"] = data = split_eigenspaces(module)
     return data
 
@@ -156,7 +158,7 @@ def hyperbolic_iso(space: RealVS) -> HyperbolicIso:
     inverse_mat = data.frame @ block_diag([data.witness, ident])
     if not (forward_mat @ inverse_mat).is_identity() or not (inverse_mat @ forward_mat).is_identity():
         raise InvariantViolation("hyperbolic splitting is not invertible")
-    source = complexify(space)
+    source = space._memo["complex"]
     target = RealModule(space.dim, swap_blocks(ident, ident))
     return HyperbolicIso(RealHom(source, target, forward_mat), RealHom(target, source, inverse_mat))
 

@@ -1,47 +1,47 @@
-"""Exact dense linear algebra over Q(i, sqrt2).
+"""Exact sparse linear algebra over Q(i, sqrt2).
 
-Matrices are immutable, row-major, and every operation is exact.  One pivot
-step, `_pivot`, is the only row-update loop: echelon reduction, `det` and
-`inertia` all eliminate through it.  Echelon reduction uses first-nonzero
+Matrices are immutable, and every operation is exact.  A matrix stores one
+tuple per row holding that row's nonzero entries only, in ascending column
+order, each as a raw canonical `(column, na, nb, nc, nd, den)`: the four
+integer numerators of the Scalar's coordinates over one positive denominator,
+in lowest terms.  No zero entry is ever stored, so equal matrices have equal
+rows, `==` is a tuple comparison and `hash` agrees with it.
+
+Every kernel reads and writes raw rows: `@` and `kron`, the entrywise
+operations, the block engine and elimination.  Scalars appear only at the API
+edge: `Matrix(rows, cols, entries)`, `from_rows` and `parse_matrix` convert
+them in, and `entries`, `m[i, j]`, `row`, `col`, `trace`, `det` and
+`format_matrix` convert them out (an absent entry reads as the shared ZERO).
+`@` sums the integer numerators of each output entry over a running common
+denominator and normalizes it once; `_merge` adds a sparse run of (possibly
+unnormalized) terms into a row and normalizes each entry it touches once, which
+serves `+`, `-`, the trace and the elimination update.  Products are formed
+only between nonzeros, so the block-sparse self-dual structures and Kronecker
+operands cost what their nonzeros cost.
+
+One pivot step, `_pivot`, is the only row-update loop: echelon reduction, `det`
+and `inertia` all eliminate through it, with one fused multiply-subtract and one
+normalization per updated entry.  Echelon reduction uses first-nonzero
 pivoting and emits kernel vectors with free columns in ascending index order,
 so all derived bases are deterministic.
 
 One block engine builds and reads every block matrix: `place` sets blocks
-into a frame of ZERO and `Matrix.block` slices one out.  Both take their shape
-explicitly, so empty blocks and 0-dimensional frames need no special case.
-
-Products (`@` and `kron`) are fused raw-integer kernels.  They read a row's
-nonzero entries once, as `(column, na, nb, nc, nd, den)` tuples, and only for
-rows a nonzero of the other factor reaches; the self-dual structures and
-Kronecker operands are block-sparse, so most entries are never touched.  `@`
-sums the integer numerators of each output entry over a running common
-denominator and builds one normalized Scalar per nonzero entry; `kron` builds
-one per nonzero product.  Zero entries stay the shared ZERO.  The results are
-the canonical Scalars that per-entry Scalar arithmetic would give.
+into an all-zero frame and `Matrix.block` slices one out.  Both take their
+shape explicitly, so empty blocks and 0-dimensional frames need no special
+case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain
 from math import gcd
-from operator import is_not
 
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar, _make, format_scalar, parse_scalar, ScalarParseError
+from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, ScalarParseError
 
-
-def _nonzeros(entries: tuple, start: int, width: int) -> list:
-    """(column, na, nb, nc, nd, den) of each nonzero in entries[start:start+width].
-
-    The shared ZERO is skipped by an identity test at C speed, which matters
-    for the wide, mostly-ZERO rows of Kronecker products.
-    """
-    row = entries[start:start + width]
-    return [(j, x.na, x.nb, x.nc, x.nd, x.den)
-            for j, x in compress(enumerate(row), map(is_not, row, repeat(ZERO)))
-            if x.na or x.nb or x.nc or x.nd]
+_ONE = (1, 0, 0, 0, 1)  # the raw value (na, nb, nc, nd, den) of 1
 
 
 def _entry(value) -> Scalar:
@@ -52,17 +52,144 @@ def _entry(value) -> Scalar:
     raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major Scalars, length rows*cols
+def _raw_row(values) -> tuple:
+    """The raw row of a sequence of Scalars (or ints and Fractions)."""
+    out = []
+    for j, x in enumerate(values):
+        if type(x) is not Scalar:
+            x = _entry(x)
+        if x.na or x.nb or x.nc or x.nd:
+            out.append((j, x.na, x.nb, x.nc, x.nd, x.den))
+    return tuple(out)
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+
+def _scalar(a: int, b: int, c: int, d: int, e: int) -> Scalar:
+    """The Scalar of a canonical raw value, built without renormalizing."""
+    s = object.__new__(Scalar)
+    s.na, s.nb, s.nc, s.nd, s.den = a, b, c, d, e
+    return s
+
+
+def _at(row: tuple, j: int):
+    """The raw entry of `row` in column j, or None."""
+    k = bisect_left(row, (j,))
+    if k < len(row) and row[k][0] == j:
+        return row[k]
+    return None
+
+
+def _canon(terms) -> tuple:
+    """A row of nonzero terms with den > 0, each put in lowest terms."""
+    out = []
+    for j, a, b, c, d, e in terms:
+        g = gcd(a, b, c, d, e)
+        out.append((j, a, b, c, d, e) if g == 1 else (j, a // g, b // g, c // g, d // g, e // g))
+    return tuple(out)
+
+
+def _products(row, x: tuple, shift: int = 0):
+    """x * each entry of `row`, unnormalized, with its column moved by shift."""
+    fa, fb, fc, fd, fe = x
+    # the product formula of Scalar.__mul__, on raw numerators
+    return ((j + shift, fa * a + 2 * (fb * b - fd * d) - fc * c, fa * b + fb * a - fc * d - fd * c,
+             fa * c + fc * a + 2 * (fb * d + fd * b), fa * d + fb * c + fc * b + fd * a, fe * e)
+            for j, a, b, c, d, e in row)
+
+
+def _scaled(row: tuple, x: tuple, shift: int = 0) -> tuple:
+    """x * row, normalized, with columns moved by shift; x is a nonzero raw value."""
+    if x == _ONE:
+        return row if not shift else tuple((j + shift, a, b, c, d, e) for j, a, b, c, d, e in row)
+    return _canon(_products(row, x, shift))
+
+
+def _neg(row: tuple) -> tuple:
+    return tuple((j, -a, -b, -c, -d, e) for j, a, b, c, d, e in row)
+
+
+def _merge(row: tuple, terms) -> tuple:
+    """row + terms, normalizing once each entry the terms touch.
+
+    `terms` are nonzero, in ascending column order, with den > 0, and need not
+    be in lowest terms; entries they do not touch are kept as they are.
+    """
+    out = []
+    i, n = 0, len(row)
+    for j, pa, pb, pc, pd, pe in terms:
+        if i < n and row[i][0] < j:
+            k = bisect_left(row, (j,), i + 1)
+            out += row[i:k]
+            i = k
+        if i < n and row[i][0] == j:
+            _, a, b, c, d, e = row[i]
+            i += 1
+            if e == pe:
+                a, b, c, d = a + pa, b + pb, c + pc, d + pd
+            else:
+                g = gcd(e, pe)
+                u, v = pe // g, e // g
+                a, b, c, d, e = a * u + pa * v, b * u + pb * v, c * u + pc * v, d * u + pd * v, e * u
+            if not (a or b or c or d):
+                continue
+        else:
+            a, b, c, d, e = pa, pb, pc, pd, pe
+        g = gcd(a, b, c, d, e)
+        out.append((j, a, b, c, d, e) if g == 1 else (j, a // g, b // g, c // g, d // g, e // g))
+    out += row[i:]
+    return tuple(out)
+
+
+def _inv(a: int, b: int, c: int, d: int, e: int) -> tuple:
+    """Raw inverse of a nonzero raw value, as Scalar.inv computes it."""
+    # 1/x = conj(x) / (x conj(x)) with x conj(x) = |x|^2 = (p + q sqrt2) / e^2.
+    # Its norm p^2 - 2 q^2 is e^4 |x|^2 |s(x)|^2 for the automorphism s that
+    # negates sqrt2, so it is positive and the inverse's denominator is too.
+    p = a * a + 2 * b * b + c * c + 2 * d * d
+    q = 2 * (a * b + c * d)
+    norm = p * p - 2 * q * q
+    x = (e * (a * p - 2 * b * q), e * (b * p - a * q), e * (2 * d * q - c * p), e * (c * q - d * p), norm)
+    g = gcd(*x)
+    return tuple(v // g for v in x)
+
+
+def _new(rows: int, cols: int, raw: tuple) -> "Matrix":
+    """A Matrix from raw rows that are already canonical."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "raw", raw)
+    return m
+
+
+class Matrix:
+    """rows x cols matrix; `raw` holds one tuple of nonzero raw entries per row."""
+
+    __slots__ = ("rows", "cols", "raw")
+
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
             raise ShapeError("entry count does not match shape")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "raw", tuple(_raw_row(entries[i * cols:(i + 1) * cols])
+                                              for i in range(rows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.raw == other.raw
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.raw))
+
+    def __reduce__(self):
+        return _new, (self.rows, self.cols, self.raw)
 
     # -- construction --------------------------------------------------------
 
@@ -73,26 +200,28 @@ class Matrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeError("ragged rows")
-        return cls(nrows, ncols, tuple(_entry(x) for r in rows for x in r))
+        return _new(nrows, ncols, tuple(_raw_row(r) for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return _new(n, n, tuple(((i,) + _ONE,) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return _new(rows, cols, ((),) * rows)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
-        values = [_entry(v) for v in values]
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else ZERO for i in range(n) for j in range(n)))
+        values = list(values)
+        rows = [()] * len(values)
+        for e in _raw_row(values):
+            rows[e[0]] = (e,)
+        return _new(len(values), len(values), tuple(rows))
 
     @classmethod
     def column(cls, values) -> "Matrix":
-        values = [_entry(v) for v in values]
-        return cls(len(values), 1, tuple(values))
+        values = list(values)
+        return _new(len(values), 1, tuple(_raw_row((x,)) for x in values))
 
     # -- access ---------------------------------------------------------------
 
@@ -100,22 +229,33 @@ class Matrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index {ij} out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        e = _at(self.raw[i], j)
+        return ZERO if e is None else _scalar(*e[1:])
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        out = [ZERO] * self.cols
+        for j, a, b, c, d, e in self.raw[i]:
+            out[j] = _scalar(a, b, c, d, e)
+        return tuple(out)
+
+    @property
+    def entries(self) -> tuple:
+        """Row-major Scalars, length rows*cols; zero entries are the shared ZERO."""
+        return tuple(chain.from_iterable(self.row(i) for i in range(self.rows)))
 
     def block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
         """The rows x cols block whose top-left entry is (r0, c0)."""
         _fit(self.rows, self.cols, r0, c0, rows, cols)
         out = []
-        for i in range(r0, r0 + rows):
-            start = i * self.cols + c0
-            out.extend(self.entries[start:start + cols])
-        return Matrix(rows, cols, tuple(out))
+        for row in self.raw[r0:r0 + rows]:
+            lo = bisect_left(row, (c0,))
+            hi = bisect_left(row, (c0 + cols,), lo)
+            out.append(row[lo:hi] if not c0 else
+                       tuple((j - c0, a, b, c, d, e) for j, a, b, c, d, e in row[lo:hi]))
+        return _new(rows, cols, tuple(out))
 
     def col(self, j: int) -> tuple:
-        return self.entries[j::self.cols] if self.cols else ()
+        return tuple(self[i, j] for i in range(self.rows))
 
     @property
     def shape(self) -> tuple:
@@ -130,38 +270,39 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(self.rows, self.cols,
-                      tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return _new(self.rows, self.cols, tuple(
+            x if not y else y if not x else _merge(x, y) for x, y in zip(self.raw, other.raw)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeError(f"cannot subtract {self.shape} and {other.shape}")
-        return Matrix(self.rows, self.cols,
-                      tuple(x - y for x, y in zip(self.entries, other.entries)))
+        return _new(self.rows, self.cols, tuple(
+            x if not y else _merge(x, _neg(y)) for x, y in zip(self.raw, other.raw)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-x for x in self.entries))
+        return _new(self.rows, self.cols, tuple(_neg(r) for r in self.raw))
 
     def __mul__(self, scalar) -> "Matrix":
         s = _entry(scalar)
-        return Matrix(self.rows, self.cols, tuple(x * s for x in self.entries))
+        if not s:
+            return Matrix.zero(self.rows, self.cols)
+        x = (s.na, s.nb, s.nc, s.nd, s.den)
+        return _new(self.rows, self.cols, tuple(_scaled(r, x) for r in self.raw))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        brows = [None] * k  # nonzero entries of b's rows, read on first use
-        out = [ZERO] * (n * m)
-        for i in range(n):
-            acc = {}  # column -> [na, nb, nc, nd, den], the running sum of row i
-            for t, a1, b1, c1, d1, e1 in _nonzeros(a, i * k, k):
-                row = brows[t]
-                if row is None:
-                    row = brows[t] = _nonzeros(b, t * m, m)
-                for j, a2, b2, c2, d2, e2 in row:
+        brows = other.raw
+        out = []
+        for arow in self.raw:
+            if len(arow) == 1:  # one product per entry: nothing can cancel
+                out.append(_scaled(brows[arow[0][0]], arow[0][1:]))
+                continue
+            acc = {}  # column -> [na, nb, nc, nd, den], the running sum of the row
+            for t, a1, b1, c1, d1, e1 in arow:
+                for j, a2, b2, c2, d2, e2 in brows[t]:
                     # the product formula of Scalar.__mul__, on raw numerators
                     pa = a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2
                     pb = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
@@ -181,28 +322,38 @@ class Matrix:
                         u, v = pe // g, s[4] // g
                         acc[j] = [s[0] * u + pa * v, s[1] * u + pb * v,
                                   s[2] * u + pc * v, s[3] * u + pd * v, s[4] * u]
-            base = i * m
-            for j, (sa, sb, sc, sd, se) in acc.items():
-                if sa or sb or sc or sd:
-                    out[base + j] = _make(sa, sb, sc, sd, se)
-        return Matrix(n, m, tuple(out))
+            row = []
+            for j in sorted(acc):
+                a, b, c, d, e = acc[j]
+                if a or b or c or d:
+                    g = gcd(a, b, c, d, e)
+                    row.append((j, a, b, c, d, e) if g == 1 else (j, a // g, b // g, c // g, d // g, e // g))
+            out.append(tuple(row))
+        return _new(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[j * self.cols + i]
-                            for i in range(self.cols) for j in range(self.rows)))
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.raw):
+            for j, a, b, c, d, e in row:
+                out[j].append((i, a, b, c, d, e))
+        return _new(self.cols, self.rows, tuple(map(tuple, out)))
 
     def conj(self) -> "Matrix":
         """Entrywise complex conjugation."""
-        return Matrix(self.rows, self.cols, tuple(x.conj() for x in self.entries))
+        return _new(self.rows, self.cols, tuple(
+            tuple((j, a, b, -c, -d, e) for j, a, b, c, d, e in row)
+            if any(x[3] or x[4] for x in row) else row for row in self.raw))
 
     def real_part(self) -> "Matrix":
         """Entrywise real part, a matrix over Q(sqrt2)."""
-        return Matrix(self.rows, self.cols, tuple(x.real_part() for x in self.entries))
+        return _new(self.rows, self.cols, tuple(
+            _canon((j, a, b, 0, 0, e) for j, a, b, c, d, e in row if a or b)
+            if any(x[3] or x[4] for x in row) else row for row in self.raw))
 
     def imag_part(self) -> "Matrix":
         """Entrywise imaginary part, a matrix over Q(sqrt2)."""
-        return Matrix(self.rows, self.cols, tuple(x.imag_part() for x in self.entries))
+        return _new(self.rows, self.cols, tuple(
+            _canon((j, c, d, 0, 0, e) for j, a, b, c, d, e in row if c or d) for row in self.raw))
 
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conj()
@@ -210,18 +361,18 @@ class Matrix:
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ShapeError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self.entries[i * self.cols + i]
-        return t
+        total = ()
+        for i, row in enumerate(self.raw):
+            e = _at(row, i)
+            if e is not None:
+                total = _merge(total, ((0,) + e[1:],))
+        return _scalar(*total[0][1:]) if total else ZERO
 
     def is_zero(self) -> bool:
-        return all(not x for x in self.entries)
+        return not any(self.raw)
 
     def is_identity(self) -> bool:
-        if not self.is_square:
-            return False
-        return self == Matrix.identity(self.rows)
+        return self.is_square and all(row == ((i,) + _ONE,) for i, row in enumerate(self.raw))
 
     def inverse(self) -> "Matrix":
         return inverse(self)
@@ -243,15 +394,22 @@ def _fit(rows: int, cols: int, r0: int, c0: int, brows: int, bcols: int) -> None
 
 def place(rows: int, cols: int, blocks) -> Matrix:
     """rows x cols matrix holding each (r0, c0, m) block with its top-left
-    entry at (r0, c0), and the shared ZERO everywhere else."""
-    out = [ZERO] * (rows * cols)
+    entry at (r0, c0), and zero everywhere else; a later block overwrites the
+    whole rectangle of an earlier one it overlaps."""
+    out = [[] for _ in range(rows)]
+    unsorted = set()
     for r0, c0, m in blocks:
         _fit(rows, cols, r0, c0, m.rows, m.cols)
-        w = m.cols
-        for i in range(m.rows):
-            start = (r0 + i) * cols + c0
-            out[start:start + w] = m.entries[i * w:(i + 1) * w]
-    return Matrix(rows, cols, tuple(out))
+        hi = c0 + m.cols
+        for i, row in enumerate(m.raw, r0):
+            target = out[i]
+            if target and (i in unsorted or target[-1][0] >= c0):  # the block may overlap
+                target[:] = [e for e in target if not c0 <= e[0] < hi]
+                unsorted.add(i)
+            if row:
+                target += _scaled(row, _ONE, c0)
+    return _new(rows, cols, tuple(tuple(sorted(r)) if i in unsorted else tuple(r)
+                                  for i, r in enumerate(out)))
 
 
 def hstack(mats) -> Matrix:
@@ -271,10 +429,7 @@ def vstack(mats) -> Matrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeError("vstack with mismatched column counts")
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, tuple(out))
+    return _new(sum(m.rows for m in mats), cols, tuple(chain.from_iterable(m.raw for m in mats)))
 
 
 def block_diag(mats) -> Matrix:
@@ -286,101 +441,83 @@ def block_diag(mats) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i1*b.rows + i2, j1*b.cols + j2)."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    brows = [_nonzeros(b.entries, i2 * b.cols, b.cols) for i2 in range(b.rows)]
-    for i1 in range(a.rows):
-        for j1, a1, b1, c1, d1, e1 in _nonzeros(a.entries, i1 * a.cols, a.cols):
-            base = i1 * b.rows * cols + j1 * b.cols
-            for brow in brows:
-                for j2, a2, b2, c2, d2, e2 in brow:
-                    # the product formula of Scalar.__mul__, on raw numerators
-                    out[base + j2] = _make(a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2,
-                                           a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-                                           a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-                                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-                                           e1 * e2)
-                base += cols
-    return Matrix(rows, cols, tuple(out))
+    w = b.cols
+    return _new(a.rows * b.rows, a.cols * w, tuple(
+        tuple(chain.from_iterable(_scaled(brow, x[1:], x[0] * w) for x in arow))
+        for arow in a.raw for brow in b.raw))
 
 
 def kron_swap(d1: int, d2: int) -> Matrix:
     """Permutation matrix sending e_i (x) e_j to e_j (x) e_i."""
-    n = d1 * d2
-    out = [ZERO] * (n * n)
-    for i in range(d1):
-        for j in range(d2):
-            out[(j * d1 + i) * n + (i * d2 + j)] = ONE
-    return Matrix(n, n, tuple(out))
+    return _new(d1 * d2, d1 * d2, tuple(((i * d2 + j,) + _ONE,) for j in range(d2) for i in range(d1)))
 
 
 def vec(m: Matrix) -> Matrix:
     """Row-major flattening to a column; vec(outer(u, v)) = kron(u, v)."""
-    return Matrix(m.rows * m.cols, 1, m.entries)
+    out = [()] * (m.rows * m.cols)
+    for i, row in enumerate(m.raw):
+        for e in row:
+            out[i * m.cols + e[0]] = ((0,) + e[1:],)
+    return _new(m.rows * m.cols, 1, tuple(out))
 
 
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
     if v.cols != 1 or v.rows != rows * cols:
         raise ShapeError(f"cannot reshape {v.shape} to {rows}x{cols}")
-    return Matrix(rows, cols, v.entries)
+    out = [[] for _ in range(rows)]
+    for k, row in enumerate(v.raw):
+        if row:
+            out[k // cols].append((k % cols,) + row[0][1:])
+    return _new(rows, cols, tuple(map(tuple, out)))
 
 
 # -- echelon reduction and friends ----------------------------------------------
 
 
-def _pivot(rows: list, r: int, c: int, targets, cols) -> Scalar:
+def _pivot(rows: list, r: int, c: int, targets) -> tuple:
     """Scale row r so that its column-c entry is 1, then clear column c from
-    every row in `targets` over `cols`; returns the pivot before scaling."""
-    prow = rows[r]
-    pivot = prow[c]
-    inv = pivot.inv()
-    nonzero = []
-    for j in cols:
-        if prow[j]:
-            prow[j] = x = prow[j] * inv
-            nonzero.append((j, x))
+    every row in `targets`; returns the raw pivot (na, nb, nc, nd, den) before
+    scaling."""
+    pivot = _at(rows[r], c)[1:]
+    prow = rows[r] = _scaled(rows[r], _inv(*pivot))
+    probe = (c,)
     for k in targets:
-        krow = rows[k]
-        f = krow[c]
-        if f:
-            for j, x in nonzero:
-                krow[j] = krow[j] - f * x
+        row = rows[k]
+        i = bisect_left(row, probe)
+        if i < len(row) and row[i][0] == c:
+            _, fa, fb, fc, fd, fe = row[i]
+            rows[k] = _merge(row, _products(prow, (-fa, -fb, -fc, -fd, fe)))
     return pivot
 
 
-def _rref(rows: list, ncols: int) -> list:
-    """In-place reduced row echelon form; returns pivot column indices.
+def _rref(rows: list) -> list:
+    """In-place reduced row echelon form of raw rows; returns pivot column indices.
 
-    First nonzero entry scanning top-down picks each pivot, so the result is
+    The pivot is the first nonzero of the leftmost column that has one below
+    the rows already reduced, scanning top-down, so the result is
     deterministic for a given input.
     """
     pivots = []
-    r = 0
     nrows = len(rows)
-    for c in range(ncols):
-        for k in range(r, nrows):
-            if rows[k][c]:
-                break
-        else:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        _pivot(rows, r, c, [i for i in range(nrows) if i != r], range(c, ncols))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    for r in range(nrows):
+        lead = [(row[0][0], k) for k, row in enumerate(rows[r:], r) if row]
+        if not lead:
             break
+        c, k = min(lead)
+        rows[r], rows[k] = rows[k], rows[r]
+        _pivot(rows, r, c, [i for i in range(nrows) if i != r])
+        pivots.append(c)
     return pivots
 
 
 def rref(m: Matrix):
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = _rref(rows, m.cols)
-    return Matrix.from_rows(rows) if rows else m, tuple(pivots)
+    rows = list(m.raw)
+    pivots = _rref(rows)
+    return _new(m.rows, m.cols, tuple(rows)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    return len(_rref(rows, m.cols))
+    return len(_rref(list(m.raw)))
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -389,47 +526,46 @@ def kernel_basis(m: Matrix) -> list:
     One basis vector per free column, in ascending free-column order, with a 1
     in the free coordinate.
     """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = _rref(rows, m.cols)
+    rows = list(m.raw)
+    pivots = _rref(rows)
     pivot_set = set(pivots)
-    basis = []
+    vecs = {}
     for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for t, p in enumerate(pivots):
-            coeff = rows[t][f]
-            if coeff:
-                v[p] = -coeff
-        basis.append(Matrix.column(v))
-    return basis
+        if f not in pivot_set:
+            vecs[f] = [()] * m.cols
+            vecs[f][f] = ((0,) + _ONE,)
+    for p, row in zip(pivots, rows):
+        for f, a, b, c, d, e in row[1:]:  # the reduced row is 1 at p, then free columns
+            vecs[f][p] = ((0, -a, -b, -c, -d, e),)
+    return [_new(m.cols, 1, tuple(v)) for v in vecs.values()]
 
 
 def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ShapeError("inverse of a non-square matrix")
     n = m.rows
-    ident = Matrix.identity(n)
-    rows = [list(m.row(i)) + list(ident.row(i)) for i in range(n)]
-    pivots = _rref(rows, 2 * n)
-    if list(pivots) != list(range(n)):
+    rows = [row + ((n + i,) + _ONE,) for i, row in enumerate(m.raw)]
+    pivots = _rref(rows)
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix.from_rows([r[n:] for r in rows])
+    # each reduced row is 1 at its pivot, then entries of the right half only
+    return _new(n, n, tuple(_scaled(row[1:], _ONE, -n) for row in rows))
 
 
 def solve(a: Matrix, b: Matrix):
     """One exact solution of A x = b, or None if the system is inconsistent."""
     if a.rows != b.rows or b.cols != 1:
         raise ShapeError(f"cannot solve {a.shape} against {b.shape}")
-    rows = [list(a.row(i)) + [b[i, 0]] for i in range(a.rows)]
-    pivots = _rref(rows, a.cols + 1)
-    if a.cols in pivots:
+    n = a.cols
+    rows = [row + ((n,) + rhs[0][1:],) if rhs else row for row, rhs in zip(a.raw, b.raw)]
+    pivots = _rref(rows)
+    if n in pivots:
         return None
-    x = [ZERO] * a.cols
-    for t, p in enumerate(pivots):
-        x[p] = rows[t][a.cols]
-    return Matrix.column(x)
+    x = [()] * n
+    for p, row in zip(pivots, rows):
+        if row[-1][0] == n:
+            x[p] = ((0,) + row[-1][1:],)
+    return _new(n, 1, tuple(x))
 
 
 def det(m: Matrix) -> Scalar:
@@ -437,18 +573,17 @@ def det(m: Matrix) -> Scalar:
     if not m.is_square:
         raise ShapeError("determinant of a non-square matrix")
     n = m.rows
-    rows = [list(m.row(i)) for i in range(n)]
+    rows = list(m.raw)
     result = ONE
     for c in range(n):
-        for k in range(c, n):
-            if rows[k][c]:
-                break
-        else:
+        # rows c.. are zero left of column c, so a nonzero there leads its row
+        k = next((k for k in range(c, n) if rows[k] and rows[k][0][0] == c), None)
+        if k is None:
             return ZERO
         if k != c:
             rows[c], rows[k] = rows[k], rows[c]
             result = -result
-        result = result * _pivot(rows, c, c, range(c + 1, n), range(c, n))
+        result = result * _scalar(*_pivot(rows, c, c, range(c + 1, n)))
     return result
 
 
@@ -462,28 +597,32 @@ def inertia(m: Matrix) -> tuple:
     is all zero but some a_jk is not, the congruence e_j <- e_j + conj(a_jk) e_k
     makes the pivot a_jj = 2|a_jk|^2 > 0 (the exact counterpart of a
     Bunch-Kaufman 2x2 pivot).  O(n^3) scalar operations, always decided.
+    Each step clears the pivot's column from the remaining rows, so those rows
+    hold no entry outside the remaining block.
     """
     if not m.is_square:
         raise ShapeError("inertia of a non-square matrix")
     if m.conj_transpose() != m:
         raise InvariantViolation("inertia of a non-Hermitian matrix")
-    a = [list(m.row(i)) for i in range(m.rows)]
+    a = list(m.raw)
     rest = list(range(m.rows))
     pos = neg = 0
     while rest:
-        p = next((i for i in rest if a[i][i]), None)
+        p = next((i for i in rest if _at(a[i], i)), None)
         if p is None:
-            p, k = next(((j, k) for j in rest for k in rest if a[j][k]), (None, None))
+            p, k = next(((j, a[j][0][0]) for j in rest if a[j]), (None, None))
             if p is None:
                 break
-            c = a[p][k].conj()
+            _, x, y, z, w, d = _at(a[p], k)
+            c = (x, y, -z, -w, d)  # conj(a_pk): column p += c * column k
             for i in rest:
-                a[i][p] = a[i][p] + c * a[i][k]
-            cc = c.conj()
-            for i in rest:
-                a[p][i] = a[p][i] + cc * a[k][i]
+                aik = _at(a[i], k)
+                if aik is not None:
+                    a[i] = _merge(a[i], _products(((p,) + aik[1:],), c))
+            # then row p += conj(c) * row k
+            a[p] = _merge(a[p], _products(a[k], (x, y, z, w, d)))
         rest.remove(p)
-        if _pivot(a, p, p, rest, rest).sign_real() > 0:  # Schur complement on rest
+        if _scalar(*_pivot(a, p, p, rest)).sign_real() > 0:  # Schur complement on rest
             pos += 1
         else:
             neg += 1
@@ -525,26 +664,30 @@ def format_matrix(m: Matrix) -> str:
 
 
 def parse_matrix(text: str) -> Matrix:
-    entries = []
+    rows = []
     ncols = None
     pos = 0
-    seen = {}  # cell text -> Scalar, within this matrix only
+    seen = {}  # cell text -> raw value, or () for zero, within this matrix only
     for row_text in text.split(";"):
         row = []
         col_pos = pos
+        j = 0
         for cell in row_text.split(","):
-            try:
-                x = seen.get(cell)
-                if x is None:
-                    x = seen[cell] = parse_scalar(cell)
-                row.append(x)
-            except ScalarParseError as e:
-                raise MatrixParseError(str(e), col_pos + e.offset) from None
+            x = seen.get(cell)
+            if x is None:
+                try:
+                    s = parse_scalar(cell)
+                except ScalarParseError as e:
+                    raise MatrixParseError(str(e), col_pos + e.offset) from None
+                x = seen[cell] = (s.na, s.nb, s.nc, s.nd, s.den) if s.na or s.nb or s.nc or s.nd else ()
+            if x:
+                row.append((j,) + x)
+            j += 1
             col_pos += len(cell) + 1
         if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
+            ncols = j
+        elif j != ncols:
             raise MatrixParseError("ragged matrix rows", pos)
-        entries.extend(row)
+        rows.append(tuple(row))
         pos += len(row_text) + 1
-    return Matrix(len(entries) // ncols, ncols, tuple(entries))
+    return _new(len(rows), ncols, tuple(rows))

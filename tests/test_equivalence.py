@@ -24,7 +24,7 @@ from realmod.equivalence import (
 )
 from realmod.errors import InvariantViolation
 from realmod.linalg import Matrix, inverse
-from realmod.modules import fixed_points
+from realmod.modules import RealModule, fixed_points
 from realmod.scalars import I, ONE, Scalar
 
 # seeded isometric pairs at every even dimension up to 6
@@ -119,6 +119,21 @@ def test_each_route_checks_its_space_once(monkeypatch):
         hermitian_form_on_real_basis(fresh, "formula")
         hermitian_form_on_real_basis(fresh, "functorial")
         assert len(calls) == 1
+
+
+def test_the_hyperbolic_splitting_reuses_the_complexification(monkeypatch):
+    calls = []
+    check = RealModule.check
+    monkeypatch.setattr(RealModule, "check", lambda m: calls.append(m) or check(m))
+    for space in SPACES[:4]:
+        fresh = RealVS(space.dim, space.g, space.J)
+        calls.clear()
+        hyper = hyperbolic_iso(fresh)
+        # the complexification, built once for the split, and the swap target
+        assert calls == [hyper.forward.source, hyper.forward.target]
+        calls.clear()
+        assert hyperbolic_iso(fresh).forward.source is hyper.forward.source
+        assert calls == [hyper.forward.target]
 
 
 def test_hermitian_routes_on_the_real_basis_agree():

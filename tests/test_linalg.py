@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realmod.errors import InvariantViolation, ShapeError, SingularMatrixError
 from realmod.linalg import (
@@ -238,38 +240,45 @@ def _elimination_case(rng):
     return Matrix.from_rows(entries)
 
 
+def _assert_elimination_matches_the_reference(m, b):
+    """rref, rank, kernel_basis, solve (against the column b), det and inverse
+    of m agree with `_gauss_jordan`; returns (shape, full rank, m[0, 0] == 0,
+    inconsistent) for branch coverage."""
+    ref, pivots, product = _gauss_jordan(m)
+    assert rref(m) == (Matrix.from_rows(ref) if m.rows else m, tuple(pivots))
+    assert rank(m) == len(pivots)
+    free = [f for f in range(m.cols) if f not in pivots]
+    assert kernel_basis(m) == [
+        Matrix.column([ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
+                       for j in range(m.cols)])
+        for f in free]
+    aug, aug_pivots, _ = _gauss_jordan(hstack([m, b]))
+    x = solve(m, b)
+    if m.cols in aug_pivots:
+        assert x is None
+    else:
+        assert x == Matrix.column([aug[aug_pivots.index(j)][m.cols] if j in aug_pivots else ZERO
+                                   for j in range(m.cols)])
+    full = len(pivots) == m.rows
+    if m.is_square:
+        assert det(m) == (product if full else ZERO)
+        if full:
+            inv_rows = _gauss_jordan(hstack([m, Matrix.identity(m.rows)]))[0]
+            assert inverse(m) == (Matrix.from_rows([r[m.cols:] for r in inv_rows]) if m.rows else m)
+        else:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+    shape = "square" if m.is_square else "wide" if m.cols > m.rows else "tall"
+    return shape, full, m.rows > 0 and m.cols > 0 and not m[0, 0], x is None
+
+
 def test_elimination_agrees_with_the_gauss_jordan_reference():
     rng = random.Random(31)
     seen = set()
     for _ in range(120):
         m = _elimination_case(rng)
-        ref, pivots, product = _gauss_jordan(m)
-        assert rref(m) == (Matrix.from_rows(ref), tuple(pivots))
-        assert rank(m) == len(pivots)
-        free = [f for f in range(m.cols) if f not in pivots]
-        assert kernel_basis(m) == [
-            Matrix.column([ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
-                           for j in range(m.cols)])
-            for f in free]
         b = m @ random_matrix(rng, m.cols, 1) if rng.random() < 0.5 else random_matrix(rng, m.rows, 1)
-        aug, aug_pivots, _ = _gauss_jordan(hstack([m, b]))
-        x = solve(m, b)
-        if m.cols in aug_pivots:
-            assert x is None
-        else:
-            assert x == Matrix.column([aug[aug_pivots.index(j)][m.cols] if j in aug_pivots else ZERO
-                                       for j in range(m.cols)])
-        full = len(pivots) == m.rows
-        if m.is_square:
-            assert det(m) == (product if full else ZERO)
-            if full:
-                inv_rows = _gauss_jordan(hstack([m, Matrix.identity(m.rows)]))[0]
-                assert inverse(m) == Matrix.from_rows([r[m.cols:] for r in inv_rows])
-            else:
-                with pytest.raises(SingularMatrixError):
-                    inverse(m)
-        shape = "square" if m.is_square else "wide" if m.cols > m.rows else "tall"
-        seen.add((shape, full, not m[0, 0], x is None))
+        seen.add(_assert_elimination_matches_the_reference(m, b))
     # every branch of the engine was reached: swaps on invertible matrices,
     # singular squares, both rectangular shapes, consistent and inconsistent
     assert {("square", True, True, False), ("square", False, True, False),
@@ -579,3 +588,212 @@ def test_matrix_parse_errors():
         parse_matrix("1,2;3,zz")
     except MatrixParseError as exc:
         assert exc.offset == 6
+
+
+# -- the sparse storage against a per-entry Scalar reference ---------------------------
+#
+# Every operation is recomputed here one Scalar at a time on plain lists and
+# compared through the API edge (m[i, j], entries, row, col).  Inputs are rich
+# in exact zeros: the shared ZERO, fresh Scalar() objects, and sums that cancel.
+
+_ZEROS = (ZERO, Scalar(), ONE - ONE) + tuple(x + (-x) for x in _ENTRY_POOL)
+_entries = st.one_of(
+    st.sampled_from(_ZEROS),
+    st.builds(lambda x, k: x * k, st.sampled_from(_ENTRY_POOL),
+              st.sampled_from((1, -2, Fraction(1, 5), Fraction(-3, 7)))))
+
+
+def _grids(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _shaped(rows=st.integers(0, 4), cols=st.integers(0, 4), count=1):
+    """(rows, cols, grid, grid, ...): `count` grids of one drawn shape."""
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.tuples(st.just(rc[0]), st.just(rc[1]), *[_grids(*rc)] * count))
+
+
+def _matrix(rows, cols, grid):
+    return Matrix(rows, cols, [x for row in grid for x in row])
+
+
+def _agrees(m, rows, cols, grid):
+    """m is the rows x cols matrix of `grid`, read entry by entry at the edge."""
+    flat = tuple(x for row in grid for x in row)
+    assert m.shape == (rows, cols)
+    assert [[m[i, j] for j in range(cols)] for i in range(rows)] == grid
+    assert m.entries == flat and all(_is_normal(x) for x in m.entries)
+    assert [m.row(i) for i in range(rows)] == [tuple(row) for row in grid]
+    assert [m.col(j) for j in range(cols)] == [tuple(row[j] for row in grid) for j in range(cols)]
+    assert all(x is ZERO for x in m.entries if not x)
+
+
+@given(_shaped(count=2), st.sampled_from(_ENTRY_POOL + _ZEROS[:2]))
+@settings(max_examples=80, deadline=None)
+def test_entrywise_operations_agree_with_the_per_entry_reference(case, s):
+    rows, cols, ga, gb = case
+    a, b = _matrix(rows, cols, ga), _matrix(rows, cols, gb)
+    _agrees(a, rows, cols, ga)
+
+    def each(f, *grids):
+        return [[f(*xs) for xs in zip(*rs)] for rs in zip(*grids)]
+
+    _agrees(a + b, rows, cols, each(lambda x, y: x + y, ga, gb))
+    _agrees(a - b, rows, cols, each(lambda x, y: x - y, ga, gb))
+    _agrees(-a, rows, cols, each(lambda x: -x, ga))
+    _agrees(s * a, rows, cols, each(lambda x: s * x, ga))
+    _agrees(a * s, rows, cols, each(lambda x: x * s, ga))
+    _agrees(a.conj(), rows, cols, each(Scalar.conj, ga))
+    _agrees(a.real_part(), rows, cols, each(Scalar.real_part, ga))
+    _agrees(a.imag_part(), rows, cols, each(Scalar.imag_part, ga))
+    transposed = [[ga[i][j] for i in range(rows)] for j in range(cols)]
+    _agrees(a.transpose(), cols, rows, transposed)
+    _agrees(a.conj_transpose(), cols, rows, each(Scalar.conj, transposed))
+    assert a.is_zero() == all(not x for row in ga for x in row)
+    assert (a - a).is_zero() and a - a == Matrix.zero(rows, cols)
+    k = min(rows, cols)  # the leading square block
+    square = a.block(0, 0, k, k)
+    assert square.trace() == sum((ga[i][i] for i in range(k)), ZERO)
+    assert square.is_identity() == all(ga[i][j] == (1 if i == j else 0) for i in range(k) for j in range(k))
+    assert (square - square + Matrix.identity(k)).is_identity()
+    if rows != cols:
+        assert not a.is_identity()
+        with pytest.raises(ShapeError):
+            a.trace()
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_products_agree_with_the_per_entry_reference_on_any_shape(n, k, m, data):
+    ga, gb = data.draw(_grids(n, k)), data.draw(_grids(k, m))
+    a, b = _matrix(n, k, ga), _matrix(k, m, gb)
+    _agrees(a @ b, n, m, [[sum((ga[i][t] * gb[t][j] for t in range(k)), ZERO) for j in range(m)]
+                          for i in range(n)])
+    _agrees(kron(a, b), n * k, k * m,
+            [[ga[i1][j1] * gb[i2][j2] for j1 in range(k) for j2 in range(m)]
+             for i1 in range(n) for i2 in range(k)])
+
+
+@given(st.lists(_shaped(rows=st.just(2)), min_size=1, max_size=3),
+       st.lists(_shaped(cols=st.just(2)), min_size=1, max_size=3),
+       st.lists(_shaped(), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_stacks_agree_with_the_per_entry_reference(side, tower, diagonal):
+    _agrees(hstack([_matrix(*c) for c in side]), 2, sum(c[1] for c in side),
+            [[x for c in side for x in c[2][i]] for i in range(2)])
+    _agrees(vstack([_matrix(*c) for c in tower]), sum(c[0] for c in tower), 2,
+            [row for c in tower for row in c[2]])
+    width = sum(c[1] for c in diagonal)
+    ref, c0 = [], 0
+    for rows, cols, grid in diagonal:
+        ref += [[ZERO] * c0 + row + [ZERO] * (width - c0 - cols) for row in grid]
+        c0 += cols
+    _agrees(block_diag([_matrix(*c) for c in diagonal]), len(ref), width, ref)
+
+
+@given(_shaped(count=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocks_and_realify_agree_with_the_per_entry_reference(case, data):
+    rows, cols, ga, gb = case
+    a, b = _matrix(rows, cols, ga), _matrix(rows, cols, gb)
+    r0, c0 = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+    h, w = data.draw(st.integers(0, rows - r0)), data.draw(st.integers(0, cols - c0))
+    _agrees(a.block(r0, c0, h, w), h, w, [row[c0:c0 + w] for row in ga[r0:r0 + h]])
+    # b placed over a: the later block overwrites its whole rectangle, zeros included
+    ref = [row[:] for row in ga]
+    for i in range(h):
+        ref[r0 + i][c0:c0 + w] = gb[i][:w]
+    _agrees(place(rows, cols, [(0, 0, a), (r0, c0, b.block(0, 0, h, w))]), rows, cols, ref)
+    expect = _realify_per_entry(a, b)
+    _agrees(realify(a, b), 2 * rows, 2 * cols,
+            [[expect[i, j] for j in range(2 * cols)] for i in range(2 * rows)])
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_elimination_agrees_with_the_reference_on_zero_rich_input(rows, cols, data):
+    if data.draw(st.booleans()):
+        cols = rows
+    m = _matrix(rows, cols, data.draw(_grids(rows, cols)))
+    b = _matrix(rows, 1, data.draw(_grids(rows, 1)))
+    _assert_elimination_matches_the_reference(m, b)
+
+
+@given(_shaped(count=1))
+@settings(max_examples=80, deadline=None)
+def test_equal_values_built_by_different_routes_are_equal_and_hash_equal(case):
+    rows, cols, grid = case
+    m = _matrix(rows, cols, grid)
+    routes = [
+        Matrix.from_rows(grid) if rows else Matrix.zero(0, cols),
+        place(rows, cols, [(0, 0, m)]),
+        place(rows, cols, [(0, 0, m - m), (0, 0, m)]),
+        (m + m) - m,
+        -(-m),
+        m @ Matrix.identity(cols),
+        Matrix.identity(rows) @ m,
+        m.transpose().transpose(),
+        m.conj().conj(),
+        vstack([m.block(0, 0, rows // 2, cols), m.block(rows // 2, 0, rows - rows // 2, cols)]),
+        unvec(vec(m), rows, cols),
+    ]
+    if rows and cols:
+        routes.append(parse_matrix(format_matrix(m)))
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+    zeros = [Matrix.zero(rows, cols), m - m, Matrix(rows, cols, [Scalar()] * (rows * cols)), ZERO * m]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+
+
+# -- inertia against an elimination-free oracle ------------------------------------------
+
+
+def _characteristic_polynomial(m):
+    """Coefficients c_0..c_n of det(x I - m), by Faddeev-LeVerrier on plain
+    lists of Scalars: no elimination and no Matrix kernel."""
+    n = m.rows
+    a = [list(m.row(i)) for i in range(n)]
+    coeffs = [ZERO] * n + [ONE]
+    mk = [[ZERO] * n for _ in range(n)]  # M_0 = 0
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{n-k+1} I;  c_{n-k} = -tr(A M_k) / k
+        mk = [[sum((a[i][t] * mk[t][j] for t in range(n)), ZERO) + (coeffs[n - k + 1] if i == j else ZERO)
+               for j in range(n)] for i in range(n)]
+        tr = sum((a[i][t] * mk[t][i] for i in range(n) for t in range(n)), ZERO)
+        coeffs[n - k] = -tr * Scalar(Fraction(1, k))
+    return coeffs
+
+
+def _inertia_by_descartes(m):
+    """A Hermitian matrix has only real eigenvalues, so Descartes' rule of signs
+    is exact for its characteristic polynomial: the positive count is the number
+    of sign changes, the zero count the index of the lowest nonzero coefficient."""
+    coeffs = _characteristic_polynomial(m)
+    signs = [c.sign_real() for c in coeffs]  # sign_real also insists the coefficients are real
+    zero = next(k for k, s in enumerate(signs) if s)
+    nonzero = [s for s in signs if s]
+    pos = sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
+    return pos, m.rows - pos - zero, zero
+
+
+def test_characteristic_polynomial_of_a_diagonal_matrix():
+    # (x - 2)(x + 1) x = x^3 - x^2 - 2x
+    assert _characteristic_polynomial(Matrix.diagonal([2, -1, 0])) == [0, -2, -1, 1]
+    assert _inertia_by_descartes(Matrix.diagonal([2, -1, 0])) == (1, 1, 1)
+
+
+def test_inertia_agrees_with_descartes_rule_on_the_characteristic_polynomial():
+    rng = random.Random(19)
+    values = (ONE, -ONE, Scalar(3), ZERO, Scalar(1, -1), Scalar(-3, 2))
+    seen = set()
+    for case in range(120):
+        n = rng.randrange(1, 7)
+        if case % 2:
+            a = _random_hermitian(rng, n)
+        else:  # t^dagger D t: indefinite, singular whenever D holds a zero
+            t = random_invertible(rng, n)
+            a = t.conj_transpose() @ Matrix.diagonal([rng.choice(values) for _ in range(n)]) @ t
+        got = inertia(a)
+        assert got == _inertia_by_descartes(a)
+        seen.add((got[0] > 0 and got[1] > 0, got[2] > 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -8,7 +8,7 @@ from realmod import quantization
 from realmod.errors import InvariantViolation
 from realmod.hermitian import extract_hermitian
 from realmod.linalg import Matrix, inverse, kron
-from realmod.modules import is_real_hom, random_matrix
+from realmod.modules import RealModule, is_real_hom, random_matrix
 from realmod.quantization import (
     RealBundle,
     RealBundleMap,
@@ -36,6 +36,14 @@ from realmod.scalars import ONE, Scalar
 def test_internal_complex_is_a_commutative_monoid_with_conjugation():
     c = internal_complex()
     c.check()
+
+
+def test_internal_complex_checks_equivariance_without_building_modules(monkeypatch):
+    calls = []
+    check = RealModule.check
+    monkeypatch.setattr(RealModule, "check", lambda m: calls.append(m) or check(m))
+    c = internal_complex()
+    assert calls == [c.carrier]
 
 
 def test_internal_imaginary_unit_squares_to_minus_one():
