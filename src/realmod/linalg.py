@@ -39,7 +39,7 @@ from itertools import accumulate, chain
 from math import gcd
 
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, ScalarParseError
+from .scalars import ONE, ZERO, Scalar, _canonical as _scalar, format_scalar, parse_scalar, ScalarParseError
 
 _ONE = (1, 0, 0, 0, 1)  # the raw value (na, nb, nc, nd, den) of 1
 
@@ -61,13 +61,6 @@ def _raw_row(values) -> tuple:
         if x.na or x.nb or x.nc or x.nd:
             out.append((j, x.na, x.nb, x.nc, x.nd, x.den))
     return tuple(out)
-
-
-def _scalar(a: int, b: int, c: int, d: int, e: int) -> Scalar:
-    """The Scalar of a canonical raw value, built without renormalizing."""
-    s = object.__new__(Scalar)
-    s.na, s.nb, s.nc, s.nd, s.den = a, b, c, d, e
-    return s
 
 
 def _at(row: tuple, j: int):
@@ -137,19 +130,6 @@ def _merge(row: tuple, terms) -> tuple:
         out.append((j, a, b, c, d, e) if g == 1 else (j, a // g, b // g, c // g, d // g, e // g))
     out += row[i:]
     return tuple(out)
-
-
-def _inv(a: int, b: int, c: int, d: int, e: int) -> tuple:
-    """Raw inverse of a nonzero raw value, as Scalar.inv computes it."""
-    # 1/x = conj(x) / (x conj(x)) with x conj(x) = |x|^2 = (p + q sqrt2) / e^2.
-    # Its norm p^2 - 2 q^2 is e^4 |x|^2 |s(x)|^2 for the automorphism s that
-    # negates sqrt2, so it is positive and the inverse's denominator is too.
-    p = a * a + 2 * b * b + c * c + 2 * d * d
-    q = 2 * (a * b + c * d)
-    norm = p * p - 2 * q * q
-    x = (e * (a * p - 2 * b * q), e * (b * p - a * q), e * (2 * d * q - c * p), e * (c * q - d * p), norm)
-    g = gcd(*x)
-    return tuple(v // g for v in x)
 
 
 def _new(rows: int, cols: int, raw: tuple) -> "Matrix":
@@ -479,7 +459,8 @@ def _pivot(rows: list, r: int, c: int, targets) -> tuple:
     every row in `targets`; returns the raw pivot (na, nb, nc, nd, den) before
     scaling."""
     pivot = _at(rows[r], c)[1:]
-    prow = rows[r] = _scaled(rows[r], _inv(*pivot))
+    x = _scalar(*pivot).inv()
+    prow = rows[r] = _scaled(rows[r], (x.na, x.nb, x.nc, x.nd, x.den))
     probe = (c,)
     for k in targets:
         row = rows[k]

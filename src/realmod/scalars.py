@@ -285,6 +285,13 @@ def _make(na: int, nb: int, nc: int, nd: int, den: int) -> Scalar:
     return s
 
 
+def _canonical(na: int, nb: int, nc: int, nd: int, den: int) -> Scalar:
+    """The Scalar of a raw value already in lowest terms with den > 0."""
+    s = object.__new__(Scalar)
+    s.na, s.nb, s.nc, s.nd, s.den = na, nb, nc, nd, den
+    return s
+
+
 def _lift(value):
     if isinstance(value, Scalar):
         return value

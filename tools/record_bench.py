@@ -1,11 +1,11 @@
 """Record one point of the benchmark trajectory as BENCH_<label>.json.
 
-    python3 tools/record_bench.py --label NAME [--checkout DIR] [--out FILE]
+    python3 tools/record_bench.py --label NAME [--checkout DIR]
 
 Runs the checkout's own, unchanged `bench/run.py` once per workload and seed
 (seeds 101-103 of selftest, cli-dense, cli-corpus and locus, each with
-`--seconds 25 --trace 0`), one run at a time, and writes one JSON file with,
-per workload:
+`--seconds 25 --trace 0`), one run at a time, and writes BENCH_<label>.json
+in the current directory with, per workload:
     metrics            the median over the seeds of each end-to-end metric
     failed, attempted  summed over the seeds
     reference_kernel_ms
@@ -68,10 +68,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    out_path = args.out or Path.cwd() / f"BENCH_{args.label}.json"
+    out_path = Path.cwd() / f"BENCH_{args.label}.json"
     runs = {w: [] for w in WORKLOADS}
     for seed in SEEDS:
         for workload in WORKLOADS:
