@@ -138,6 +138,8 @@ __all__ = [
     "ScalarFormatError",
     "ScalarParseError",
     "SelfDualRealModule",
+    "ShapeError",
+    "SingularMatrixError",
     "SpecFile",
     "SpecFileError",
     "Stanza",

@@ -235,10 +235,17 @@ def main(argv=None) -> int:
     spec = None
     if args.input is not None:
         try:
-            with open(args.input, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+            text = data.decode("utf-8")
         except OSError as exc:
             print(f"error: cannot read {args.input}: {exc.strerror}")
+            return 2
+        except UnicodeDecodeError as exc:
+            # the lines up to the first undecodable byte, which starts the last one
+            head = (data[:exc.start].decode("utf-8") + "?").splitlines()
+            print(f"error: cannot read {args.input}: not UTF-8 text "
+                  f"(line {len(head)}, column {len(head[-1])})")
             return 2
         try:
             spec = parse_spec(text)

@@ -28,12 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, ShapeError
-from .hermitian import (
-    SelfDualRealModule,
-    _dagger_from_hom,
-    _internalize_raw,
-    split_eigenspaces,
-)
+from .hermitian import SelfDualRealModule, _adjoint, _isometric, split_eigenspaces
 from .linalg import (
     Matrix,
     inertia,
@@ -157,18 +152,13 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
         raise ShapeError(f"gate must be {n}x{n}")
     if not is_density_shaped(s, rho):
         raise InvariantViolation("state is not gram-self-adjoint")
-    hom_mat = _internalize_raw(g, s, s)
-    dag = _dagger_from_hom(hom_mat, g, s, s)
+    hom_mat, dag = _adjoint(g, s, s)
     direct = g @ rho @ dag
     vm = unvec(operator_to_fixed_vector(s, rho), s.H.dim, s.H.dim)
     transported = fixed_vector_to_operator(s, vec(hom_mat @ vm @ hom_mat.transpose()))
     if direct != transported:
         raise InvariantViolation("channel routes disagree")
-    pm = s.pair_mat()
-    unitary = (hom_mat.transpose() @ pm @ hom_mat) == pm
-    if unitary != (dag @ g).is_identity():
-        raise InvariantViolation("isometry routes disagree")
-    if unitary:
+    if _isometric(hom_mat, dag, g, s, s):
         if trace(direct) != trace(rho):
             raise InvariantViolation("unitary channel changed the trace")
         if not is_density_shaped(s, direct):
@@ -201,7 +191,7 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
         terms = Matrix.zero(n, n)
         for _ in range(2 if normalized else rng.randrange(1, 3)):
             w = random_matrix(rng, n, 1)
-            weight = Scalar.of(rng.randrange(1, 4))
+            weight = Scalar(rng.randrange(1, 4))
             terms = terms + weight * (w @ w.conj_transpose() @ data.gram)
         if not normalized:
             return terms
@@ -211,11 +201,3 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
     # a negative-definite form has no positive-trace mixtures at all, so a
     # bounded retry is the difference between an error and a hang
     raise InvariantViolation("found no positive-trace mixture; the form may lack positive directions")
-
-
-def random_selfadjoint(rng: random.Random, s: SelfDualRealModule) -> Matrix:
-    """Random gram-self-adjoint operator, indefinite in general."""
-    data = split_eigenspaces(s)
-    n = data.half
-    y = random_matrix(rng, n, n)
-    return (y + y.conj_transpose()) @ data.gram

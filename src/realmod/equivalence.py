@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .hermitian import EigenSplit, HermitianSpace, SelfDualRealModule, split_eigenspaces, swap_blocks
-from .linalg import Matrix, block_diag, hstack, inverse, place, rank, solve, vec
+from .linalg import Matrix, block_diag, hstack, inverse, place, rank, solve
 from .modules import RealHom, RealModule, random_invertible
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
@@ -130,7 +130,7 @@ def _complex_split(space: RealVS) -> EigenSplit:
         raise ValueError("complex_basis requires a complex structure J")
     g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
     space._memo["complex"] = source = complexify(space)
-    module = SelfDualRealModule(source, vec(g).transpose(), vec(inverse(g)), J)
+    module = SelfDualRealModule(source, g, inverse(g), J)
     space._memo["eigen"] = data = split_eigenspaces(module)
     return data
 
@@ -202,26 +202,25 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
     return result
 
 
-def hermitian_form_on_real_basis(space: RealVS, route: str = "formula") -> Matrix:
+def hermitian_form_on_real_basis(space: RealVS) -> Matrix:
     """The n x n sesquilinear form matrix on the standard (real) basis of V.
 
     Singular as a matrix (rank n/2): the real basis is linearly dependent over
-    the complex structure.  Routes:
+    the complex structure.  Two routes are computed and must agree (asserted):
 
-    * ``formula``:    g + i J^T g
-    * ``functorial``: embed e_k into the -i summand and e_l into the +i summand
+    * formula:    g + i J^T g
+    * functorial: embed e_k into the -i summand and e_l into the +i summand
       through the inverse splitting and evaluate bilinear g, i.e.
       (1/2) (I + i J)^T g (I - i J).
     """
     _require_g_and_j(space)
-    if route == "formula":
-        return space.g + I * (space.J.transpose() @ space.g)
-    if route == "functorial":
-        n = space.dim
-        embed_minus = INV_SQRT2 * (Matrix.identity(n) + I * space.J)
-        embed_plus = INV_SQRT2 * (Matrix.identity(n) - I * space.J)
-        return embed_minus.transpose() @ space.g @ embed_plus
-    raise ValueError(f"unknown route {route!r}")
+    n = space.dim
+    formula = space.g + I * (space.J.transpose() @ space.g)
+    embed_minus = INV_SQRT2 * (Matrix.identity(n) + I * space.J)
+    embed_plus = INV_SQRT2 * (Matrix.identity(n) - I * space.J)
+    if embed_minus.transpose() @ space.g @ embed_plus != formula:
+        raise InvariantViolation("real-basis routes disagree")
+    return formula
 
 
 # -- seeded generators ---------------------------------------------------------------
@@ -244,7 +243,7 @@ def random_isometric_pair(rng: random.Random, n: int) -> RealVS:
         J = q @ j0 @ inverse(q)
         a = random_invertible(rng, n, real=True)
         g0 = a.transpose() @ a
-        g = (g0 + J.transpose() @ g0 @ J) * Scalar.of(Fraction(1, 2))
+        g = (g0 + J.transpose() @ g0 @ J) * Scalar(Fraction(1, 2))
         try:
             return RealVS(n, g, J)
         except InvariantViolation:

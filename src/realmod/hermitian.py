@@ -3,10 +3,11 @@
 A `SelfDualRealModule` is a module H with an equivariant pairing H (x) H -> 1
 and coevaluation 1 -> H (x) H satisfying the snake identities, a symmetric
 pairing, and an equivariant complex structure icplx (icplx^2 = -I) that is an
-isometry of the pairing.  The involution swaps the +-i eigenspaces of icplx;
-the +i eigenspace is the underlying Hilbert space.  `split_eigenspaces` is the
-one engine that splits a complex structure; `equivalence` splits (V, g, J)
-through it too.
+isometry of the pairing.  Pairing and coevaluation are both kept as dim x dim
+matrices: pairing(u (x) w) = u^T pairing w and coev = sum_jk coev[j,k] e_j (x) e_k.
+The involution swaps the +-i eigenspaces of icplx; the +i eigenspace is the
+underlying Hilbert space.  `split_eigenspaces` is the one engine that splits a
+complex structure; `equivalence` splits (V, g, J) through it too.
 
 Restricting the pairing to (-i) (x) (+i) and pulling back along the involution
 witness yields an invertible conjugate-symmetric gram: `extract_hermitian`.
@@ -18,10 +19,11 @@ Dualizing a forward map through coevaluation and pairing,
     (id (x) pairing) o (id (x) G (x) id) o (coev (x) id),
 
 produces the Hermitian adjoint: `dagger`.  It is computed by that composite
-(contracted as coevmat . G^T . pairmat, which is the same linear map) and
+(contracted as coev . G^T . pairing, which is the same linear map) and
 always agrees with the gram-side oracle gram1^-1 . conj_transpose(g) . gram2.
 Isometry of a map can be read off either as pairing-preservation of its
 internalization or as dagger(g) g = id; both routes are computed and compared.
+`_adjoint` and `_isometric` are the one place each of these steps is written.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ from .errors import InvariantViolation, ShapeError, SingularMatrixError
 from .linalg import (
     Matrix,
     block_diag,
-    inertia,
     inverse,
     kernel_basis,
     kron,
     place,
     rank,
-    unvec,
     vec,
 )
 from .modules import RealModule, RealHom, is_real_hom, random_invertible
@@ -80,33 +80,20 @@ class SelfDualRealModule:
     """Module with compatible self-duality and internal complex structure."""
 
     H: RealModule
-    pairing: Matrix  # 1 x dim^2
-    coev: Matrix     # dim^2 x 1
+    pairing: Matrix  # dim x dim: pairing(u (x) w) = u^T pairing w
+    coev: Matrix     # dim x dim: coev = sum_jk coev[j,k] e_j (x) e_k
     icplx: Matrix    # dim x dim
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check()
 
-    def pair_mat(self) -> Matrix:
-        """pairing reshaped to dim x dim: pairing(u (x) w) = u^T pair_mat w."""
-        return unvec(self.pairing.transpose(), self.H.dim, self.H.dim)
-
-    def coev_mat(self) -> Matrix:
-        """coev reshaped to dim x dim."""
-        return unvec(self.coev, self.H.dim, self.H.dim)
-
     def check(self) -> None:
         d = self.H.dim
-        if self.pairing.shape != (1, d * d):
-            raise InvariantViolation("pairing must be a 1 x dim^2 row")
-        if self.coev.shape != (d * d, 1):
-            raise InvariantViolation("coev must be a dim^2 x 1 column")
-        if self.icplx.shape != (d, d):
-            raise InvariantViolation("icplx must be dim x dim")
-        p = self.pair_mat()
-        c = self.coev_mat()
-        inv = self.H.inv
+        for name in ("pairing", "coev", "icplx"):
+            if getattr(self, name).shape != (d, d):
+                raise InvariantViolation(f"{name} must be dim x dim")
+        p, c, inv = self.pairing, self.coev, self.H.inv
         # equivariance of the duality data
         if inv.transpose() @ p @ inv != p.conj():
             raise InvariantViolation("pairing is not equivariant")
@@ -173,7 +160,7 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
         raise InvariantViolation("involution does not swap the icplx eigenspaces")
     if rev_witness @ witness.conj() != Matrix.identity(half):
         raise InvariantViolation("involution witness does not square to the identity")
-    p = s.pair_mat()
+    p = s.pairing
     gram = witness.transpose() @ (minus.transpose() @ p @ plus)
     if (plus.transpose() @ p @ plus) != Matrix.zero(half, half):
         raise InvariantViolation("pairing does not vanish on (+i) (x) (+i)")
@@ -207,10 +194,9 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     ident = Matrix.identity(n)
     module = RealModule(2 * n, swap_blocks(ident, ident))
     icplx = Matrix.diagonal([-I] * n + [I] * n)
-    pair_mat = swap_blocks(h.gram, h.gram.transpose())
     gram_dual = h.gram.inverse().conj()
-    coev_mat = swap_blocks(gram_dual, gram_dual.transpose())
-    return SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
+    return SelfDualRealModule(module, swap_blocks(h.gram, h.gram.transpose()),
+                              swap_blocks(gram_dual, gram_dual.transpose()), icplx)
 
 
 def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
@@ -219,10 +205,8 @@ def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
         raise ShapeError("frame change has the wrong shape")
     t_inv = inverse(t)
     module = RealModule(s.H.dim, t @ s.H.inv @ t_inv.conj())
-    pair_mat = t_inv.transpose() @ s.pair_mat() @ t_inv
-    coev_mat = t @ s.coev_mat() @ t.transpose()
-    icplx = t @ s.icplx @ t_inv
-    return SelfDualRealModule(module, vec(pair_mat).transpose(), vec(coev_mat), icplx)
+    return SelfDualRealModule(module, t_inv.transpose() @ s.pairing @ t_inv,
+                              t @ s.coev @ t.transpose(), t @ s.icplx @ t_inv)
 
 
 def _internalize_raw(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
@@ -258,13 +242,11 @@ def internalize_map(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -
 
     The -i block carries the adjoint action on bras; the dagger law
     <phi | dagger(g) psi> = <g phi | psi> is asserted through the grams.
+    `externalize_map` asserts that the map commutes with icplx.
     """
-    hom = RealHom(s1.H, s2.H, _internalize_raw(g, s1, s2))
-    if hom.mat @ s1.icplx != s2.icplx @ hom.mat:
-        raise InvariantViolation("internalized map does not commute with icplx")
+    hom = RealHom(s1.H, s2.H, _adjoint(g, s1, s2)[0])
     if externalize_map(hom.mat, s1, s2) != g:
         raise InvariantViolation("internalize/externalize failed to invert")
-    _dagger_from_hom(hom.mat, g, s1, s2)  # raises unless the adjoint law holds
     return hom
 
 
@@ -278,53 +260,54 @@ def adjoint_oracle(g: Matrix, h1: HermitianSpace, h2: HermitianSpace) -> Matrix:
     return inverse(h1.gram) @ g.conj_transpose() @ h2.gram
 
 
-def _dagger_from_hom(hom_mat: Matrix, g: Matrix,
-                     s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
-    ambient = s1.coev_mat() @ hom_mat.transpose() @ s2.pair_mat()
-    out = externalize_map(ambient, s2, s1)
+def _adjoint(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> tuple:
+    """(G, dagger(g)) for the internalization G of g: H1 -> H2.
+
+    Bending G through coevaluation on the source and the pairing on the target
+    contracts to coev1 . G^T . pairing2 on ambient coordinates; its +i block is
+    the adjoint, asserted to satisfy gram1 . dagger(g) = conj_transpose(g) . gram2.
+    """
+    hom_mat = _internalize_raw(g, s1, s2)
+    out = externalize_map(s1.coev @ hom_mat.transpose() @ s2.pairing, s2, s1)
     if split_eigenspaces(s1).gram @ out != g.conj_transpose() @ split_eigenspaces(s2).gram:
         raise InvariantViolation("dagger violates the adjoint law")
-    return out
+    return hom_mat, out
+
+
+def _isometric(hom_mat: Matrix, dag: Matrix, g: Matrix,
+               s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:
+    """G^T . pairing2 . G = pairing1 and dagger(g) g = id, insisting they agree."""
+    route_pairing = hom_mat.transpose() @ s2.pairing @ hom_mat == s1.pairing
+    if route_pairing != (dag @ g).is_identity():
+        raise InvariantViolation("isometry routes disagree")
+    return route_pairing
 
 
 def dagger(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
-    """Adjoint of g: H1 -> H2 via dualization, as a map H2 -> H1.
-
-    Computed by bending the internalized map through coevaluation on the source
-    and the pairing on the target; the Kronecker composite contracts to
-    coev_mat1 . G^T . pair_mat2 acting on ambient coordinates.  The result is
-    asserted to satisfy gram1 . dagger(g) = conj_transpose(g) . gram2.
-    """
-    return _dagger_from_hom(_internalize_raw(g, s1, s2), g, s1, s2)
+    """Adjoint of g: H1 -> H2 via dualization, as a map H2 -> H1 (see `_adjoint`)."""
+    return _adjoint(g, s1, s2)[1]
 
 
 def dagger_composite_dense(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     """The same dualization composite with the Kronecker factors materialized.
 
-    Exponentially sized in ambient dimension; used to cross-check `dagger` on
-    small modules.
+    The middle factor is n1*n2^2 x n1^2*n2, polynomial in the dimensions but
+    far larger than the contraction `dagger` uses; used to cross-check `dagger`
+    on small modules.
     """
     hom_mat = _internalize_raw(g, s1, s2)
     n1, n2 = s1.H.dim, s2.H.dim
     id1 = Matrix.identity(n1)
     id2 = Matrix.identity(n2)
-    composite = (kron(id1, s2.pairing)
+    composite = (kron(id1, vec(s2.pairing).transpose())
                  @ kron(id1, kron(hom_mat, id2))
-                 @ kron(s1.coev, id2))
+                 @ kron(vec(s1.coev), id2))
     return externalize_map(composite, s2, s1)
 
 
 def is_internal_isometry(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:
-    """Pairing preservation of the internalization == dagger(g) g = id.
-
-    Both are computed; they must agree.
-    """
-    hom_mat = _internalize_raw(g, s1, s2)
-    route_pairing = (hom_mat.transpose() @ s2.pair_mat() @ hom_mat) == s1.pair_mat()
-    route_dagger = (_dagger_from_hom(hom_mat, g, s1, s2) @ g).is_identity()
-    if route_pairing != route_dagger:
-        raise InvariantViolation("isometry routes disagree")
-    return route_pairing
+    """Pairing preservation of the internalization == dagger(g) g = id (`_isometric`)."""
+    return _isometric(*_adjoint(g, s1, s2), g, s1, s2)
 
 
 def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:
@@ -332,11 +315,6 @@ def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> boo
     if not is_internal_isometry(g, s1, s2):
         return False
     return g.rows == g.cols and rank(g) == g.rows
-
-
-def is_positive_definite(h: HermitianSpace) -> bool:
-    """Every eigenvalue of the gram positive (exact inertia)."""
-    return inertia(h.gram)[0] == h.dim
 
 
 # -- standard gates and seeded generators -----------------------------------------
@@ -368,11 +346,11 @@ def random_selfdual(rng: random.Random, n: int) -> SelfDualRealModule:
     return conjugate_selfdual(base, t)
 
 
-def random_unitary_word(rng: random.Random, n: int, length: int = 4) -> Matrix:
-    """Word in exact unitaries for the identity gram: permutations, diagonal
-    powers of i, and a Hadamard block on the first two coordinates."""
+def random_unitary_word(rng: random.Random, n: int) -> Matrix:
+    """Word of four exact unitaries for the identity gram: permutations,
+    diagonal powers of i, and a Hadamard block on the first two coordinates."""
     out = Matrix.identity(n)
-    for _ in range(length):
+    for _ in range(4):
         kind = rng.randrange(3 if n >= 2 else 2)
         if kind == 0:
             perm = list(range(n))

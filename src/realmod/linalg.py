@@ -48,7 +48,7 @@ def _entry(value) -> Scalar:
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar.of(value)
+        return Scalar(value)
     raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import CompositionError, InvariantViolation
 from .linalg import (
     Matrix,
-    block_diag,
     inverse,
     kernel_basis,
     kron,
@@ -90,17 +89,9 @@ def tensor_hom(f: RealHom, g: RealHom) -> RealHom:
                    kron(f.mat, g.mat))
 
 
-def direct_sum(m1: RealModule, m2: RealModule) -> RealModule:
-    return RealModule(m1.dim + m2.dim, block_diag([m1.inv, m2.inv]))
-
-
 def braiding(m1: RealModule, m2: RealModule) -> RealHom:
     """The symmetry v (x) w -> w (x) v; an equivariant isomorphism."""
     return RealHom(tensor(m1, m2), tensor(m2, m1), kron_swap(m1.dim, m2.dim))
-
-
-def identity_hom(m: RealModule) -> RealHom:
-    return RealHom(m, m, Matrix.identity(m.dim))
 
 
 def compose(g: RealHom, f: RealHom) -> RealHom:
@@ -142,9 +133,9 @@ def random_scalar(rng: random.Random, span: int = 9) -> Scalar:
     return Scalar(rat(), rat(), rat(), rat())
 
 
-def random_real_scalar(rng: random.Random, span: int = 9) -> Scalar:
-    return Scalar(Fraction(rng.randint(-span, span), rng.randint(1, span)),
-                  Fraction(rng.randint(-span, span), rng.randint(1, span)))
+def random_real_scalar(rng: random.Random) -> Scalar:
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> Matrix:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, ShapeError
 from .hermitian import SelfDualRealModule, extract_hermitian
-from .linalg import Matrix, inverse, kron, kron_swap, place, vec
+from .linalg import Matrix, inverse, kron, kron_swap, place
 from .modules import RealModule, RealHom, random_invertible, random_involution
 from .scalars import I, ONE, ZERO
 
@@ -218,15 +218,6 @@ def identity_base_map(base: RealSet) -> RealSetMap:
     return RealSetMap(base, base, tuple(range(base.size)))
 
 
-def pullback(f: RealSetMap, bundle: RealBundle) -> RealBundle:
-    """Fibers and identifications read back along f."""
-    if bundle.base != f.target:
-        raise InvariantViolation("bundle does not live over the map's target")
-    fibers = tuple(bundle.fibers[f(x)] for x in range(f.source.size))
-    phi = tuple(bundle.phi[f(x)] for x in range(f.source.size))
-    return RealBundle(f.source, fibers, phi)
-
-
 def pushforward(f: RealSetMap, bundle: RealBundle) -> RealBundle:
     """Direct sum over preimages, slots in ascending point order."""
     if bundle.base != f.source:
@@ -258,12 +249,6 @@ def external_tensor(b1: RealBundle, b2: RealBundle) -> RealBundle:
     phi = tuple(kron(b1.phi[x], b2.phi[y])
                 for x in range(b1.base.size) for y in range(b2.base.size))
     return RealBundle(base, fibers, phi)
-
-
-def complex_to_real_bundle(n: int) -> RealBundle:
-    """A plain rank-n space as a bundle over the free two-point orbit."""
-    ident = Matrix.identity(n)
-    return RealBundle(free_realset(1), (n, n), (ident, ident))
 
 
 # -- reflection into modules -------------------------------------------------------
@@ -311,8 +296,8 @@ def quantize_set(base: RealSet) -> SelfDualRealModule:
     """
     hom = reflect_map(imaginary_unit_endo(base))  # i on the reflected line bundle
     module, icplx = hom.source, hom.mat
-    pair_mat = module.inv  # the tau permutation, symmetric since tau is involutive
-    s = SelfDualRealModule(module, vec(pair_mat).transpose(), vec(inverse(pair_mat)), icplx)
+    # the pairing is the tau permutation, symmetric since tau is involutive
+    s = SelfDualRealModule(module, module.inv, inverse(module.inv), icplx)
     h = extract_hermitian(s)
     if h.gram != Matrix.identity(h.dim):
         raise InvariantViolation("quantization did not produce the standard inner product")
@@ -342,14 +327,14 @@ def random_realset(rng: random.Random, size: int, free: bool = False) -> RealSet
     return RealSet(size, tuple(tau))
 
 
-def random_real_bundle(rng: random.Random, base: RealSet, max_dim: int = 2) -> RealBundle:
-    """Random fibers with valid gluing: free choice on orbit representatives,
+def random_real_bundle(rng: random.Random, base: RealSet) -> RealBundle:
+    """Random fibers of dimension 1 or 2 with valid gluing: free choice on orbit representatives,
     forced inverse-conjugate on partners, involutive structure on fixed points."""
     dims = [0] * base.size
     phi = [None] * base.size
     for x in base.orbit_representatives():
         tx = base.tau[x]
-        d = rng.randrange(1, max_dim + 1)
+        d = rng.randrange(1, 3)
         dims[x] = d
         dims[tx] = d
         if tx == x:

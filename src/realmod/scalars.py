@@ -42,7 +42,7 @@ class Scalar:
     Immutable.  The coordinate views a, b, c, d are Fractions; construction
     accepts ints or Fractions in that order.
 
-    >>> x = Scalar.of(1, 0, 1)          # 1 + i
+    >>> x = Scalar(1, 0, 1)             # 1 + i
     >>> y = x.conj()                    # 1 - i
     >>> str(x * y)
     '2'
@@ -66,10 +66,6 @@ class Scalar:
         self.nc = fc.numerator * (den // fc.denominator)
         self.nd = fd.numerator * (den // fd.denominator)
         self.den = den
-
-    @staticmethod
-    def of(a=0, b=0, c=0, d=0) -> "Scalar":
-        return Scalar(_as_fraction(a), _as_fraction(b), _as_fraction(c), _as_fraction(d))
 
     # -- coordinate views ----------------------------------------------------
 

@@ -111,8 +111,7 @@ def test_03_two_routes_to_the_form(capsys):
             a = inner_to_hermitian_formula(space)
             b = inner_to_hermitian_functorial(space)
             assert a.gram == b.gram
-            assert hermitian_form_on_real_basis(space, route="formula") == \
-                hermitian_form_on_real_basis(space, route="functorial")
+            hermitian_form_on_real_basis(space)  # raises unless its two routes agree
 
 
 def test_04_form_axioms(capsys):

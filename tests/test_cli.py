@@ -246,6 +246,22 @@ def test_main_end_to_end(capsys, tmp_path):
     assert out.startswith("error:") and "line 1" in out
 
 
+def test_a_spec_that_is_not_utf8_is_a_positioned_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.spec"
+    cases = (
+        (b"hermitian q dim=1 gram=1\n# \xff\n", 2, 3),
+        # columns count characters: "# \xc3\xa9t\xc3\xa9 " is the 6 characters "# \u00e9t\u00e9 "
+        (b"# \xc3\xa9t\xc3\xa9 \xe9\r\nhermitian q dim=1 gram=1\n", 1, 7),
+        (b"hermitian q dim=1 gram=1\r\n\r\n\xc3", 3, 1),
+    )
+    for data, line, col in cases:
+        path.write_bytes(data)
+        assert cli.main(["--input", str(path), "--command", "check"]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"error: cannot read {path}: not UTF-8 text (line {line}, column {col})\n"
+        assert err == ""
+
+
 def test_oversized_literals_are_positioned_input_errors(capsys, tmp_path):
     # 5000 digits exceed the interpreter's int/str conversion limit
     huge = "1" * 5000

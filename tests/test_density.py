@@ -13,7 +13,6 @@ from realmod.density import (
     is_density_shaped,
     operator_to_fixed_vector,
     positivity_certificate,
-    random_selfadjoint,
     random_state,
     trace,
 )
@@ -64,7 +63,7 @@ def test_operator_vector_round_trip():
     for _ in range(10):
         n = rng.randrange(1, 4)
         s = make_selfdual(random_hermitian_space(rng, n))
-        rho = random_selfadjoint(rng, s)
+        rho = random_state(rng, s)
         v = operator_to_fixed_vector(s, rho)
         assert fixed_vector_to_operator(s, v) == rho
 

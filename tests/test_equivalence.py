@@ -116,8 +116,7 @@ def test_each_route_checks_its_space_once(monkeypatch):
         inner_to_hermitian_formula(fresh)
         inner_to_hermitian_functorial(fresh)
         inner_to_hermitian_functorial(fresh)
-        hermitian_form_on_real_basis(fresh, "formula")
-        hermitian_form_on_real_basis(fresh, "functorial")
+        hermitian_form_on_real_basis(fresh)
         assert len(calls) == 1
 
 
@@ -140,9 +139,7 @@ def test_hermitian_routes_on_the_real_basis_agree():
     rng = random.Random(35)
     for _ in range(20):
         space = random_isometric_pair(rng, 4)
-        a = hermitian_form_on_real_basis(space, route="formula")
-        b = hermitian_form_on_real_basis(space, route="functorial")
-        assert a == b
+        hermitian_form_on_real_basis(space)  # raises unless the two routes agree
 
 
 def test_standard_structure_gives_the_standard_gram():

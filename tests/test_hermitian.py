@@ -12,10 +12,11 @@ from realmod.hermitian import (
     conjugate_selfdual,
     dagger,
     dagger_composite_dense,
+    externalize_map,
     extract_hermitian,
     hadamard,
+    internalize_map,
     is_internal_isometry,
-    is_positive_definite,
     is_unitary,
     make_selfdual,
     phase_gate,
@@ -25,8 +26,8 @@ from realmod.hermitian import (
     split_eigenspaces,
     standard_selfdual,
 )
-from realmod.linalg import Matrix, inverse
-from realmod.modules import random_invertible, random_matrix
+from realmod.linalg import Matrix, inverse, vec
+from realmod.modules import RealHom, random_invertible, random_matrix
 from realmod.quantization import quantize
 from realmod.scalars import I, ONE, Scalar
 
@@ -91,6 +92,13 @@ def test_a_memo_changes_neither_equality_nor_hash():
     assert one != two
 
 
+def test_pairing_and_coev_are_dim_by_dim_matrices():
+    s = standard_selfdual(1)
+    assert s.pairing.shape == s.coev.shape == (2, 2)
+    with pytest.raises(InvariantViolation, match="^pairing must be dim x dim$"):
+        SelfDualRealModule(s.H, vec(s.pairing).transpose(), s.coev, s.icplx)
+
+
 def test_each_builder_checks_its_structure_once(monkeypatch):
     calls = []
     check = SelfDualRealModule.check
@@ -143,6 +151,19 @@ def test_dagger_agrees_with_the_dense_tensor_composite():
         s1, s2 = make_selfdual(h1), make_selfdual(h2)
         g = random_matrix(rng, n, n)
         assert dagger(g, s1, s2) == dagger_composite_dense(g, s1, s2)
+
+
+def test_internalize_map_between_spaces_of_different_dimension():
+    rng = random.Random(55)
+    for n1, n2 in ((1, 2), (2, 1), (2, 3), (3, 1)):
+        s1, s2 = random_selfdual(rng, n1), random_selfdual(rng, n2)
+        h1, h2 = extract_hermitian(s1), extract_hermitian(s2)
+        g = random_matrix(rng, n2, n1)
+        hom = internalize_map(g, s1, s2)
+        assert isinstance(hom, RealHom)
+        assert hom.mat.shape == (2 * n2, 2 * n1)
+        assert externalize_map(hom.mat, s1, s2) == g
+        assert dagger(g, s1, s2) == adjoint_oracle(g, h1, h2)
 
 
 def test_dagger_is_involutive_and_contravariant():
@@ -221,5 +242,3 @@ def test_pseudo_unitary_for_an_indefinite_form():
     s = make_selfdual(h)
     boost = Scalar(3).inv() * Matrix.from_rows([[5, 4], [4, 5]])
     assert is_unitary(boost, s, s)
-    assert not is_positive_definite(h)
-    assert is_positive_definite(HermitianSpace(2, Matrix.from_rows([[1, I], [-I, 3]])))

@@ -1,10 +1,11 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every import sits at module level (a function-level import can hide an import
 cycle), the modules import each other without a cycle, no module uses a bare
-`assert` (`python -O` strips it, so no verdict may rest on one), and every
+`assert` (`python -O` strips it, so no verdict may rest on one), every
 class with a `check` runs it in `__post_init__`, the one place a `.check()`
 call may appear (an object that exists has passed its laws, so no caller
-checks it again).
+checks it again), and the package's `__all__` lists exactly the names its
+`__init__.py` imports.
 
 Stdlib only.  `__init__.py` is exempt from the unused-name scan: its imports
 are the public re-exports.
@@ -12,6 +13,8 @@ are the public re-exports.
 
 import ast
 from pathlib import Path
+
+import realmod
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "realmod"
 
@@ -173,3 +176,18 @@ def test_the_scan_sees_an_unchecked_type_and_a_stray_check():
         "class C:\n    def __post_init__(self):\n        self.other.check()\n    def check(self):\n        pass\n"
         "def f(x):\n    x.check()\n    _check(x)\n    run(x, check=True)\n")
     assert _check_sites(tree) == (["A", "B", "C"], ["B", "C"], [8, 11, 15])
+
+
+def _reexports(tree: ast.Module) -> list:
+    return sorted(alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def test_the_package_exports_exactly_the_names_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(realmod.__all__) == _reexports(tree)
+
+
+def test_the_scan_sees_every_reexport():
+    tree = ast.parse("from .a import b, c as d\nimport os\ndef f():\n    from .e import g\n")
+    assert _reexports(tree) == ["b", "d"]

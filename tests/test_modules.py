@@ -11,9 +11,7 @@ from realmod.modules import (
     RealModule,
     braiding,
     compose,
-    direct_sum,
     fixed_points,
-    identity_hom,
     is_real_hom,
     random_real_hom,
     random_real_module,
@@ -55,7 +53,7 @@ def test_hom_condition_is_equivariance():
         RealHom(m, m, I * Matrix.identity(2))
 
 
-def test_tensor_and_direct_sum_carry_the_involution():
+def test_tensor_carries_the_involution():
     rng = random.Random(22)
     a = random_real_module(rng, 2)
     b = random_real_module(rng, 3)
@@ -63,9 +61,6 @@ def test_tensor_and_direct_sum_carry_the_involution():
     assert t.dim == 6
     assert t.inv == kron(a.inv, b.inv)
     t.check()
-    s = direct_sum(a, b)
-    assert s.dim == 5
-    s.check()
     assert tensor(a, tensor_unit()).dim == a.dim
 
 
@@ -97,7 +92,7 @@ def test_compose_checks_boundaries():
     f = random_real_hom(rng, a, b)
     with pytest.raises(CompositionError):
         compose(f, f)
-    assert compose(f, identity_hom(a)).mat == f.mat
+    assert compose(f, RealHom(a, a, Matrix.identity(a.dim))).mat == f.mat
 
 
 def test_fixed_points_have_real_dimension_of_the_module():

@@ -14,13 +14,11 @@ from realmod.quantization import (
     RealBundleMap,
     RealSet,
     RealSetMap,
-    complex_to_real_bundle,
     external_tensor,
     free_realset,
     identity_base_map,
     imaginary_unit_endo,
     internal_complex,
-    pullback,
     pushforward,
     quantize,
     quantize_set,
@@ -84,12 +82,11 @@ def test_bundle_transport_laws():
         bundle.check()
 
 
-def test_pullback_and_pushforward_along_the_identity():
+def test_pushforward_along_the_identity():
     rng = random.Random(62)
     base = free_realset(2)
     bundle = random_real_bundle(rng, base)
     ident = identity_base_map(base)
-    assert pullback(ident, bundle).fibers == bundle.fibers
     assert pushforward(ident, bundle).fibers == bundle.fibers
     assert reflect(pushforward(ident, bundle)).dim == reflect(bundle).dim
 
@@ -199,8 +196,3 @@ def test_quantize_set_rejects_fixed_points():
     with pytest.raises(InvariantViolation):
         quantize_set(RealSet(3, (1, 0, 2)))
 
-
-def test_complex_line_over_the_point():
-    bundle = complex_to_real_bundle(1)
-    bundle.check()
-    assert reflect(bundle).dim == 2
