@@ -120,7 +120,8 @@ def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
     if coef.conj_transpose() != coef:
         raise InvariantViolation("coefficient matrix is not Hermitian")
     rho = coef @ data.gram
-    if data.gram @ rho != (data.gram @ rho).conj_transpose():
+    form = data.gram @ rho
+    if form != form.conj_transpose():
         raise InvariantViolation("operator is not gram-self-adjoint")
     return rho
 

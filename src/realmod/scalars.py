@@ -350,11 +350,22 @@ class ScalarParseError(ValueError):
         self.offset = offset
 
 
-_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_DIGIT = "[0-9]"  # ASCII only: str.isdigit accepts '²', and re's \d accepts '٣'
+_RATIONAL_RE = re.compile(f"({_DIGIT}+)(?:/({_DIGIT}+))?")
 # Longest rational literal `p` or `p/q`, in characters.  It keeps every digit
 # run well inside the interpreter's int/str conversion limit (4300 digits by
 # default), so an oversized literal is a positioned parse error, not a crash.
 MAX_LITERAL_LENGTH = 1000
+
+# A strict subset of the text parse_scalar accepts, as a regular expression
+# (no atomic groups or possessive quantifiers, so it compiles on 3.10): no
+# whitespace, a nonzero denominator without leading zeros, digit runs short
+# enough that `p/q` stays within MAX_LITERAL_LENGTH, and at most one of each
+# marker per term.  Every format_scalar output matches it.
+_RUN = (MAX_LITERAL_LENGTH - 1) // 2
+_MARKERS = r"(?:i(?:\*r2)?|r2(?:\*i)?)"
+_TERM = f"(?:{_DIGIT}{{1,{_RUN}}}(?:/[1-9]{_DIGIT}{{0,{_RUN - 1}}})?(?:\\*{_MARKERS})?|{_MARKERS})"
+SCALAR_PATTERN = f"[+-]?{_TERM}(?:[+-]{_TERM})*"
 
 
 def _skip_ws(text: str, j: int, n: int) -> int:

@@ -19,15 +19,21 @@ Stanza kinds and their keys:
 Names are unique per kind and every reference must already be defined
 (definition before use).  A `gate` names a square matrix on a declared
 Hermitian space; states for `channel` are declared the same way.
+
+Every matrix is validated, with its shape, when the file is parsed, so a
+malformed matrix is a positioned error even in a stanza no command reads.  It
+is converted to a `Matrix` only when a command first reads it from
+`Stanza.fields`, and that conversion is kept on the stanza.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
-from .linalg import Matrix, MatrixParseError, parse_matrix
-from .scalars import MAX_LITERAL_LENGTH
+from .linalg import MatrixParseError, parse_matrix
+from .scalars import MAX_LITERAL_LENGTH, SCALAR_PATTERN
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KINDS = ("module", "realvs", "hermitian", "gate", "realset", "quantize", "channel", "check")
@@ -42,6 +48,7 @@ _KEYS = {
     "check": ("target", "kind"),
 }
 _OPTIONAL = {"check": ("kind",)}
+_MATRIX_KEYS = frozenset(("inv", "g", "J", "gram", "mat"))
 
 
 class SpecFileError(ValueError):
@@ -52,26 +59,58 @@ class SpecFileError(ValueError):
         self.col = col
 
 
+class _Fields(Mapping):
+    """A stanza's parsed values.  A matrix is held as its validated text until
+    it is first read, then as the `Matrix` parsed from it."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: dict):
+        self._values = values
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        if key in _MATRIX_KEYS and type(value) is str:
+            value = self._values[key] = parse_matrix(value)
+        return value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True, slots=True)
 class Stanza:
     kind: str
     name: str
-    fields: dict
+    fields: Mapping
     line: int
 
 
 @dataclass(frozen=True, slots=True)
 class SpecFile:
     stanzas: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _declared(self) -> dict:
+        """kind -> {name: stanza}, in file order; `parse_spec` stores the index it built."""
+        if "declared" not in self._memo:
+            declared = {}
+            for st in self.stanzas:
+                declared.setdefault(st.kind, {}).setdefault(st.name, st)
+            self._memo["declared"] = declared
+        return self._memo["declared"]
 
     def find(self, kind: str, name: str):
-        for st in self.stanzas:
-            if st.kind == kind and st.name == name:
-                return st
-        return None
+        return self._declared().get(kind, {}).get(name)
 
     def names(self, kind: str) -> tuple:
-        return tuple(st.name for st in self.stanzas if st.kind == kind)
+        return tuple(self._declared().get(kind, ()))
 
 
 _TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace()
@@ -96,11 +135,33 @@ def _parse_int(text: str, lineno: int, col: int, minimum: int = 0) -> int:
     return value
 
 
-def _parse_mat(text: str, lineno: int, col: int) -> Matrix:
+_MATRIX = re.compile(f"{SCALAR_PATTERN}(?:[,;]{SCALAR_PATTERN})*")
+
+
+def _matrix_shape(text: str):
+    """(rows, cols) of a matrix text that `_MATRIX` accepts and whose rows all
+    have one length, else None.  `parse_matrix` accepts every such text."""
+    if not _MATRIX.fullmatch(text):
+        return None
+    rows = text.split(";")
+    commas = rows[0].count(",")
+    for row in rows:
+        if row.count(",") != commas:
+            return None
+    return len(rows), commas + 1
+
+
+def _parse_mat(text: str, lineno: int, col: int) -> tuple:
+    """(value, shape): the text itself if `_matrix_shape` accepts it, else the
+    Matrix `parse_matrix` makes of it, whose errors keep their position."""
+    shape = _matrix_shape(text)
+    if shape is not None:
+        return text, shape
     try:
-        return parse_matrix(text)
+        m = parse_matrix(text)
     except MatrixParseError as exc:
         raise SpecFileError(str(exc), lineno, col + exc.offset) from None
+    return m, m.shape
 
 
 def _parse_perm(text: str, lineno: int, col: int) -> tuple:
@@ -174,27 +235,28 @@ def parse_spec(text: str) -> SpecFile:
         parsed = {}
         if kind == "module":
             parsed["dim"] = _parse_int(fields["dim"], lineno, positions["dim"], minimum=1)
-            parsed["inv"] = _parse_mat(fields["inv"], lineno, positions["inv"])
-            if parsed["inv"].shape != (parsed["dim"], parsed["dim"]):
+            parsed["inv"], shape = _parse_mat(fields["inv"], lineno, positions["inv"])
+            if shape != (parsed["dim"], parsed["dim"]):
                 raise SpecFileError("inv must be dim x dim", lineno, positions["inv"])
         elif kind == "realvs":
             parsed["dim"] = _parse_int(fields["dim"], lineno, positions["dim"], minimum=1)
-            parsed["g"] = _parse_mat(fields["g"], lineno, positions["g"])
-            parsed["J"] = _parse_mat(fields["J"], lineno, positions["J"])
+            shapes = {}
             for key in ("g", "J"):
-                if parsed[key].shape != (parsed["dim"], parsed["dim"]):
+                parsed[key], shapes[key] = _parse_mat(fields[key], lineno, positions[key])
+            for key in ("g", "J"):
+                if shapes[key] != (parsed["dim"], parsed["dim"]):
                     raise SpecFileError(f"{key} must be dim x dim", lineno, positions[key])
         elif kind == "hermitian":
             parsed["dim"] = _parse_int(fields["dim"], lineno, positions["dim"], minimum=1)
-            parsed["gram"] = _parse_mat(fields["gram"], lineno, positions["gram"])
-            if parsed["gram"].shape != (parsed["dim"], parsed["dim"]):
+            parsed["gram"], shape = _parse_mat(fields["gram"], lineno, positions["gram"])
+            if shape != (parsed["dim"], parsed["dim"]):
                 raise SpecFileError("gram must be dim x dim", lineno, positions["gram"])
         elif kind == "gate":
             space = resolve("hermitian", fields["on"], lineno, positions["on"])
             parsed["on"] = fields["on"]
-            parsed["mat"] = _parse_mat(fields["mat"], lineno, positions["mat"])
+            parsed["mat"], shape = _parse_mat(fields["mat"], lineno, positions["mat"])
             d = space.fields["dim"]
-            if parsed["mat"].shape != (d, d):
+            if shape != (d, d):
                 raise SpecFileError(f"mat must be {d}x{d} for {fields['on']}", lineno, positions["mat"])
         elif kind == "realset":
             parsed["size"] = _parse_int(fields["size"], lineno, positions["size"], minimum=0)
@@ -230,8 +292,10 @@ def parse_spec(text: str) -> SpecFile:
                 parsed["kind"] = hits[0]
             parsed["target"] = target
 
-        st = Stanza(kind, name, parsed, lineno)
+        st = Stanza(kind, name, _Fields(parsed), lineno)
         declared[kind][name] = st
         stanzas.append(st)
 
-    return SpecFile(tuple(stanzas))
+    spec = SpecFile(tuple(stanzas))
+    spec._memo["declared"] = declared
+    return spec

@@ -1,10 +1,18 @@
 """Parsing and cross-validation of the declarative input format."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from realmod import cli, specfile
 from realmod.errors import InvariantViolation
+from realmod.linalg import MatrixParseError, format_matrix, parse_matrix
+from realmod.modules import random_matrix
 from realmod.quantization import RealSet
-from realmod.specfile import SpecFileError, _tokens, parse_spec
+from realmod.scalars import MAX_LITERAL_LENGTH
+from realmod.specfile import SpecFile, SpecFileError, _matrix_shape, _tokens, parse_spec
 
 GOOD = """\
 # a comment
@@ -32,6 +40,9 @@ def test_parses_every_stanza_kind():
     assert spec.find("check", "k1").fields["kind"] == "hermitian"
     assert spec.find("realset", "s").fields["tau"] == (1, 0)
     assert spec.find("quantize", "q").fields["basis"] == ("a", "b")
+    assert spec.find("gate", "h") is None and spec.names("channel") == ("c",)
+    rebuilt = SpecFile(spec.stanzas)  # built without parse_spec's index
+    assert rebuilt.find("gate", "u") is st and rebuilt.names("check") == ("k1", "k2")
 
 
 def test_comments_and_blank_lines_are_skipped():
@@ -168,3 +179,76 @@ def test_tokens_split_on_exactly_the_unicode_whitespace():
     ]
     for line in lines:
         assert _tokens(line) == _reference_tokens(line), repr(line)
+
+
+# terms of matrix text: well-formed ones (digit runs at the fast path's bound
+# among them) and near misses, joined by a separator, an operator or junk
+_RUN = (MAX_LITERAL_LENGTH - 1) // 2
+_TERMS = ("0", "1", "12", "1/3", "-1/2*i", "i", "r2", "i*r2", "r2*i", "3/4*r2", "5*i*r2",
+          "9" * _RUN, f"1/{'9' * _RUN}") * 3 + (
+          "9" * (_RUN + 1), "2/03", "7/0", "1*i*i", "r2*r2", "", "٣", "1 ", "ii", "1/", "*i")
+_SEPARATORS = "+-,;+-,;*/ "
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_TERMS)), max_size=8)
+       .map(lambda parts: "".join(sep + term for sep, term in parts)[1:]))
+@settings(derandomize=True, max_examples=2000, deadline=None)
+def test_fast_validation_accepts_only_what_parse_matrix_parses_to_that_shape(text):
+    shape = _matrix_shape(text)
+    if shape is not None:
+        assert parse_matrix(text).shape == shape
+
+
+def test_canonical_matrix_text_takes_the_fast_path():
+    rng = random.Random(13)
+    for k in range(2000):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = random_matrix(rng, rows, cols, span=rng.choice((1, 3, 10 ** 12)))
+        assert _matrix_shape(format_matrix(m)) == (rows, cols), k
+    # the longest literal the fast path takes, and the shortest ones it leaves to parse_matrix
+    assert _matrix_shape(f"{'7' * _RUN}/{'3' * _RUN}*i") == (1, 1)
+    for slow in (f"{'7' * (_RUN + 1)}", f"1/{'3' * (_RUN + 1)}", "1/03", "1 ,2"):
+        assert _matrix_shape(slow) is None
+        assert parse_matrix(slow).shape == (1, 2 if "," in slow else 1)
+
+
+SPACES = """\
+module m dim=2 inv=0,1;1,0
+hermitian h dim=2 gram=1,0;0,-1
+hermitian k dim=1 gram=2
+gate u on=h mat=5/3,4/3;4/3,5/3
+gate r on=h mat=1,1/2;0,1
+gate w on=k mat=1*i
+channel c gate=u rho=r
+"""
+
+
+def test_a_gate_command_parses_only_the_matrices_it_reads(monkeypatch):
+    parsed = []
+
+    def recording(text):
+        parsed.append(text)
+        return parse_matrix(text)
+
+    monkeypatch.setattr(specfile, "parse_matrix", recording)
+    spec = parse_spec(SPACES)
+    assert cli.run(spec, "unitary", "u") == (["unitary u: yes"], 0)
+    assert sorted(parsed) == ["1,0;0,-1", "5/3,4/3;4/3,5/3"]  # the gate and its gram
+    assert cli.run(spec, "unitary", "u")[1] == 0
+    assert len(parsed) == 2  # converted once, kept on the stanza
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("hermitian bad dim=2 gram=1,0;0\n", "ragged matrix rows (line 8, column 30)"),
+    ("hermitian bad dim=2 gram=1,0;0,1/0\n", "zero denominator (line 8, column 32)"),
+    (f"gate bad on=h mat=1,0;0,{'1' * (MAX_LITERAL_LENGTH + 1)}\n",
+     f"literal longer than {MAX_LITERAL_LENGTH} characters (line 8, column 25)"),
+    ("module bad dim=1 inv=٣\n", "unexpected character '٣' (line 8, column 22)"),
+])
+def test_a_matrix_error_in_an_unread_stanza_is_still_positioned(line, expected, capsys, tmp_path):
+    path = tmp_path / "bad.spec"
+    path.write_text(SPACES + line, encoding="utf-8")
+    assert cli.main(["--input", str(path), "--command", "unitary", "--target", "u"]) == 2
+    assert capsys.readouterr().out == f"error: {expected}\n"
+    with pytest.raises(MatrixParseError):
+        parse_matrix(line.split("=")[-1].strip())
