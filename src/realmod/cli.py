@@ -21,8 +21,10 @@ builder): a module, realvs, hermitian or realset stanza gives its checked
 object, a gate gives (matrix, space), a channel gives (gate, state, space)
 once the state is gram-self-adjoint, a quantize stanza gives its quantized
 structure and a check stanza its target's object.  `check` runs the builder
-of each stanza and the commands take their objects from `_build` only, so
-`check` asserts every law whose failure makes a command exit 1.
+of each stanza and the commands take their objects from `_Build` only, so
+`check` asserts every law whose failure makes a command exit 1.  Each command
+builds each object once: `run` makes one `_Build` table, and every stanza that
+names a built object, or one whose builder failed, reads it from there.
 
 Exit codes: 0 all verdicts passed, 1 a verdict failed, 2 input error.
 """
@@ -57,38 +59,64 @@ class _InputError(Exception):
     pass
 
 
-def _build_channel(spec: SpecFile, f: dict) -> tuple:
-    gate, space = _build(spec, "gate", f["gate"])
-    rho = spec.find("gate", f["rho"]).fields["mat"]  # on the gate's space, as parsing ensured
+def _build_channel(build: _Build, f: dict) -> tuple:
+    gate, space = build("gate", f["gate"])
+    rho = build.spec.find("gate", f["rho"]).fields["mat"]  # on the gate's space, as parsing ensured
     m = space.gram @ rho
     if m.conj_transpose() != m:  # the law `channel` asserts on its state
         raise InvariantViolation("state is not gram-self-adjoint")
     return gate, rho, space
 
 
-# kind -> builder(spec, fields): the stanza's object, every law of it checked
+# kind -> builder(build, fields): the stanza's object, every law of it checked
 _BUILD = {
-    "module": lambda spec, f: RealModule(f["dim"], f["inv"]),
-    "realvs": lambda spec, f: RealVS(f["dim"], f["g"], f["J"]),
-    "hermitian": lambda spec, f: HermitianSpace(f["dim"], f["gram"]),
-    "gate": lambda spec, f: (f["mat"], _build(spec, "hermitian", f["on"])),
-    "realset": lambda spec, f: RealSet(f["size"], f["tau"]),
-    "quantize": lambda spec, f: quantize(len(f["basis"])),  # builds and checks the whole structure
+    "module": lambda build, f: RealModule(f["dim"], f["inv"]),
+    "realvs": lambda build, f: RealVS(f["dim"], f["g"], f["J"]),
+    "hermitian": lambda build, f: HermitianSpace(f["dim"], f["gram"]),
+    "gate": lambda build, f: (f["mat"], build("hermitian", f["on"])),
+    "realset": lambda build, f: RealSet(f["size"], f["tau"]),
+    "quantize": lambda build, f: quantize(len(f["basis"])),  # builds and checks the whole structure
     "channel": _build_channel,
-    "check": lambda spec, f: _build(spec, f["kind"], f["target"]),
+    "check": lambda build, f: build(f["kind"], f["target"]),
 }
 _NOUN = {"quantize": "quantize stanza"}
 
 
-def _build(spec: SpecFile, kind: str, name: str):
-    """The checked object of the stanza `kind name`; an input error if there is none."""
-    st = spec.find(kind, name)
-    if st is None:
-        raise _InputError(f"no {_NOUN.get(kind, kind)} named {name!r}")
-    return _BUILD[kind](spec, st.fields)
+class _Build:
+    """The checked objects of one command's spec file, each built once.
+
+    Calling it with `kind, name` gives that stanza's object, or raises again
+    the `_RUN_ERRORS` exception its builder raised.  Objects are kept by
+    (kind, name); a quantize stanza's by its basis size, the only input of
+    `quantize`.  `run` makes one per call, so nothing outlives the command.
+    """
+
+    def __init__(self, spec: SpecFile):
+        self.spec = spec
+        self._objects = {}
+
+    def __call__(self, kind: str, name: str):
+        st = self.spec.find(kind, name)
+        if st is None:
+            raise _InputError(f"no {_NOUN.get(kind, kind)} named {name!r}")
+        return self.stanza(st)
+
+    def stanza(self, st):
+        key = (st.kind, len(st.fields["basis"]) if st.kind == "quantize" else st.name)
+        obj = self._objects.get(key)
+        if obj is None:
+            try:
+                obj = _BUILD[st.kind](self, st.fields)
+            except _RUN_ERRORS as exc:
+                obj = exc
+            self._objects[key] = obj
+        if isinstance(obj, _RUN_ERRORS):
+            raise obj.with_traceback(None)
+        return obj
 
 
-def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
+def _cmd_check(build: _Build, target: str | None) -> tuple[list[str], int]:
+    spec = build.spec
     if not spec.stanzas:
         raise _InputError("spec file declares no stanzas")
     lines = []
@@ -99,7 +127,7 @@ def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
     for st in stanzas:
         label = (st.fields["kind"], st.fields["target"]) if st.kind == "check" else (st.kind, st.name)
         try:
-            _BUILD[st.kind](spec, st.fields)
+            build.stanza(st)
             lines.append(f"check {label[0]} {label[1]}: ok")
         except _RUN_ERRORS as exc:
             lines.append(f"check {label[0]} {label[1]}: FAIL ({exc})")
@@ -107,13 +135,13 @@ def _cmd_check(spec: SpecFile, target: str | None) -> tuple[list[str], int]:
     return lines, 1 if failed else 0
 
 
-def _cmd_hermitian(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    kinds = [kind for kind in ("quantize", "hermitian") if spec.find(kind, target) is not None]
+def _cmd_hermitian(build: _Build, target: str) -> tuple[list[str], int]:
+    kinds = [kind for kind in ("quantize", "hermitian") if build.spec.find(kind, target) is not None]
     if len(kinds) > 1:
         raise _InputError(f"{target!r} names both a quantize and a hermitian stanza; rename one")
     if not kinds:
         raise _InputError(f"no quantize or hermitian stanza named {target!r}")
-    built = _build(spec, kinds[0], target)
+    built = build(kinds[0], target)
     h = extract_hermitian(built if kinds[0] == "quantize" else make_selfdual(built))
     lines = [
         f"hermitian {target}: dim={h.dim}",
@@ -124,8 +152,8 @@ def _cmd_hermitian(spec: SpecFile, target: str) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_dagger(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    mat, space = _build(spec, "gate", target)
+def _cmd_dagger(build: _Build, target: str) -> tuple[list[str], int]:
+    mat, space = build("gate", target)
     s = make_selfdual(space)
     d = dagger(mat, s, s)
     oracle = adjoint_oracle(mat, space, space)
@@ -137,16 +165,16 @@ def _cmd_dagger(spec: SpecFile, target: str) -> tuple[list[str], int]:
     return lines, 0 if d == oracle else 1
 
 
-def _cmd_unitary(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    mat, space = _build(spec, "gate", target)
+def _cmd_unitary(build: _Build, target: str) -> tuple[list[str], int]:
+    mat, space = build("gate", target)
     s = make_selfdual(space)
     if is_unitary(mat, s, s):
         return [f"unitary {target}: yes"], 0
     return [f"unitary {target}: no (g†g ≠ id)"], 1
 
 
-def _cmd_channel(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    gate, rho, space = _build(spec, "channel", target)
+def _cmd_channel(build: _Build, target: str) -> tuple[list[str], int]:
+    gate, rho, space = build("channel", target)
     s = make_selfdual(space)
     out = apply_channel(gate, rho, s)
     preserved = trace(out) == trace(rho)
@@ -159,9 +187,9 @@ def _cmd_channel(spec: SpecFile, target: str) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_quantize(spec: SpecFile, target: str) -> tuple[list[str], int]:
-    s = _build(spec, "quantize", target)
-    labels = spec.find("quantize", target).fields["basis"]
+def _cmd_quantize(build: _Build, target: str) -> tuple[list[str], int]:
+    s = build("quantize", target)
+    labels = build.spec.find("quantize", target).fields["basis"]
     h = extract_hermitian(s)
     lines = [
         f"quantize {target}: dim={s.H.dim} basis={','.join(labels)}",
@@ -199,8 +227,9 @@ def run(spec: SpecFile | None, command: str, target: str | None = None,
             return _cmd_selftest(seed, cases)
         if spec is None:
             raise _InputError(f"command {command!r} needs --input")
+        build = _Build(spec)
         if command == "check":
-            return _cmd_check(spec, target)
+            return _cmd_check(build, target)
         if command in ("hermitian", "dagger", "unitary", "channel", "quantize"):
             if target is None:
                 raise _InputError(f"command {command!r} needs --target")
@@ -211,7 +240,7 @@ def run(spec: SpecFile | None, command: str, target: str | None = None,
                 "channel": _cmd_channel,
                 "quantize": _cmd_quantize,
             }[command]
-            return handler(spec, target)
+            return handler(build, target)
         raise _InputError(f"unknown command {command!r}")
     except (_InputError, ScalarFormatError) as exc:
         return [f"error: {exc}"], 2

@@ -82,8 +82,8 @@ def fixed_locus_real_dimension(space: CSMatSpace) -> int:
     return len(sols)
 
 
-def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
-    """Ambient vector of a gram-self-adjoint operator on the +i eigenspace."""
+def _operator_to_square(s: SelfDualRealModule, rho: Matrix) -> Matrix:
+    """The fixed vector of rho as the dim x dim matrix Vm it flattens from."""
     data = split_eigenspaces(s)
     n = data.half
     if rho.shape != (n, n):
@@ -94,17 +94,18 @@ def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     coef = rho @ data.gram_inv
     p = data.plus
     c = data.minus @ data.witness
-    return vec(p @ coef @ c.transpose() + c @ coef.conj() @ p.transpose())
+    return p @ coef @ c.transpose() + c @ coef.conj() @ p.transpose()
 
 
-def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
-    """Inverse of `operator_to_fixed_vector`; rejects vectors outside the locus."""
+def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
+    """Ambient vector of a gram-self-adjoint operator on the +i eigenspace."""
+    return vec(_operator_to_square(s, rho))
+
+
+def _square_to_operator(s: SelfDualRealModule, vm: Matrix) -> Matrix:
+    """Inverse of `_operator_to_square`; rejects squares outside the locus."""
     data = split_eigenspaces(s)
-    d = s.H.dim
     n = data.half
-    if v.shape != (d * d, 1):
-        raise ShapeError("fixed vector must be an ambient column")
-    vm = unvec(v, d, d)
     if vm.transpose() != vm:
         raise InvariantViolation("vector is not braiding-symmetric")
     if s.icplx @ vm @ s.icplx.transpose() != vm:
@@ -124,6 +125,14 @@ def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
     if form != form.conj_transpose():
         raise InvariantViolation("operator is not gram-self-adjoint")
     return rho
+
+
+def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
+    """Inverse of `operator_to_fixed_vector`; rejects vectors outside the locus."""
+    d = s.H.dim
+    if v.shape != (d * d, 1):
+        raise ShapeError("fixed vector must be an ambient column")
+    return _square_to_operator(s, unvec(v, d, d))
 
 
 def is_density_shaped(s: SelfDualRealModule, rho: Matrix) -> bool:
@@ -155,8 +164,8 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
         raise InvariantViolation("state is not gram-self-adjoint")
     hom_mat, dag = _adjoint(g, s, s)
     direct = g @ rho @ dag
-    vm = unvec(operator_to_fixed_vector(s, rho), s.H.dim, s.H.dim)
-    transported = fixed_vector_to_operator(s, vec(hom_mat @ vm @ hom_mat.transpose()))
+    vm = _operator_to_square(s, rho)
+    transported = _square_to_operator(s, hom_mat @ vm @ hom_mat.transpose())
     if direct != transported:
         raise InvariantViolation("channel routes disagree")
     if _isometric(hom_mat, dag, g, s, s):

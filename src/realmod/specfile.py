@@ -20,10 +20,13 @@ Names are unique per kind and every reference must already be defined
 (definition before use).  A `gate` names a square matrix on a declared
 Hermitian space; states for `channel` are declared the same way.
 
-Every matrix is validated, with its shape, when the file is parsed, so a
-malformed matrix is a positioned error even in a stanza no command reads.  It
-is converted to a `Matrix` only when a command first reads it from
-`Stanza.fields`, and that conversion is kept on the stanza.
+Each line is split once with `str.split()`, which splits on the same
+whitespace as `_tokens`; an error records the token it lies in, and the line
+is scanned for token columns only when that error is raised.  Every matrix is
+validated, with its shape, when the file is parsed, so a malformed matrix is a
+positioned error even in a stanza no command reads.  It is converted to a
+`Matrix` only when a command first reads it from `Stanza.fields`, and that
+conversion is kept on the stanza.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .linalg import MatrixParseError, parse_matrix
 from .scalars import MAX_LITERAL_LENGTH, SCALAR_PATTERN
@@ -84,8 +88,7 @@ class _Fields(Mapping):
         return repr(dict(self))
 
 
-@dataclass(frozen=True, slots=True)
-class Stanza:
+class Stanza(NamedTuple):
     kind: str
     name: str
     fields: Mapping
@@ -113,7 +116,7 @@ class SpecFile:
         return tuple(self._declared().get(kind, ()))
 
 
-_TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace()
+_TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace(), on which str.split() splits
 _INT = re.compile(r"-?[0-9]+")  # ASCII digits, like scalar literals
 
 
@@ -124,14 +127,32 @@ def _tokens(line: str):
             for m in _TOKEN.finditer(line, 0, cut if cut >= 0 else len(line))]
 
 
-def _parse_int(text: str, lineno: int, col: int, minimum: int = 0) -> int:
+class _Bad(Exception):
+    """An error on one line before its column is known.  `where` is the index of
+    the token it lies in, or the key in whose value it lies, and `offset`
+    counts characters from the start of that token or value."""
+
+    def __init__(self, message: str, where, offset: int = 0):
+        self.message, self.where, self.offset = message, where, offset
+
+    def positioned(self, line: str, lineno: int) -> SpecFileError:
+        toks = _tokens(line)
+        where, offset = self.where, self.offset
+        if type(where) is str:  # a field key, known and unique by now
+            key = where + "="
+            where = next(i for i in range(2, len(toks)) if toks[i][0].startswith(key))
+            offset += len(key)
+        return SpecFileError(self.message, lineno, toks[where][1] + offset)
+
+
+def _parse_int(text: str, key: str, offset: int = 0, minimum: int = 0) -> int:
     if not _INT.fullmatch(text):
-        raise SpecFileError(f"expected an integer, got {text!r}", lineno, col)
+        raise _Bad(f"expected an integer, got {text!r}", key, offset)
     if len(text) > MAX_LITERAL_LENGTH:
-        raise SpecFileError(f"integer longer than {MAX_LITERAL_LENGTH} characters", lineno, col)
+        raise _Bad(f"integer longer than {MAX_LITERAL_LENGTH} characters", key, offset)
     value = int(text)
     if value < minimum:
-        raise SpecFileError(f"integer must be at least {minimum}", lineno, col)
+        raise _Bad(f"integer must be at least {minimum}", key, offset)
     return value
 
 
@@ -151,7 +172,7 @@ def _matrix_shape(text: str):
     return len(rows), commas + 1
 
 
-def _parse_mat(text: str, lineno: int, col: int) -> tuple:
+def _parse_mat(text: str, key: str) -> tuple:
     """(value, shape): the text itself if `_matrix_shape` accepts it, else the
     Matrix `parse_matrix` makes of it, whose errors keep their position."""
     shape = _matrix_shape(text)
@@ -160,140 +181,155 @@ def _parse_mat(text: str, lineno: int, col: int) -> tuple:
     try:
         m = parse_matrix(text)
     except MatrixParseError as exc:
-        raise SpecFileError(str(exc), lineno, col + exc.offset) from None
+        raise _Bad(str(exc), key, exc.offset) from None
     return m, m.shape
 
 
-def _parse_perm(text: str, lineno: int, col: int) -> tuple:
-    parts = text.split(",")
-    values = []
-    at = col
-    for part in parts:
-        values.append(_parse_int(part, lineno, at))
+def _square(f: dict, key: str, dim: int):
+    """The value of the matrix field `key`, which must be dim x dim."""
+    value, shape = _parse_mat(f[key], key)
+    if shape != (dim, dim):
+        raise _Bad(f"{key} must be dim x dim", key)
+    return value
+
+
+def _resolve(declared: dict, kind: str, f: dict, key: str):
+    st = declared[kind].get(f[key])
+    if st is None:
+        raise _Bad(f"unknown {kind} {f[key]!r}", key)
+    return st
+
+
+def _module(f: dict, declared: dict) -> dict:
+    dim = _parse_int(f["dim"], "dim", minimum=1)
+    return {"dim": dim, "inv": _square(f, "inv", dim)}
+
+
+def _realvs(f: dict, declared: dict) -> dict:
+    dim = _parse_int(f["dim"], "dim", minimum=1)
+    (g, gshape), (j, jshape) = _parse_mat(f["g"], "g"), _parse_mat(f["J"], "J")
+    for key, shape in (("g", gshape), ("J", jshape)):
+        if shape != (dim, dim):
+            raise _Bad(f"{key} must be dim x dim", key)
+    return {"dim": dim, "g": g, "J": j}
+
+
+def _hermitian(f: dict, declared: dict) -> dict:
+    dim = _parse_int(f["dim"], "dim", minimum=1)
+    return {"dim": dim, "gram": _square(f, "gram", dim)}
+
+
+def _gate(f: dict, declared: dict) -> dict:
+    d = _resolve(declared, "hermitian", f, "on").fields["dim"]
+    mat, shape = _parse_mat(f["mat"], "mat")
+    if shape != (d, d):
+        raise _Bad(f"mat must be {d}x{d} for {f['on']}", "mat")
+    return {"on": f["on"], "mat": mat}
+
+
+def _realset(f: dict, declared: dict) -> dict:
+    size = _parse_int(f["size"], "size")
+    tau = []
+    at = 0
+    for part in f["tau"].split(","):
+        tau.append(_parse_int(part, "tau", at))
         at += len(part) + 1
-    return tuple(values)
+    if len(tau) != size:
+        raise _Bad("tau must list size entries", "tau")
+    if sorted(tau) != list(range(size)):
+        raise _Bad("tau is not a permutation", "tau")
+    return {"size": size, "tau": tuple(tau)}
 
 
-def _parse_labels(text: str, lineno: int, col: int) -> tuple:
-    parts = text.split(",")
-    at = col
+def _quantize(f: dict, declared: dict) -> dict:
+    parts = f["basis"].split(",")
+    at = 0
     seen = set()
     for part in parts:
         if not _NAME.match(part):
-            raise SpecFileError(f"bad basis label {part!r}", lineno, at)
+            raise _Bad(f"bad basis label {part!r}", "basis", at)
         if part in seen:
-            raise SpecFileError(f"duplicate basis label {part!r}", lineno, at)
+            raise _Bad(f"duplicate basis label {part!r}", "basis", at)
         seen.add(part)
         at += len(part) + 1
-    return tuple(parts)
+    return {"basis": tuple(parts)}
+
+
+def _channel(f: dict, declared: dict) -> dict:
+    gate = _resolve(declared, "gate", f, "gate")
+    if gate.fields["on"] != _resolve(declared, "gate", f, "rho").fields["on"]:
+        raise _Bad("gate and rho live on different spaces", "rho")
+    return {"gate": f["gate"], "rho": f["rho"]}
+
+
+def _check(f: dict, declared: dict) -> dict:
+    target = f["target"]
+    if "kind" in f:
+        kind = f["kind"]
+        if kind not in _KINDS or kind == "check":
+            raise _Bad(f"bad kind {kind!r}", "kind")
+        _resolve(declared, kind, f, "target")
+    else:
+        hits = [k for k in _KINDS if k != "check" and target in declared[k]]
+        if not hits:
+            raise _Bad(f"unknown target {target!r}", "target")
+        if len(hits) > 1:
+            raise _Bad(f"ambiguous target {target!r}; add kind=", "target")
+        kind = hits[0]
+    return {"kind": kind, "target": target}
+
+
+# kind -> validator(fields, declared): the stanza's parsed values, every one checked
+_VALIDATE = {"module": _module, "realvs": _realvs, "hermitian": _hermitian, "gate": _gate,
+             "realset": _realset, "quantize": _quantize, "channel": _channel, "check": _check}
+
+
+def _stanza(toks: list, declared: dict, lineno: int) -> Stanza:
+    kind = toks[0]
+    if kind not in _VALIDATE:
+        raise _Bad(f"unknown stanza kind {kind!r}", 0)
+    if len(toks) < 2:
+        raise _Bad("stanza needs a name", 0, len(kind))
+    name = toks[1]
+    if not _NAME.match(name):
+        raise _Bad(f"bad name {name!r}", 1)
+    if name in declared[kind]:
+        raise _Bad(f"duplicate {kind} name {name!r}", 1)
+    keys = _KEYS[kind]
+    fields = {}
+    for i in range(2, len(toks)):
+        key, eq, value = toks[i].partition("=")
+        if not key or not eq:
+            raise _Bad(f"expected key=value, got {toks[i]!r}", i)
+        if key not in keys:
+            raise _Bad(f"unknown key {key!r} for {kind}", i)
+        if key in fields:
+            raise _Bad(f"duplicate key {key!r}", i)
+        if not value:
+            raise _Bad(f"empty value for {key!r}", i)
+        fields[key] = value
+    if len(fields) < len(keys):
+        for key in keys:
+            if key not in fields and key not in _OPTIONAL.get(kind, ()):
+                raise _Bad(f"{kind} needs {key}=", 0)
+    return Stanza(kind, name, _Fields(_VALIDATE[kind](fields, declared)), lineno)
 
 
 def parse_spec(text: str) -> SpecFile:
-    """Parse and resolve a spec file; raises SpecFileError with a position."""
+    """Parse and resolve a spec file; raises SpecFileError with a position.
+
+    Each line is split once; a column is worked out only for an error."""
     stanzas = []
     declared = {kind: {} for kind in _KINDS}
-
-    def resolve(kind, name, lineno, col):
-        if name not in declared[kind]:
-            raise SpecFileError(f"unknown {kind} {name!r}", lineno, col)
-        return declared[kind][name]
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.partition("#")[0].split()
         if not toks:
             continue
-        (kind, kcol) = toks[0]
-        if kind not in _KINDS:
-            raise SpecFileError(f"unknown stanza kind {kind!r}", lineno, kcol)
-        if len(toks) < 2:
-            raise SpecFileError("stanza needs a name", lineno, kcol + len(kind))
-        (name, ncol) = toks[1]
-        if not _NAME.match(name):
-            raise SpecFileError(f"bad name {name!r}", lineno, ncol)
-        if name in declared[kind]:
-            raise SpecFileError(f"duplicate {kind} name {name!r}", lineno, ncol)
-        fields = {}
-        positions = {}
-        for (tok, tcol) in toks[2:]:
-            eq = tok.find("=")
-            if eq <= 0:
-                raise SpecFileError(f"expected key=value, got {tok!r}", lineno, tcol)
-            key = tok[:eq]
-            value = tok[eq + 1:]
-            if key not in _KEYS[kind]:
-                raise SpecFileError(f"unknown key {key!r} for {kind}", lineno, tcol)
-            if key in fields:
-                raise SpecFileError(f"duplicate key {key!r}", lineno, tcol)
-            if not value:
-                raise SpecFileError(f"empty value for {key!r}", lineno, tcol)
-            fields[key] = value
-            positions[key] = tcol + eq + 1
-        for key in _KEYS[kind]:
-            if key not in fields and key not in _OPTIONAL.get(kind, ()):
-                raise SpecFileError(f"{kind} needs {key}=", lineno, kcol)
-
-        parsed = {}
-        if kind == "module":
-            parsed["dim"] = _parse_int(fields["dim"], lineno, positions["dim"], minimum=1)
-            parsed["inv"], shape = _parse_mat(fields["inv"], lineno, positions["inv"])
-            if shape != (parsed["dim"], parsed["dim"]):
-                raise SpecFileError("inv must be dim x dim", lineno, positions["inv"])
-        elif kind == "realvs":
-            parsed["dim"] = _parse_int(fields["dim"], lineno, positions["dim"], minimum=1)
-            shapes = {}
-            for key in ("g", "J"):
-                parsed[key], shapes[key] = _parse_mat(fields[key], lineno, positions[key])
-            for key in ("g", "J"):
-                if shapes[key] != (parsed["dim"], parsed["dim"]):
-                    raise SpecFileError(f"{key} must be dim x dim", lineno, positions[key])
-        elif kind == "hermitian":
-            parsed["dim"] = _parse_int(fields["dim"], lineno, positions["dim"], minimum=1)
-            parsed["gram"], shape = _parse_mat(fields["gram"], lineno, positions["gram"])
-            if shape != (parsed["dim"], parsed["dim"]):
-                raise SpecFileError("gram must be dim x dim", lineno, positions["gram"])
-        elif kind == "gate":
-            space = resolve("hermitian", fields["on"], lineno, positions["on"])
-            parsed["on"] = fields["on"]
-            parsed["mat"], shape = _parse_mat(fields["mat"], lineno, positions["mat"])
-            d = space.fields["dim"]
-            if shape != (d, d):
-                raise SpecFileError(f"mat must be {d}x{d} for {fields['on']}", lineno, positions["mat"])
-        elif kind == "realset":
-            parsed["size"] = _parse_int(fields["size"], lineno, positions["size"], minimum=0)
-            parsed["tau"] = _parse_perm(fields["tau"], lineno, positions["tau"])
-            if len(parsed["tau"]) != parsed["size"]:
-                raise SpecFileError("tau must list size entries", lineno, positions["tau"])
-            if sorted(parsed["tau"]) != list(range(parsed["size"])):
-                raise SpecFileError("tau is not a permutation", lineno, positions["tau"])
-        elif kind == "quantize":
-            parsed["basis"] = _parse_labels(fields["basis"], lineno, positions["basis"])
-        elif kind == "channel":
-            gate = resolve("gate", fields["gate"], lineno, positions["gate"])
-            rho = resolve("gate", fields["rho"], lineno, positions["rho"])
-            if gate.fields["on"] != rho.fields["on"]:
-                raise SpecFileError("gate and rho live on different spaces", lineno, positions["rho"])
-            parsed["gate"] = fields["gate"]
-            parsed["rho"] = fields["rho"]
-        elif kind == "check":
-            target = fields["target"]
-            if "kind" in fields:
-                tkind = fields["kind"]
-                if tkind not in _KINDS or tkind == "check":
-                    raise SpecFileError(f"bad kind {tkind!r}", lineno, positions["kind"])
-                resolve(tkind, target, lineno, positions["target"])
-                parsed["kind"] = tkind
-            else:
-                hits = [k for k in _KINDS if k != "check" and target in declared[k]]
-                if not hits:
-                    raise SpecFileError(f"unknown target {target!r}", lineno, positions["target"])
-                if len(hits) > 1:
-                    raise SpecFileError(
-                        f"ambiguous target {target!r}; add kind=", lineno, positions["target"])
-                parsed["kind"] = hits[0]
-            parsed["target"] = target
-
-        st = Stanza(kind, name, _Fields(parsed), lineno)
-        declared[kind][name] = st
+        try:
+            st = _stanza(toks, declared, lineno)
+        except _Bad as bad:
+            raise bad.positioned(line, lineno) from None
+        declared[st.kind][st.name] = st
         stanzas.append(st)
 
     spec = SpecFile(tuple(stanzas))

@@ -153,6 +153,47 @@ def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
             assert len(calls) == 1, (command, target, lines)
 
 
+SHARED_SPACE = """\
+hermitian h dim=2 gram=1,0;0,-1
+gate a on=h mat=1,0;0,1
+gate b on=h mat=0,1;1,0
+gate rho on=h mat=1,0;0,0
+channel ca gate=a rho=rho
+channel cb gate=b rho=rho
+check k target=h
+"""
+SHARED_SIZES = "quantize p basis=x\nquantize q basis=x,y\nquantize r basis=y\nquantize s basis=u,v\n"
+
+
+def test_check_builds_each_object_once_per_command(monkeypatch):
+    checks, sizes = [], []
+    check = HermitianSpace.check
+    monkeypatch.setattr(HermitianSpace, "check", lambda h: checks.append(h) or check(h))
+    quantize = cli.quantize
+    monkeypatch.setattr(cli, "quantize", lambda n: sizes.append(n) or quantize(n))
+    spec = parse_spec(SHARED_SPACE)
+    assert cli.run(spec, "check") == ([
+        "check hermitian h: ok", "check gate a: ok", "check gate b: ok", "check gate rho: ok",
+        "check channel ca: ok", "check channel cb: ok", "check hermitian h: ok"], 0)
+    assert len(checks) == 1
+    assert cli.run(spec, "check")[1] == 0 and len(checks) == 2  # a second command builds again
+    spec = parse_spec(SHARED_SIZES)
+    assert cli.run(spec, "check") == ([f"check quantize {q}: ok" for q in "pqrs"], 0)
+    assert sizes == [1, 2]
+    assert cli.run(spec, "check", "s") == (["check quantize s: ok"], 0) and sizes == [1, 2, 2]
+
+
+def test_every_stanza_on_a_failing_space_reports_the_failure():
+    spec = parse_spec("hermitian h dim=2 gram=1,1;1,1\ngate a on=h mat=1,0;0,1\ngate b on=h mat=0,1;1,0\n"
+                      "channel c gate=a rho=b\ncheck k target=h\ncheck j target=b\n")
+    fail = "FAIL (gram is degenerate)"
+    assert cli.run(spec, "check") == ([
+        f"check hermitian h: {fail}", f"check gate a: {fail}", f"check gate b: {fail}",
+        f"check channel c: {fail}", f"check hermitian h: {fail}", f"check gate b: {fail}"], 1)
+    assert cli.run(spec, "check", "j") == ([f"check gate b: {fail}"], 1)
+    assert cli.run(spec, "unitary", "b") == ([f"unitary b: {fail}"], 1)
+
+
 def test_a_file_without_stanzas_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "empty.spec"
     for text in ("# nothing\n", "", "\n   \n# a comment\n"):

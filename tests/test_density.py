@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from realmod import density
 from realmod.density import (
     channel,
     csmat,
@@ -17,7 +18,7 @@ from realmod.density import (
     trace,
 )
 from realmod.equivalence import HermitianSpace
-from realmod.errors import InvariantViolation
+from realmod.errors import InvariantViolation, ShapeError
 from realmod.hermitian import (
     conjugate_selfdual,
     hadamard,
@@ -74,6 +75,19 @@ def test_round_trip_rejects_non_selfadjoint_operators():
         operator_to_fixed_vector(s, Matrix.from_rows([[0, 1], [0, 0]]))
 
 
+def test_round_trip_rejects_vectors_off_the_locus():
+    s = standard_selfdual(2)
+    d = s.H.dim
+    with pytest.raises(ShapeError):
+        fixed_vector_to_operator(s, Matrix.zero(d, 1))
+    skew = Matrix.from_rows([[1 if k == 1 else 0] for k in range(d * d)])
+    with pytest.raises(InvariantViolation, match="braiding-symmetric"):
+        fixed_vector_to_operator(s, skew)
+    diagonal = Matrix.from_rows([[1 if k == 0 else 0] for k in range(d * d)])
+    with pytest.raises(InvariantViolation, match="fixed by icplx"):
+        fixed_vector_to_operator(s, diagonal)
+
+
 def test_hadamard_channel_on_the_ground_state():
     s = standard_selfdual(2)
     rho = Matrix.from_rows([[1, 0], [0, 0]])
@@ -82,6 +96,20 @@ def test_hadamard_channel_on_the_ground_state():
     assert out == Matrix.from_rows([[half, half], [half, half]])
     assert trace(out) == trace(rho)
     assert positivity_certificate(s, out) == "yes"
+
+
+def test_channel_transports_the_square_without_reshaping_it(monkeypatch):
+    calls = []
+    for name in ("vec", "unvec"):
+        reshape = getattr(density, name)
+        monkeypatch.setattr(density, name,
+                            lambda *args, name=name, reshape=reshape: calls.append(name) or reshape(*args))
+    s = standard_selfdual(2)
+    rho = Matrix.from_rows([[1, 0], [0, 0]])
+    channel(hadamard(), rho, s)
+    assert calls == []
+    assert fixed_vector_to_operator(s, operator_to_fixed_vector(s, rho)) == rho
+    assert calls == ["vec", "unvec"]
 
 
 def test_channel_functoriality_and_trace_preservation():

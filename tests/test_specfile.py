@@ -121,6 +121,57 @@ def test_error_positions_are_one_based():
     assert "column" in str(info.value)
 
 
+TWO = "hermitian h dim=2 gram=1,0;0,1\n"
+CHANNEL_SPACES = ("hermitian a dim=1 gram=1\nhermitian b dim=1 gram=2\n"
+                  "gate u on=a mat=1\ngate r on=b mat=1\n")
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("widget w dim=1\n", "unknown stanza kind 'widget'", 1, 1),
+    ("# comment\n  module\n", "stanza needs a name", 2, 9),
+    ("module 2m dim=1 inv=1\n", "bad name '2m'", 1, 8),
+    ("module m dim=1 inv=1\n\tmodule m dim=1 inv=1\n", "duplicate module name 'm'", 2, 9),
+    ("module m dim\n", "expected key=value, got 'dim'", 1, 10),
+    ("module m =1 inv=1\n", "expected key=value, got '=1'", 1, 10),
+    ("module m dim=1 extra=2 inv=1\n", "unknown key 'extra' for module", 1, 16),
+    ("module m dim=1 dim=1 inv=1\n", "duplicate key 'dim'", 1, 16),
+    ("module m dim= inv=1\n", "empty value for 'dim'", 1, 10),
+    ("module m dim=2\n", "module needs inv=", 1, 1),
+    ("  realvs v dim=2 g=1\n", "realvs needs J=", 1, 3),
+    ("module m dim=x inv=1\n", "expected an integer, got 'x'", 1, 14),
+    (f"module m dim={'9' * (MAX_LITERAL_LENGTH + 1)} inv=1\n",
+     f"integer longer than {MAX_LITERAL_LENGTH} characters", 1, 14),
+    ("module m dim=0 inv=1\n", "integer must be at least 1", 1, 14),
+    ("module m dim=3 inv=1,0;0,1\n", "inv must be dim x dim", 1, 20),
+    ("realvs v dim=2 g=1,0;0,1 J=0,-1,0;1,0,0\n", "J must be dim x dim", 1, 28),
+    ("realvs v dim=2 g=1 J=0,-1;1,0\n", "g must be dim x dim", 1, 18),
+    ("realvs v dim=2 J=0,-1;1,0 g=1\n", "g must be dim x dim", 1, 29),
+    ("hermitian h dim=2 gram=1\n", "gram must be dim x dim", 1, 24),
+    (TWO + "gate u on=h mat=1\n", "mat must be 2x2 for h", 2, 17),
+    (TWO + "gate u on=k mat=1\n", "unknown hermitian 'k'", 2, 11),
+    (TWO + "gate u mat=1,0;0,oops on=h\n", "unexpected character 'o'", 2, 18),
+    ("realset s size=-1 tau=0\n", "integer must be at least 0", 1, 16),
+    ("realset s size=2 tau=0,x\n", "expected an integer, got 'x'", 1, 24),
+    ("realset s size=2 tau=0\n", "tau must list size entries", 1, 22),
+    ("realset s size=2 tau=0,2\n", "tau is not a permutation", 1, 22),
+    ("quantize q basis=a,2b\n", "bad basis label '2b'", 1, 20),
+    ("quantize q\u3000basis=a,b,a\n", "duplicate basis label 'a'", 1, 22),
+    (CHANNEL_SPACES + "channel c gate=u rho=r\n", "gate and rho live on different spaces", 5, 22),
+    (CHANNEL_SPACES + "channel c rho=w gate=u\n", "unknown gate 'w'", 5, 15),
+    ("module x dim=1 inv=1\nrealset x size=1 tau=0\ncheck k target=x\n",
+     "ambiguous target 'x'; add kind=", 3, 16),
+    ("check k target=ghost\n", "unknown target 'ghost'", 1, 16),
+    ("module m dim=1 inv=1\ncheck k target=m kind=thing\n", "bad kind 'thing'", 2, 23),
+    ("module m dim=1 inv=1\ncheck k kind=check target=m\n", "bad kind 'check'", 2, 14),
+    ("module m dim=1 inv=1\ncheck k kind=realset target=m # x\n", "unknown realset 'm'", 2, 29),
+])
+def test_every_error_keeps_its_message_line_and_column(text, message, line, col):
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+    assert str(info.value) == f"{message} (line {line}, column {col})"
+
+
 def test_matrix_cell_errors_point_into_the_line():
     with pytest.raises(SpecFileError) as info:
         parse_spec("hermitian h dim=2 gram=1,0;0,oops\n")
@@ -179,6 +230,7 @@ def test_tokens_split_on_exactly_the_unicode_whitespace():
     ]
     for line in lines:
         assert _tokens(line) == _reference_tokens(line), repr(line)
+        assert [t for t, _ in _tokens(line)] == line.partition("#")[0].split(), repr(line)
 
 
 # terms of matrix text: well-formed ones (digit runs at the fast path's bound
