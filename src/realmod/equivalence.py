@@ -55,7 +55,7 @@ class RealVS:
         if self.g is not None:
             if self.g.shape != (self.dim, self.dim):
                 raise InvariantViolation("g has the wrong shape")
-            if any(not x.is_real() for x in self.g.entries):
+            if not self.g.imag_part().is_zero():
                 raise InvariantViolation("g must have real entries")
             if self.g.transpose() != self.g:
                 raise InvariantViolation("g must be symmetric")
@@ -64,7 +64,7 @@ class RealVS:
         if self.J is not None:
             if self.J.shape != (self.dim, self.dim):
                 raise InvariantViolation("J has the wrong shape")
-            if any(not x.is_real() for x in self.J.entries):
+            if not self.J.imag_part().is_zero():
                 raise InvariantViolation("J must have real entries")
             if not (self.J @ self.J + Matrix.identity(self.dim)).is_zero():
                 raise InvariantViolation("J^2 != -I")

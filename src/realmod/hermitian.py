@@ -312,9 +312,7 @@ def is_internal_isometry(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModu
 
 def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:
     """Invertible isometry; for square g, isometry already forces invertibility."""
-    if not is_internal_isometry(g, s1, s2):
-        return False
-    return g.rows == g.cols and rank(g) == g.rows
+    return is_internal_isometry(g, s1, s2) and g.rows == g.cols
 
 
 # -- standard gates and seeded generators -----------------------------------------

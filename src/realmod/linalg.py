@@ -10,8 +10,9 @@ rows, `==` is a tuple comparison and `hash` agrees with it.
 Every kernel reads and writes raw rows: `@` and `kron`, the entrywise
 operations, the block engine and elimination.  Scalars appear only at the API
 edge: `Matrix(rows, cols, entries)`, `from_rows` and `parse_matrix` convert
-them in, and `entries`, `m[i, j]`, `row`, `col`, `trace`, `det` and
-`format_matrix` convert them out (an absent entry reads as the shared ZERO).
+them in, and `entries`, `m[i, j]`, `row`, `col`, `trace` and `det` convert
+them out (an absent entry reads as the shared ZERO).  `format_matrix` prints
+the raw rows directly, writing `0` for each absent column.
 `@` sums the integer numerators of each output entry over a running common
 denominator and normalizes it once; `_merge` adds a sparse run of (possibly
 unnormalized) terms into a row and normalizes each entry it touches once, which
@@ -39,7 +40,7 @@ from itertools import accumulate, chain
 from math import gcd
 
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar, _canonical as _scalar, format_scalar, parse_scalar, ScalarParseError
+from .scalars import ONE, ZERO, Scalar, _canonical as _scalar, _format_raw, parse_scalar, ScalarParseError
 
 _ONE = (1, 0, 0, 0, 1)  # the raw value (na, nb, nc, nd, den) of 1
 
@@ -641,7 +642,13 @@ class MatrixParseError(ValueError):
 
 def format_matrix(m: Matrix) -> str:
     """Rows joined by ';', entries by ','; entries in canonical scalar form."""
-    return ";".join(",".join(format_scalar(x) for x in m.row(i)) for i in range(m.rows))
+    out = []
+    for row in m.raw:
+        cells = ["0"] * m.cols
+        for j, a, b, c, d, e in row:
+            cells[j] = _format_raw(a, b, c, d, e)
+        out.append(",".join(cells))
+    return ";".join(out)
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -14,7 +14,8 @@ The textual form is a sum of terms `p/q`, `p/q*r2`, `p/q*i`, `p/q*i*r2`
 order, printing is canonical and space-free, and parse(format(x)) == x holds
 bit-exactly.  Literals are ASCII digits only.  The parser adds each term's
 integers p and q into the four numerators over a running common denominator
-and normalizes once; no Fraction is built per term.
+and normalizes once; the printer reduces each nonzero numerator against the
+denominator by one gcd.  Neither builds a Fraction.
 """
 
 from __future__ import annotations
@@ -24,23 +25,12 @@ import re
 import sys
 from fractions import Fraction
 
-_R_ZERO = Fraction(0)
-_R_ONE = Fraction(1)
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
-
 
 class Scalar:
     """The element a + b*sqrt2 + c*i + d*i*sqrt2 of Q(i, sqrt2).
 
-    Immutable.  The coordinate views a, b, c, d are Fractions; construction
-    accepts ints or Fractions in that order.
+    Immutable.  Construction takes ints or Fractions a, b, c, d in that order,
+    kept as integer numerators na, nb, nc, nd over one denominator den.
 
     >>> x = Scalar(1, 0, 1)             # 1 + i
     >>> y = x.conj()                    # 1 - i
@@ -54,36 +44,17 @@ class Scalar:
 
     __slots__ = ("na", "nb", "nc", "nd", "den")
 
-    def __init__(self, a=_R_ZERO, b=_R_ZERO, c=_R_ZERO, d=_R_ZERO):
-        fa = _as_fraction(a)
-        fb = _as_fraction(b)
-        fc = _as_fraction(c)
-        fd = _as_fraction(d)
-        den = math.lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
+    def __init__(self, a=0, b=0, c=0, d=0):
+        for v in (a, b, c, d):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(v).__name__} to a rational")
+        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
         # each input is in lowest terms, so the combined tuple already is
-        self.na = fa.numerator * (den // fa.denominator)
-        self.nb = fb.numerator * (den // fb.denominator)
-        self.nc = fc.numerator * (den // fc.denominator)
-        self.nd = fd.numerator * (den // fd.denominator)
+        self.na = a.numerator * (den // a.denominator)
+        self.nb = b.numerator * (den // b.denominator)
+        self.nc = c.numerator * (den // c.denominator)
+        self.nd = d.numerator * (den // d.denominator)
         self.den = den
-
-    # -- coordinate views ----------------------------------------------------
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.na, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.nb, self.den)
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.nc, self.den)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(self.nd, self.den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -299,10 +270,10 @@ def _lift(value):
 
 
 ZERO = Scalar()
-ONE = Scalar(_R_ONE)
-I = Scalar(_R_ZERO, _R_ZERO, _R_ONE)
-SQRT2 = Scalar(_R_ZERO, _R_ONE)
-INV_SQRT2 = Scalar(_R_ZERO, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
+ONE = Scalar(1)
+I = Scalar(0, 0, 1)
+SQRT2 = Scalar(0, 1)
+INV_SQRT2 = Scalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
 _SUFFIXES = ("", "*r2", "*i", "*i*r2")
@@ -318,28 +289,29 @@ def _too_long(v: int, limit: int) -> bool:
     return v.bit_length() * 30103 // 100000 >= limit and abs(v) >= 10 ** limit
 
 
+def _format_raw(na: int, nb: int, nc: int, nd: int, den: int) -> str:
+    """`format_scalar` of the raw value (na, nb, nc, nd) / den, with den > 0."""
+    limit = sys.get_int_max_str_digits()
+    parts: list[str] = []
+    for n, suffix in zip((na, nb, nc, nd), _SUFFIXES):
+        if not n:
+            continue
+        g = math.gcd(n, den)
+        p, q = n // g, den // g
+        if limit and (_too_long(p, limit) or _too_long(q, limit)):
+            raise ScalarFormatError(f"cannot print a scalar coordinate of more than {limit} digits")
+        sign = "-" if p < 0 else "+" if parts else ""
+        parts.append(f"{sign}{abs(p)}{suffix}" if q == 1 else f"{sign}{abs(p)}/{q}{suffix}")
+    return "".join(parts) or "0"
+
+
 def format_scalar(x: Scalar) -> str:
     """Canonical space-free text: terms in coordinate order, e.g. ``1/2-1/2*i``.
 
     Raises ScalarFormatError, before any int-to-str conversion, when a reduced
     coordinate has more digits than `sys.get_int_max_str_digits()` allows.
     """
-    limit = sys.get_int_max_str_digits()
-    parts: list[str] = []
-    for coord, suffix in zip((x.a, x.b, x.c, x.d), _SUFFIXES):
-        if not coord:
-            continue
-        if limit and (_too_long(coord.numerator, limit) or _too_long(coord.denominator, limit)):
-            raise ScalarFormatError(f"cannot print a scalar coordinate of more than {limit} digits")
-        if not parts:
-            parts.append(f"{coord}{suffix}")
-        elif coord > 0:
-            parts.append(f"+{coord}{suffix}")
-        else:
-            parts.append(f"-{-coord}{suffix}")
-    if not parts:
-        return "0"
-    return "".join(parts)
+    return _format_raw(x.na, x.nb, x.nc, x.nd, x.den)
 
 
 class ScalarParseError(ValueError):

@@ -25,6 +25,7 @@ from realmod.hermitian import (
     make_selfdual,
     random_hermitian_space,
     random_unitary_word,
+    split_eigenspaces,
     standard_selfdual,
 )
 from realmod.linalg import Matrix
@@ -71,8 +72,10 @@ def test_operator_vector_round_trip():
 
 def test_round_trip_rejects_non_selfadjoint_operators():
     s = standard_selfdual(2)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="^operator is not gram-self-adjoint$"):
         operator_to_fixed_vector(s, Matrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(ShapeError, match="^operator must be 2x2$"):
+        operator_to_fixed_vector(s, Matrix.identity(3))
 
 
 def test_round_trip_rejects_vectors_off_the_locus():
@@ -110,6 +113,20 @@ def test_channel_transports_the_square_without_reshaping_it(monkeypatch):
     assert calls == []
     assert fixed_vector_to_operator(s, operator_to_fixed_vector(s, rho)) == rho
     assert calls == ["vec", "unvec"]
+
+
+def test_channel_checks_each_state_law_once(monkeypatch):
+    s = standard_selfdual(2)
+    split_eigenspaces(s)
+    calls = []
+    conj_transpose = Matrix.conj_transpose
+    monkeypatch.setattr(Matrix, "conj_transpose", lambda m: calls.append("conj_transpose") or conj_transpose(m))
+    shaped = density.is_density_shaped
+    monkeypatch.setattr(density, "is_density_shaped",
+                        lambda *args: calls.append("is_density_shaped") or shaped(*args))
+    channel(hadamard(), Matrix.from_rows([[1, 0], [0, 0]]), s)
+    assert calls.count("conj_transpose") == 3
+    assert calls.count("is_density_shaped") == 1
 
 
 def test_channel_functoriality_and_trace_preservation():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from realmod import hermitian
 from realmod.equivalence import HermitianSpace
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
@@ -210,6 +211,18 @@ def test_gate_table():
     embed = Matrix.column([1, 0])
     assert is_internal_isometry(embed, standard_selfdual(1), s)
     assert not is_unitary(embed, standard_selfdual(1), s)
+
+
+def test_unitary_verdict_needs_no_rank(monkeypatch):
+    # dagger(g) g = id already makes a square g invertible
+    s = standard_selfdual(2)
+
+    def no_rank(m):
+        raise AssertionError("is_unitary computed a rank")
+
+    monkeypatch.setattr(hermitian, "rank", no_rank)
+    assert is_unitary(hadamard(), s, s)
+    assert not is_unitary(Matrix.from_rows([[1, 1], [0, 1]]), s, s)
 
 
 def test_unitary_words_are_unitary():

@@ -33,7 +33,7 @@ from realmod.linalg import (
     vstack,
 )
 from realmod.modules import random_invertible, random_matrix
-from realmod.scalars import I, ONE, SQRT2, ZERO, Scalar
+from realmod.scalars import I, ONE, SQRT2, ZERO, Scalar, format_scalar
 
 
 def test_constructors_and_shape_checks():
@@ -578,6 +578,26 @@ def test_matrix_text_round_trip():
         m = random_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 4))
         assert parse_matrix(format_matrix(m)) == m
     assert format_matrix(Matrix.from_rows([[1, I], [SQRT2, 0]])) == "1,1*i;1*r2,0"
+
+
+def test_format_matrix_is_per_entry_format_scalar():
+    rng = random.Random(23)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(40)]
+    for rows, cols in shapes:
+        m = _sparse_matrix(rng, rows, cols) if rows and cols else Matrix.zero(rows, cols)
+        expected = ";".join(",".join(format_scalar(x) for x in m.row(i)) for i in range(rows))
+        assert format_matrix(m) == expected
+    assert format_matrix(Matrix.zero(3, 0)) == ";;"
+    assert format_matrix(Matrix.zero(0, 3)) == ""
+
+
+def test_format_matrix_builds_no_fraction(monkeypatch):
+    m = Matrix.from_rows([[Scalar(Fraction(1, 3), 0, Fraction(-1, 2)), 0], [SQRT2, Fraction(5, 7)]])
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *args, **kw: calls.append(args) or new(*args, **kw)))
+    assert format_matrix(m) == "1/3-1/2*i,0;1*r2,5/7"
+    assert calls == []
 
 
 def test_matrix_parse_errors():

@@ -204,6 +204,75 @@ def test_format_refuses_coordinates_past_the_int_str_limit():
     assert format_scalar(Scalar(Fraction(1, p), 0, Fraction(1, q))) == f"1/{p}+1/{q}*i"
 
 
+# -- the printer against a Fraction-based reference ---------------------------
+
+
+def _reference_format(x: Scalar) -> str:
+    """The earlier printer: one Fraction per coordinate, signs from Fraction."""
+    limit = sys.get_int_max_str_digits()
+    parts = []
+    for n, suffix in zip((x.na, x.nb, x.nc, x.nd), ("", "*r2", "*i", "*i*r2")):
+        coord = Fraction(n, x.den)
+        if not coord:
+            continue
+        if limit and max(abs(coord.numerator), coord.denominator) >= 10 ** limit:
+            raise ScalarFormatError(f"cannot print a scalar coordinate of more than {limit} digits")
+        if not parts:
+            parts.append(f"{coord}{suffix}")
+        elif coord > 0:
+            parts.append(f"+{coord}{suffix}")
+        else:
+            parts.append(f"-{-coord}{suffix}")
+    return "".join(parts) or "0"
+
+
+def test_format_matches_the_fraction_reference():
+    rng = random.Random(61)
+    for signs in range(81):  # every pattern of -, 0, + over the four coordinates
+        coords = [((signs // 3 ** k) % 3 - 1) * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in range(4)]
+        x = Scalar(*coords)
+        assert format_scalar(x) == _reference_format(x)
+    for _ in range(2000):
+        x = Scalar(*(Fraction(rng.choice((-1, 0, 1)) * rng.randrange(10 ** rng.randint(1, 40)),
+                               rng.randrange(1, 10 ** rng.randint(1, 40))) for _ in range(4)))
+        assert format_scalar(x) == _reference_format(x)
+
+
+def test_format_refuses_exactly_where_the_reference_does():
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, 641, 1000):
+            sys.set_int_max_str_digits(limit)
+            cases = []
+            for v in (10 ** (limit - 1), 10 ** limit - 1, 10 ** limit, 10 ** limit + 1, 2 ** (4 * limit)):
+                cases += [Scalar(v), Scalar(0, Fraction(1, v)), Scalar(0, 0, -v),
+                          Scalar(1, 0, 0, Fraction(-v, 3)), Scalar(Fraction(v, v + 2), 1, -1)]
+            for x in cases:
+                try:
+                    expected = _reference_format(x)
+                except ScalarFormatError as e:
+                    with pytest.raises(ScalarFormatError) as info:
+                        format_scalar(x)
+                    assert str(info.value) == str(e)
+                else:
+                    assert format_scalar(x) == expected
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_construction_from_ints_bools_and_fractions():
+    assert (Scalar(3).na, Scalar(3).den) == (3, 1)
+    assert Scalar(True, False) == ONE and type(Scalar(True).na) is int
+    x = Scalar(1, Fraction(1, 2), -2, Fraction(-2, 3))
+    assert (x.na, x.nb, x.nc, x.nd, x.den) == (6, 3, -12, -4, 6)
+    assert Scalar(Fraction(4, 6)) == Fraction(2, 3)
+    assert Scalar(0, 0, 1) == I and Scalar(0, 1) == SQRT2 and Scalar() == ZERO
+    for bad, name in ((1.5, "float"), ("1", "str"), (ONE, "Scalar")):
+        for args in ((bad,), (0, bad), (1, 2, 3, bad)):
+            with pytest.raises(TypeError, match=f"^cannot coerce {name} to a rational$"):
+                Scalar(*args)
+
+
 # -- differential check against a Fraction-per-term reference parser ----------
 
 _REF_RATIONAL = re.compile(r"[0-9]+(?:/[0-9]+)?")
