@@ -35,7 +35,7 @@ import argparse
 import sys
 
 from .density import channel as apply_channel
-from .density import positivity_certificate, trace
+from .density import _positivity, trace
 from .equivalence import HermitianSpace, RealVS
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
 from .hermitian import (
@@ -147,7 +147,7 @@ def _cmd_hermitian(build: _Build, target: str) -> tuple[list[str], int]:
         f"hermitian {target}: dim={h.dim}",
         f"gram={format_matrix(h.gram)}",
         "conjugate-symmetric: yes",  # HermitianSpace.check raises otherwise
-        "invertible: yes",  # extract_hermitian rejects degenerate pairings
+        "invertible: yes",  # HermitianSpace.check raises otherwise
     ]
     return lines, 0
 
@@ -180,9 +180,9 @@ def _cmd_channel(build: _Build, target: str) -> tuple[list[str], int]:
     preserved = trace(out) == trace(rho)
     lines = [
         f"channel {target}: rho={format_matrix(out)}",
-        "hermitian: yes",  # checked inside positivity_certificate, which raises otherwise
+        "hermitian: yes",  # apply_channel's transport route returns only gram-self-adjoint operators
         f"trace-preserved: {'yes' if preserved else 'no'}",
-        f"positive: {positivity_certificate(s, out)}",
+        f"positive: {_positivity(s, out)}",
     ]
     return lines, 0
 

@@ -85,7 +85,7 @@ def fixed_locus_real_dimension(space: CSMatSpace) -> int:
 def _operator_to_square(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     """The fixed vector of a checked rho as the dim x dim matrix Vm it flattens from."""
     data = split_eigenspaces(s)
-    coef = rho @ data.gram_inv
+    coef = rho @ data.space.gram_inv
     p = data.plus
     c = data.minus @ data.witness
     return p @ coef @ c.transpose() + c @ coef.conj() @ p.transpose()
@@ -97,7 +97,7 @@ def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     n = data.half
     if rho.shape != (n, n):
         raise ShapeError(f"operator must be {n}x{n}")
-    form = data.gram @ rho
+    form = data.space.gram @ rho
     if form.conj_transpose() != form:
         raise InvariantViolation("operator is not gram-self-adjoint")
     return vec(_operator_to_square(s, rho))
@@ -123,7 +123,7 @@ def _square_to_operator(s: SelfDualRealModule, vm: Matrix) -> Matrix:
         raise InvariantViolation("coefficient matrix is not Hermitian")
     # gram . rho = gram . coef . gram is self-adjoint because coef and gram are
     # Hermitian, so rho is gram-self-adjoint with no further check
-    return coef @ data.gram
+    return coef @ data.space.gram
 
 
 def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
@@ -139,7 +139,7 @@ def is_density_shaped(s: SelfDualRealModule, rho: Matrix) -> bool:
     data = split_eigenspaces(s)
     if rho.shape != (data.half, data.half):
         return False
-    m = data.gram @ rho
+    m = data.space.gram @ rho
     return m.conj_transpose() == m
 
 
@@ -182,7 +182,12 @@ def positivity_certificate(s: SelfDualRealModule, rho: Matrix) -> str:
     """
     if not is_density_shaped(s, rho):
         raise InvariantViolation("state is not gram-self-adjoint")
-    return "no" if inertia(split_eigenspaces(s).gram @ rho)[1] else "yes"
+    return _positivity(s, rho)
+
+
+def _positivity(s: SelfDualRealModule, rho: Matrix) -> str:
+    """`positivity_certificate` of a rho already known to be gram-self-adjoint."""
+    return "no" if inertia(split_eigenspaces(s).space.gram @ rho)[1] else "yes"
 
 
 def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = False) -> Matrix:
@@ -199,7 +204,7 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
         for _ in range(2 if normalized else rng.randrange(1, 3)):
             w = random_matrix(rng, n, 1)
             weight = Scalar(rng.randrange(1, 4))
-            terms = terms + weight * (w @ w.conj_transpose() @ data.gram)
+            terms = terms + weight * (w @ w.conj_transpose() @ data.space.gram)
         if not normalized:
             return terms
         t = trace(terms)

@@ -82,10 +82,15 @@ def _require_g_and_j(space: RealVS) -> None:
         raise ValueError("needs both g and J")
 
 
+def _require_j(space: RealVS) -> Matrix:
+    if space.J is None:
+        raise ValueError("needs a complex structure J")
+    return space.J
+
+
 def complex_basis(space: RealVS) -> list:
     """Deterministic complex basis of (V, J), as columns; see `_complex_basis`."""
-    if space.J is None:
-        raise ValueError("complex_basis requires a complex structure J")
+    _require_j(space)
     sel = _complex_basis(space)
     return [sel.block(0, k, sel.rows, 1) for k in range(sel.cols)]
 
@@ -125,9 +130,7 @@ def _complex_split(space: RealVS) -> EigenSplit:
     with the complexification itself kept beside it as `_memo["complex"]`."""
     if "eigen" in space._memo:
         return space._memo["eigen"]
-    J = space.J
-    if J is None:
-        raise ValueError("complex_basis requires a complex structure J")
+    J = _require_j(space)
     g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
     space._memo["complex"] = source = complexify(space)
     module = SelfDualRealModule(source, g, inverse(g), J)
@@ -196,7 +199,7 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
     if not coords.block(0, 0, half, half).is_zero():
         raise InvariantViolation("(1 - iJ) b has a -i component")
     t = coords.block(half, 0, half, half)
-    result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.gram @ t))
+    result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.space.gram @ t))
     if result != _formula_space(space, sel):
         raise InvariantViolation("functorial and formula routes disagree")
     return result

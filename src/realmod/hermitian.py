@@ -10,7 +10,7 @@ underlying Hilbert space.  `split_eigenspaces` is the one engine that splits a
 complex structure; `equivalence` splits (V, g, J) through it too.
 
 Restricting the pairing to (-i) (x) (+i) and pulling back along the involution
-witness yields an invertible conjugate-symmetric gram: `extract_hermitian`.
+witness yields a Hermitian space, kept by the split: `extract_hermitian`.
 `make_selfdual` builds the standard model back from any Hermitian space, with
 the conjugate copy first, the Hilbert space second.
 
@@ -39,7 +39,6 @@ from .linalg import (
     kernel_basis,
     kron,
     place,
-    rank,
     vec,
 )
 from .modules import RealModule, RealHom, is_real_hom, random_invertible
@@ -48,10 +47,11 @@ from .scalars import I, INV_SQRT2, ONE, Scalar
 
 @dataclass(frozen=True, slots=True)
 class HermitianSpace:
-    """Complex space with an invertible conjugate-symmetric gram matrix."""
+    """Complex space with an invertible conjugate-symmetric gram; `check` keeps its inverse."""
 
     dim: int
     gram: Matrix
+    gram_inv: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check()
@@ -61,8 +61,10 @@ class HermitianSpace:
             raise InvariantViolation("gram has the wrong shape")
         if self.gram.conj_transpose() != self.gram:
             raise InvariantViolation("gram is not conjugate-symmetric")
-        if rank(self.gram) != self.dim:
-            raise InvariantViolation("gram is degenerate")
+        try:
+            object.__setattr__(self, "gram_inv", inverse(self.gram))
+        except SingularMatrixError:
+            raise InvariantViolation("gram is degenerate") from None
 
     def pair(self, v: Matrix, w: Matrix) -> Scalar:
         """<v|w>, antilinear in the first argument."""
@@ -116,14 +118,14 @@ class SelfDualRealModule:
 
 @dataclass(frozen=True, slots=True)
 class EigenSplit:
-    """Eigenspace bases of icplx, the involution's swap witnesses, the gram.
+    """Eigenspace bases of icplx, the involution's swap witnesses, the space.
 
     `minus` / `plus` hold basis columns of ker(icplx + iI) / ker(icplx - iI)
     and `frame` is the two side by side.  `witness` expresses the involution
     image of each +i basis vector in the -i basis and `rev_witness` the image
     of each -i basis vector in the +i basis; applying the involution twice is
-    the identity, so rev_witness . conj(witness) = I.  `gram` is the extracted
-    Hermitian form on the +i basis.
+    the identity, so rev_witness . conj(witness) = I.  `space` is the
+    extracted Hermitian space on the +i basis, with its gram's inverse.
     """
 
     half: int
@@ -133,8 +135,7 @@ class EigenSplit:
     rev_witness: Matrix  # half x half
     frame: Matrix        # dim x dim
     frame_inv: Matrix
-    gram: Matrix         # half x half
-    gram_inv: Matrix
+    space: HermitianSpace
 
 
 def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
@@ -166,21 +167,14 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
         raise InvariantViolation("pairing does not vanish on (+i) (x) (+i)")
     if (minus.transpose() @ p @ minus) != Matrix.zero(half, half):
         raise InvariantViolation("pairing does not vanish on (-i) (x) (-i)")
-    if gram.conj_transpose() != gram:
-        raise InvariantViolation("extracted gram is not conjugate-symmetric")
-    try:
-        gram_inv = inverse(gram)
-    except SingularMatrixError:
-        raise InvariantViolation("pairing restricts degenerately to the eigenspaces") from None
-    data = EigenSplit(half, minus, plus, witness, rev_witness, frame, frame_inv, gram, gram_inv)
+    data = EigenSplit(half, minus, plus, witness, rev_witness, frame, frame_inv, HermitianSpace(half, gram))
     s._memo["eigen"] = data
     return data
 
 
 def extract_hermitian(s: SelfDualRealModule) -> HermitianSpace:
     """Gram of <psi|phi> = pairing(involution(psi) (x) phi) on the +i basis."""
-    data = split_eigenspaces(s)
-    return HermitianSpace(data.half, data.gram)
+    return split_eigenspaces(s).space
 
 
 def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
@@ -194,7 +188,7 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     ident = Matrix.identity(n)
     module = RealModule(2 * n, swap_blocks(ident, ident))
     icplx = Matrix.diagonal([-I] * n + [I] * n)
-    gram_dual = h.gram.inverse().conj()
+    gram_dual = h.gram_inv.conj()
     return SelfDualRealModule(module, swap_blocks(h.gram, h.gram.transpose()),
                               swap_blocks(gram_dual, gram_dual.transpose()), icplx)
 
@@ -257,7 +251,7 @@ def adjoint_oracle(g: Matrix, h1: HermitianSpace, h2: HermitianSpace) -> Matrix:
     """
     if g.shape != (h2.dim, h1.dim):
         raise ShapeError("map/space shape mismatch")
-    return inverse(h1.gram) @ g.conj_transpose() @ h2.gram
+    return h1.gram_inv @ g.conj_transpose() @ h2.gram
 
 
 def _adjoint(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> tuple:
@@ -269,7 +263,7 @@ def _adjoint(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> tuple
     """
     hom_mat = _internalize_raw(g, s1, s2)
     out = externalize_map(s1.coev @ hom_mat.transpose() @ s2.pairing, s2, s1)
-    if split_eigenspaces(s1).gram @ out != g.conj_transpose() @ split_eigenspaces(s2).gram:
+    if split_eigenspaces(s1).space.gram @ out != g.conj_transpose() @ split_eigenspaces(s2).space.gram:
         raise InvariantViolation("dagger violates the adjoint law")
     return hom_mat, out
 

@@ -355,9 +355,6 @@ class Matrix:
     def is_identity(self) -> bool:
         return self.is_square and all(row == ((i,) + _ONE,) for i, row in enumerate(self.raw))
 
-    def inverse(self) -> "Matrix":
-        return inverse(self)
-
     def __str__(self) -> str:
         return format_matrix(self)
 

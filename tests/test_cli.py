@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from realmod import cli, hermitian, selftest
+from realmod import cli, density, hermitian, linalg, selftest
 from realmod.equivalence import HermitianSpace
+from realmod.linalg import Matrix
 from realmod.specfile import SpecFileError, parse_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -143,14 +144,45 @@ def test_a_command_checks_its_self_dual_structure_once(monkeypatch):
 
 
 def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
+    # the eigen split builds a second space for the form it extracts; only
+    # checks of the stanza's own space, the one holding its parsed gram, count
     calls = []
     check = HermitianSpace.check
     monkeypatch.setattr(HermitianSpace, "check", lambda h: calls.append(h) or check(h))
     for name, command, target in RUNS:
         if command in ("dagger", "unitary", "channel"):
+            spec = load(name)
+            grams = [st.fields["gram"] for st in spec.stanzas if st.kind == "hermitian"]
             calls.clear()
-            lines, _ = cli.run(load(name), command, target)
-            assert len(calls) == 1, (command, target, lines)
+            lines, _ = cli.run(spec, command, target)
+            own = [h for h in calls if any(h.gram is gram for gram in grams)]
+            assert len(own) == 1, (command, target, lines)
+
+
+def test_a_command_eliminates_each_matrix_once(monkeypatch):
+    # the stanza's gram, the eigen split's two kernels and its frame, and the
+    # extracted gram: a gram is inverted by its Hermitian space's check and
+    # never ranked or inverted again
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
+    for command, target in (("hermitian", "h2"), ("dagger", "had"), ("unitary", "had"),
+                            ("channel", "spread"), ("quantize", "pair")):
+        calls.clear()
+        assert cli.run(load("qubit.spec"), command, target)[1] == 0
+        assert len(calls) == 5, (command, target)
+
+
+def test_the_channel_command_checks_the_state_law_once(monkeypatch):
+    calls = []
+    conj_transpose = Matrix.conj_transpose
+    monkeypatch.setattr(Matrix, "conj_transpose", lambda m: calls.append("conj_transpose") or conj_transpose(m))
+    shaped = density.is_density_shaped
+    monkeypatch.setattr(density, "is_density_shaped",
+                        lambda *args: calls.append("is_density_shaped") or shaped(*args))
+    assert cli.run(load("qubit.spec"), "channel", "spread")[1] == 0
+    assert calls.count("conj_transpose") == 7
+    assert calls.count("is_density_shaped") == 1
 
 
 SHARED_SPACE = """\

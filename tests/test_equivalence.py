@@ -222,7 +222,7 @@ INVALID = [  # (space, built on use; exception; message through hyperbolic_iso, 
     (partial(RealVS, 2, Matrix.from_rows([[1, 0], [0, 2]]), J2), InvariantViolation,
      "J is not a g-isometry", "J is not a g-isometry"),
     (partial(RealVS, 2, Matrix.identity(2), None), ValueError,
-     "complex_basis requires a complex structure J", "needs both g and J"),
+     "needs a complex structure J", "needs both g and J"),
 ]
 
 

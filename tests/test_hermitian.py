@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from realmod import hermitian
+from realmod import linalg
 from realmod.equivalence import HermitianSpace
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
@@ -214,13 +214,15 @@ def test_gate_table():
 
 
 def test_unitary_verdict_needs_no_rank(monkeypatch):
-    # dagger(g) g = id already makes a square g invertible
+    # dagger(g) g = id already makes a square g invertible; past the memoized
+    # eigen split the verdict runs no elimination at all, so no rank either
     s = standard_selfdual(2)
+    split_eigenspaces(s)
 
-    def no_rank(m):
+    def no_rank(rows):
         raise AssertionError("is_unitary computed a rank")
 
-    monkeypatch.setattr(hermitian, "rank", no_rank)
+    monkeypatch.setattr(linalg, "_rref", no_rank)
     assert is_unitary(hadamard(), s, s)
     assert not is_unitary(Matrix.from_rows([[1, 1], [0, 1]]), s, s)
 
