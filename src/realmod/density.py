@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, ShapeError
-from .hermitian import SelfDualRealModule, _adjoint, _isometric, split_eigenspaces
+from .hermitian import SelfDualRealModule, _adjoint, _isometric, split_eigenspaces, swap_blocks
 from .linalg import (
     Matrix,
     inertia,
@@ -86,9 +86,7 @@ def _operator_to_square(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     """The fixed vector of a checked rho as the dim x dim matrix Vm it flattens from."""
     data = split_eigenspaces(s)
     coef = rho @ data.space.gram_inv
-    p = data.plus
-    c = data.minus @ data.witness
-    return p @ coef @ c.transpose() + c @ coef.conj() @ p.transpose()
+    return data.frame @ swap_blocks(coef.conj(), coef) @ data.frame.transpose()
 
 
 def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
@@ -116,8 +114,8 @@ def _square_to_operator(s: SelfDualRealModule, vm: Matrix) -> Matrix:
     x = data.frame_inv @ vm @ data.frame_inv.transpose()
     if not x.block(0, 0, n, n).is_zero() or not x.block(n, n, n, n).is_zero():
         raise InvariantViolation("vector has components in the like-signed blocks")
-    coef = x.block(n, 0, n, n) @ data.rev_witness.conj().transpose()
-    if x.block(0, n, n, n) != data.witness @ coef.conj():
+    coef = x.block(n, 0, n, n)
+    if x.block(0, n, n, n) != coef.conj():
         raise InvariantViolation("mixed blocks are not conjugation partners")
     if coef.conj_transpose() != coef:
         raise InvariantViolation("coefficient matrix is not Hermitian")

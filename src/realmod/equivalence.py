@@ -88,13 +88,6 @@ def _require_j(space: RealVS) -> Matrix:
     return space.J
 
 
-def complex_basis(space: RealVS) -> list:
-    """Deterministic complex basis of (V, J), as columns; see `_complex_basis`."""
-    _require_j(space)
-    sel = _complex_basis(space)
-    return [sel.block(0, k, sel.rows, 1) for k in range(sel.cols)]
-
-
 def _complex_basis(space: RealVS) -> Matrix:
     """Deterministic complex basis of (V, J), as the columns of one matrix.
 
@@ -150,15 +143,14 @@ class HyperbolicIso:
 def hyperbolic_iso(space: RealVS) -> HyperbolicIso:
     """Split the complexification along the eigenspaces of J.
 
-    A view over the self-dual split: the inverse sends +i coordinates to the
-    +i basis and -i coordinates to its conjugates (the witness changes basis
-    inside the -i eigenspace), so conjugation becomes the swap of the two
-    summands.  Both composites are asserted to be the identity.
+    A view over the self-dual split: the inverse is the split's frame, which
+    sends +i coordinates to the +i basis and -i coordinates to its
+    conjugates, so conjugation becomes the swap of the two summands.  Both
+    composites are asserted to be the identity.
     """
     data = _complex_split(space)
     ident = Matrix.identity(data.half)
-    forward_mat = block_diag([data.rev_witness.conj(), ident]) @ data.frame_inv
-    inverse_mat = data.frame @ block_diag([data.witness, ident])
+    forward_mat, inverse_mat = data.frame_inv, data.frame
     if not (forward_mat @ inverse_mat).is_identity() or not (inverse_mat @ forward_mat).is_identity():
         raise InvariantViolation("hyperbolic splitting is not invertible")
     source = space._memo["complex"]

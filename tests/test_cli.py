@@ -160,7 +160,7 @@ def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
 
 
 def test_a_command_eliminates_each_matrix_once(monkeypatch):
-    # the stanza's gram, the eigen split's two kernels and its frame, and the
+    # the stanza's gram, the eigen split's one kernel and its frame, and the
     # extracted gram: a gram is inverted by its Hermitian space's check and
     # never ranked or inverted again
     calls = []
@@ -170,7 +170,7 @@ def test_a_command_eliminates_each_matrix_once(monkeypatch):
                             ("channel", "spread"), ("quantize", "pair")):
         calls.clear()
         assert cli.run(load("qubit.spec"), command, target)[1] == 0
-        assert len(calls) == 5, (command, target)
+        assert len(calls) == 4, (command, target)
 
 
 def test_the_channel_command_checks_the_state_law_once(monkeypatch):

@@ -11,7 +11,6 @@ from realmod import hermitian
 from realmod.equivalence import (
     HermitianSpace,
     RealVS,
-    complex_basis,
     complexify,
     diagonalized_complex_structure,
     hermitian_form_on_real_basis,
@@ -110,7 +109,6 @@ def test_each_route_checks_its_space_once(monkeypatch):
         fresh = RealVS(space.dim, space.g, space.J)
         assert len(calls) == 1  # construction checks the space; no route checks it again
         complexify(fresh)
-        complex_basis(fresh)
         hyperbolic_iso(fresh)
         diagonalized_complex_structure(fresh)
         inner_to_hermitian_formula(fresh)
@@ -180,10 +178,9 @@ def test_j_transport_matches_gram_transport():
 
 
 def test_the_splitting_holds_for_rescaled_eigenbases(monkeypatch):
-    # the engine's echelon kernels make the +i basis the conjugate of the -i
-    # basis, so both witnesses are the identity; rescaling the -i basis by
-    # k + 2 and the +i basis by i makes witness diag(-i/(k+2)) and rev_witness
-    # diag(-i(k+2)), which the maps must absorb
+    # the split takes one kernel, the +i basis, and builds the -i basis as its
+    # involution image; rescaling the +i basis by k + 2 on one split and by i
+    # on the next changes both bases, which the maps must absorb
     kernel_basis = hermitian.kernel_basis
     calls = []
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from realmod import linalg
-from realmod.equivalence import HermitianSpace
+from realmod.equivalence import HermitianSpace, _complex_split, random_isometric_pair
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
     SelfDualRealModule,
@@ -29,7 +29,7 @@ from realmod.hermitian import (
 )
 from realmod.linalg import Matrix, inverse, vec
 from realmod.modules import RealHom, random_invertible, random_matrix
-from realmod.quantization import quantize
+from realmod.quantization import quantize, quantize_set, random_realset
 from realmod.scalars import I, ONE, Scalar
 
 GRAMS = [
@@ -65,6 +65,30 @@ def test_eigenspace_split_halves_the_dimension():
         assert split.minus.cols == split.plus.cols == s.H.dim // 2
         assert s.icplx @ split.plus == I * split.plus
         assert s.icplx @ split.minus == -I * split.minus
+
+
+def _structures_with_splits():
+    rng = random.Random(53)
+    built = ([make_selfdual(HermitianSpace(gram.rows, gram)) for gram in GRAMS]
+             + [random_selfdual(rng, n) for n in (0, 0, 1, 1, 2, 2, 3, 3)]
+             + [quantize_set(random_realset(rng, size, free=True)) for size in (2, 4, 6, 6)])
+    yield from ((s, split_eigenspaces(s)) for s in built)
+    for n in (2, 4, 6):  # the complexified (g, J) module, whose split the space keeps
+        space = random_isometric_pair(rng, n)
+        split = _complex_split(space)
+        yield SelfDualRealModule(space._memo["complex"], space.g, inverse(space.g), space.J), split
+
+
+def test_each_structure_is_its_standard_model_moved_by_its_frame():
+    # the split relies on the checked laws, not on a test, for the involution
+    # being the swap in frame coordinates and for the pairing vanishing on the
+    # (-i) (x) (-i) block; together they make the frame carry the standard
+    # model onto s
+    for s, split in _structures_with_splits():
+        assert conjugate_selfdual(make_selfdual(split.space), split.frame) == s
+        zero = Matrix.zero(split.half, split.half)
+        assert split.plus.transpose() @ s.pairing @ split.plus == zero
+        assert split.minus.transpose() @ s.pairing @ split.minus == zero
 
 
 def test_extraction_is_invariant_under_transport():
