@@ -53,7 +53,6 @@ from .linalg import (
     vstack,
 )
 from .modules import (
-    FixedPoints,
     RealHom,
     RealModule,
     braiding,
@@ -117,7 +116,6 @@ __all__ = [
     "CSMatSpace",
     "CompositionError",
     "EigenSplit",
-    "FixedPoints",
     "HermitianSpace",
     "I",
     "INV_SQRT2",

@@ -62,8 +62,7 @@ class _InputError(Exception):
 def _build_channel(build: _Build, f: dict) -> tuple:
     gate, space = build("gate", f["gate"])
     rho = build.spec.find("gate", f["rho"]).fields["mat"]  # on the gate's space, as parsing ensured
-    m = space.gram @ rho
-    if m.conj_transpose() != m:  # the law `channel` asserts on its state
+    if not space.is_self_adjoint(rho):  # the law `channel` asserts on its state
         raise InvariantViolation("state is not gram-self-adjoint")
     return gate, rho, space
 

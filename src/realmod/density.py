@@ -35,7 +35,6 @@ from .linalg import (
     kernel_basis,
     kron,
     kron_swap,
-    place,
     realify,
     unvec,
     vec,
@@ -58,16 +57,11 @@ class CSMatSpace:
 
 def csmat(s: SelfDualRealModule) -> CSMatSpace:
     """Iterated kernels: fix the braiding, then fix icplx (x) icplx."""
-    data = split_eigenspaces(s)
+    n = split_eigenspaces(s).space.dim
     d = s.H.dim
-    n = data.half
-    swap = kron_swap(d, d)
     ident = Matrix.identity(d * d)
-    sym_vecs = kernel_basis(swap - ident)
-    sym = place(d * d, len(sym_vecs), [(0, j, v) for j, v in enumerate(sym_vecs)])
-    ii = kron(s.icplx, s.icplx)
-    coords = kernel_basis((ii - ident) @ sym)
-    basis = sym @ place(sym.cols, len(coords), [(0, j, v) for j, v in enumerate(coords)])
+    sym = kernel_basis(kron_swap(d, d) - ident)
+    basis = sym @ kernel_basis((kron(s.icplx, s.icplx) - ident) @ sym)
     if basis.cols != n * n:
         raise InvariantViolation(
             f"symmetric icplx-fixed part has dimension {basis.cols}, expected {n * n}")
@@ -78,8 +72,7 @@ def fixed_locus_real_dimension(space: CSMatSpace) -> int:
     """Dimension over the real subfield of the involution-fixed locus."""
     s = space.parent
     conj_action = kron(s.H.inv, s.H.inv) @ space.basis.conj()
-    sols = kernel_basis(realify(-space.basis, conj_action))
-    return len(sols)
+    return kernel_basis(realify(-space.basis, conj_action)).cols
 
 
 def _operator_to_square(s: SelfDualRealModule, rho: Matrix) -> Matrix:
@@ -91,12 +84,10 @@ def _operator_to_square(s: SelfDualRealModule, rho: Matrix) -> Matrix:
 
 def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     """Ambient vector of a gram-self-adjoint operator on the +i eigenspace."""
-    data = split_eigenspaces(s)
-    n = data.half
-    if rho.shape != (n, n):
-        raise ShapeError(f"operator must be {n}x{n}")
-    form = data.space.gram @ rho
-    if form.conj_transpose() != form:
+    space = split_eigenspaces(s).space
+    if rho.shape != (space.dim, space.dim):
+        raise ShapeError(f"operator must be {space.dim}x{space.dim}")
+    if not space.is_self_adjoint(rho):
         raise InvariantViolation("operator is not gram-self-adjoint")
     return vec(_operator_to_square(s, rho))
 
@@ -104,7 +95,7 @@ def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
 def _square_to_operator(s: SelfDualRealModule, vm: Matrix) -> Matrix:
     """Inverse of `_operator_to_square`; rejects squares outside the locus."""
     data = split_eigenspaces(s)
-    n = data.half
+    n = data.space.dim
     if vm.transpose() != vm:
         raise InvariantViolation("vector is not braiding-symmetric")
     if s.icplx @ vm @ s.icplx.transpose() != vm:
@@ -134,11 +125,7 @@ def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
 
 def is_density_shaped(s: SelfDualRealModule, rho: Matrix) -> bool:
     """Self-adjoint for the extracted gram (positivity not included)."""
-    data = split_eigenspaces(s)
-    if rho.shape != (data.half, data.half):
-        return False
-    m = data.space.gram @ rho
-    return m.conj_transpose() == m
+    return split_eigenspaces(s).space.is_self_adjoint(rho)
 
 
 def trace(rho: Matrix) -> Scalar:
@@ -153,8 +140,7 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
     back.  The transport route can only return a gram-self-adjoint operator;
     if g is unitary, the result is also asserted to keep the trace.
     """
-    data = split_eigenspaces(s)
-    n = data.half
+    n = split_eigenspaces(s).space.dim
     if g.shape != (n, n):
         raise ShapeError(f"gate must be {n}x{n}")
     if not is_density_shaped(s, rho):
@@ -195,14 +181,14 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
     negative; normalization insists on a positive total so dividing by it
     keeps the mixture positive.
     """
-    data = split_eigenspaces(s)
-    n = data.half
+    space = split_eigenspaces(s).space
+    n = space.dim
     for _ in range(256):
         terms = Matrix.zero(n, n)
         for _ in range(2 if normalized else rng.randrange(1, 3)):
             w = random_matrix(rng, n, 1)
             weight = Scalar(rng.randrange(1, 4))
-            terms = terms + weight * (w @ w.conj_transpose() @ data.space.gram)
+            terms = terms + weight * (w @ w.conj_transpose() @ space.gram)
         if not normalized:
             return terms
         t = trace(terms)

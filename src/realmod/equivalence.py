@@ -149,7 +149,7 @@ def hyperbolic_iso(space: RealVS) -> HyperbolicIso:
     composites are asserted to be the identity.
     """
     data = _complex_split(space)
-    ident = Matrix.identity(data.half)
+    ident = Matrix.identity(data.space.dim)
     forward_mat, inverse_mat = data.frame_inv, data.frame
     if not (forward_mat @ inverse_mat).is_identity() or not (inverse_mat @ forward_mat).is_identity():
         raise InvariantViolation("hyperbolic splitting is not invertible")
@@ -185,7 +185,7 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
     """
     _require_g_and_j(space)
     data = _complex_split(space)
-    n, half = space.dim, data.half
+    n, half = space.dim, data.space.dim
     sel = _complex_basis(space)
     coords = data.frame_inv @ (Matrix.identity(n) - I * space.J) @ sel
     if not coords.block(0, 0, half, half).is_zero():

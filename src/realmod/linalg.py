@@ -23,8 +23,9 @@ operands cost what their nonzeros cost.
 One pivot step, `_pivot`, is the only row-update loop: echelon reduction, `det`
 and `inertia` all eliminate through it, with one fused multiply-subtract and one
 normalization per updated entry.  Echelon reduction uses first-nonzero
-pivoting and emits kernel vectors with free columns in ascending index order,
-so all derived bases are deterministic.
+pivoting, and `kernel_basis` returns the null space as the columns of one
+matrix, one per free column in ascending index order, so all derived bases are
+deterministic.
 
 One block engine builds and reads every block matrix: `place` sets blocks
 into an all-zero frame and `Matrix.block` slices one out.  Both take their
@@ -499,24 +500,24 @@ def rank(m: Matrix) -> int:
     return len(_rref(list(m.raw)))
 
 
-def kernel_basis(m: Matrix) -> list:
-    """Deterministic exact basis of the null space, as column matrices.
+def kernel_basis(m: Matrix) -> Matrix:
+    """Deterministic exact basis of the null space, as the columns of one
+    m.cols x nullity matrix.
 
-    One basis vector per free column, in ascending free-column order, with a 1
+    One basis column per free column, in ascending free-column order, with a 1
     in the free coordinate.
     """
     rows = list(m.raw)
     pivots = _rref(rows)
-    pivot_set = set(pivots)
-    vecs = {}
-    for f in range(m.cols):
-        if f not in pivot_set:
-            vecs[f] = [()] * m.cols
-            vecs[f][f] = ((0,) + _ONE,)
-    for p, row in zip(pivots, rows):
-        for f, a, b, c, d, e in row[1:]:  # the reduced row is 1 at p, then free columns
-            vecs[f][p] = ((0, -a, -b, -c, -d, e),)
-    return [_new(m.cols, 1, tuple(v)) for v in vecs.values()]
+    free = sorted(set(range(m.cols)).difference(pivots))
+    index = [0] * m.cols  # free column -> its basis column
+    out = [()] * m.cols
+    for k, f in enumerate(free):
+        index[f] = k
+        out[f] = ((k,) + _ONE,)
+    for p, row in zip(pivots, rows):  # the reduced row is 1 at p, then free columns
+        out[p] = tuple((index[f], -a, -b, -c, -d, e) for f, a, b, c, d, e in row[1:])
+    return _new(m.cols, len(free), tuple(out))
 
 
 def inverse(m: Matrix) -> Matrix:

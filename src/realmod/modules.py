@@ -6,7 +6,8 @@ Morphisms are complex-linear maps intertwining the involutions.  The tensor
 product carries the entrywise Kronecker involution, the unit is the line with
 inv = [[1]], and the braiding is the coordinate swap.  The fixed points of the
 involution form a vector space over the real subfield Q(sqrt2) whose dimension
-equals the complex dimension; recovering it is what `fixed_points` does.
+equals the complex dimension; `fixed_points` returns a basis of it as the
+columns of one square matrix.
 """
 
 from __future__ import annotations
@@ -101,26 +102,17 @@ def compose(g: RealHom, f: RealHom) -> RealHom:
     return RealHom(f.source, g.target, g.mat @ f.mat)
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPoints:
-    """Basis over Q(sqrt2) of the involution-fixed vectors, embedded in the module."""
-
-    dim: int
-    basis: tuple  # complex column matrices
-
-
-def fixed_points(m: RealModule) -> FixedPoints:
-    """Solve inv*conj(v) = v over the real subfield.
+def fixed_points(m: RealModule) -> Matrix:
+    """Basis over Q(sqrt2) of the involution-fixed vectors, as the columns of
+    one dim x dim matrix: the solutions of inv*conj(v) = v.
 
     The defining equation is antilinear, so it is realified to a linear system
-    over Q(sqrt2) in the (Re v, Im v) coordinates; the deterministic kernel of
-    that system is reassembled into complex columns.
+    over Q(sqrt2) in the (Re v, Im v) coordinates; the kernel (x; y) of that
+    system is reassembled into the complex columns x + i*y.
     """
     n = m.dim
-    system = realify(-Matrix.identity(n), m.inv)
-    # the kernel vector (x, y) of real coordinates is the fixed vector x + i*y
-    basis = [k.block(0, 0, n, 1) + I * k.block(n, 0, n, 1) for k in kernel_basis(system)]
-    return FixedPoints(len(basis), tuple(basis))
+    k = kernel_basis(realify(-Matrix.identity(n), m.inv))
+    return k.block(0, 0, n, k.cols) + I * k.block(n, 0, n, k.cols)
 
 
 # -- seeded generators for property suites ----------------------------------------

@@ -57,14 +57,21 @@ def test_construction_rejects_bad_grams():
         make_selfdual(HermitianSpace(2, Matrix.from_rows([[1, 1], [1, 1]])))
 
 
+def _partner_bases(s, split):
+    """(minus, plus): the frame's two column blocks, each space.dim wide."""
+    d, half = s.H.dim, split.space.dim
+    return split.frame.block(0, 0, d, half), split.frame.block(0, half, d, half)
+
+
 def test_eigenspace_split_halves_the_dimension():
     rng = random.Random(41)
     for _ in range(15):
         s = random_selfdual(rng, rng.randrange(1, 4))
         split = split_eigenspaces(s)
-        assert split.minus.cols == split.plus.cols == s.H.dim // 2
-        assert s.icplx @ split.plus == I * split.plus
-        assert s.icplx @ split.minus == -I * split.minus
+        assert 2 * split.space.dim == s.H.dim
+        minus, plus = _partner_bases(s, split)
+        assert s.icplx @ plus == I * plus
+        assert s.icplx @ minus == -I * minus
 
 
 def _structures_with_splits():
@@ -80,15 +87,22 @@ def _structures_with_splits():
 
 
 def test_each_structure_is_its_standard_model_moved_by_its_frame():
-    # the split relies on the checked laws, not on a test, for the involution
-    # being the swap in frame coordinates and for the pairing vanishing on the
-    # (-i) (x) (-i) block; together they make the frame carry the standard
+    # `SelfDualRealModule.check` tests each law once and relies on the laws it
+    # tests for the rest: the equivariant coev, the two-sided snake, the
+    # eigenspaces halving the dimension and the pairing vanishing on the
+    # like-signed blocks; together they make the frame carry the standard
     # model onto s
     for s, split in _structures_with_splits():
         assert conjugate_selfdual(make_selfdual(split.space), split.frame) == s
-        zero = Matrix.zero(split.half, split.half)
-        assert split.plus.transpose() @ s.pairing @ split.plus == zero
-        assert split.minus.transpose() @ s.pairing @ split.minus == zero
+        p, c, inv = s.pairing, s.coev, s.H.inv
+        assert inv @ c.conj() @ inv.transpose() == c
+        assert (p @ c).is_identity() and (c @ p).is_identity()
+        assert 2 * split.space.dim == s.H.dim
+        minus, plus = _partner_bases(s, split)
+        assert s.icplx @ plus == I * plus and s.icplx @ minus == -I * minus
+        zero = Matrix.zero(split.space.dim, split.space.dim)
+        assert plus.transpose() @ p @ plus == zero
+        assert minus.transpose() @ p @ minus == zero
 
 
 def test_extraction_is_invariant_under_transport():

@@ -173,9 +173,8 @@ def test_kernel_vectors_annihilate():
     for _ in range(25):
         m = random_matrix(rng, rng.randrange(1, 4), rng.randrange(1, 5))
         ker = kernel_basis(m)
-        assert len(ker) == m.cols - rank(m)
-        for k in ker:
-            assert m @ k == Matrix.zero(m.rows, 1)
+        assert ker.shape == (m.cols, m.cols - rank(m))
+        assert m @ ker == Matrix.zero(m.rows, ker.cols)
 
 
 def test_inverse_and_solve():
@@ -240,6 +239,17 @@ def _elimination_case(rng):
     return Matrix.from_rows(entries)
 
 
+def _assert_the_kernel_contract(m):
+    """kernel_basis(m) is one m.cols x nullity matrix that m annihilates, and
+    its rows at the free columns of the reference elimination are the identity."""
+    k = kernel_basis(m)
+    pivots = _gauss_jordan(m)[1]
+    free = [f for f in range(m.cols) if f not in pivots]
+    assert isinstance(k, Matrix) and k.shape == (m.cols, m.cols - rank(m))
+    assert (m @ k).is_zero()
+    assert Matrix.from_rows([k.row(f) for f in free]) == Matrix.identity(len(free))
+
+
 def _assert_elimination_matches_the_reference(m, b):
     """rref, rank, kernel_basis, solve (against the column b), det and inverse
     of m agree with `_gauss_jordan`; returns (shape, full rank, m[0, 0] == 0,
@@ -248,10 +258,10 @@ def _assert_elimination_matches_the_reference(m, b):
     assert rref(m) == (Matrix.from_rows(ref) if m.rows else m, tuple(pivots))
     assert rank(m) == len(pivots)
     free = [f for f in range(m.cols) if f not in pivots]
-    assert kernel_basis(m) == [
-        Matrix.column([ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
-                       for j in range(m.cols)])
-        for f in free]
+    _assert_the_kernel_contract(m)
+    assert kernel_basis(m) == Matrix(m.cols, len(free), [
+        ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
+        for j in range(m.cols) for f in free])
     aug, aug_pivots, _ = _gauss_jordan(hstack([m, b]))
     x = solve(m, b)
     if m.cols in aug_pivots:
@@ -284,6 +294,18 @@ def test_elimination_agrees_with_the_gauss_jordan_reference():
     assert {("square", True, True, False), ("square", False, True, False),
             ("square", False, True, True), ("square", True, False, False)} <= seen
     assert {shape for shape, *_ in seen} == {"square", "wide", "tall"}
+
+
+def test_the_kernel_is_one_matrix_of_basis_columns():
+    # random and zero-rich input meet the contract beside the reference above;
+    # here the edges: full rank gives cols x 0, the zero matrix the identity
+    rng = random.Random(37)
+    for n in range(5):
+        full = random_invertible(rng, n)
+        for m in (full, hstack([full, Matrix.zero(n, 2)]), Matrix.zero(0, n), Matrix.zero(3, n)):
+            _assert_the_kernel_contract(m)
+        assert kernel_basis(full) == Matrix.zero(n, 0)
+        assert kernel_basis(Matrix.zero(3, n)) == Matrix.identity(n)
 
 
 def test_determinant_of_a_scaled_permutation_is_its_signed_product():
@@ -536,8 +558,8 @@ def test_realify_encodes_antilinear_systems():
     # solutions of x - conj(x) = 0 over the whole plane: the real axis
     sys = realify(Matrix.identity(1), -Matrix.identity(1))
     ker = kernel_basis(sys)
-    assert len(ker) == 1
-    assert ker[0][0, 0] != 0 and ker[0][1, 0] == 0
+    assert ker.shape == (2, 1)
+    assert ker[0, 0] != 0 and ker[1, 0] == 0
 
 
 def _realify_per_entry(mat, conj_part):
