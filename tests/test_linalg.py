@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realmod import linalg
 from realmod.errors import InvariantViolation, ShapeError, SingularMatrixError
 from realmod.linalg import (
     Matrix,
@@ -148,6 +149,118 @@ def test_products_of_empty_shapes():
     assert kron(Matrix(0, 2, ()), b) == Matrix(0, 4, ())
     assert kron(b, Matrix(0, 2, ())) == Matrix(0, 4, ())
     assert kron(b, Matrix(1, 0, ())) == Matrix(3, 0, ())
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """The argument tuples of every `_packed_product` call `@` makes."""
+    calls = []
+    kernel = linalg._packed_product
+    monkeypatch.setattr(linalg, "_packed_product", lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+_PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+def _dense_matrix(rng, rows, cols, dens):
+    """Every entry has all four coordinates nonzero; `dens` says over what.
+
+    "mixed" draws small denominators that share factors, "coprime" gives each
+    coordinate of the matrix its own prime, and "huge" draws 300-digit
+    numerators over 1 or one of two 300-digit denominators.
+    """
+    primes = iter(rng.sample(_PRIMES, 4 * rows * cols))
+    big = [1] + [rng.randrange(10 ** 299, 10 ** 300) for _ in range(2)]
+
+    def coordinate():
+        if dens == "huge":
+            num, den = rng.randrange(10 ** 299, 10 ** 300), rng.choice(big)
+        else:
+            num = rng.randrange(1, 40)
+            den = next(primes) if dens == "coprime" else rng.choice((1, 2, 3, 4, 6, 9, 12))
+        return Fraction(rng.choice((-1, 1)) * num, den)
+
+    return Matrix(rows, cols, tuple(Scalar(*(coordinate() for _ in range(4)))
+                                    for _ in range(rows * cols)))
+
+
+def _with_column(m, j, values):
+    return Matrix(m.rows, m.cols, tuple(values[i] if c == j else m[i, c]
+                                        for i in range(m.rows) for c in range(m.cols)))
+
+
+def _cancelling(a, b, where):
+    """(a, b) changed so that a @ b is exactly zero in one entry, one whole
+    column or one whole row, `where` being "entry", "column" or "row"."""
+    k = a.cols
+    if where == "row":  # b's last row = -(the others weighted by u), and a's row 0 = u
+        bt, at = _cancelling(b.transpose(), a.transpose(), "column")
+        return at.transpose(), bt.transpose()
+    if where == "column":  # a's last column = -(the others weighted by v), and b's column 0 = v
+        v = [b[t, 0] for t in range(k - 1)] + [ONE]
+        last = [-sum((a[i, t] * v[t] for t in range(k - 1)), ZERO) for i in range(a.rows)]
+        return _with_column(a, k - 1, last), _with_column(b, 0, v)
+    # entry (0, 0): a[0, k-1] = 1 and b[k-1, 0] = -(the rest of row 0 times column 0)
+    a = Matrix(a.rows, k, tuple(ONE if (i, t) == (0, k - 1) else a[i, t]
+                                for i in range(a.rows) for t in range(k)))
+    rest = sum((a[0, t] * b[t, 0] for t in range(k - 1)), ZERO)
+    b = Matrix(k, b.cols, tuple(-rest if (t, j) == (k - 1, 0) else b[t, j]
+                                for t in range(k) for j in range(b.cols)))
+    return a, b
+
+
+def test_dense_products_agree_with_the_per_entry_reference(packed_calls):
+    rng = random.Random(41)
+    shapes = [(3, 9, 2), (4, 4, 4), (2, 12, 5), (6, 5, 7), (8, 8, 8), (5, 11, 3)]
+    cases = []
+    for dens in ("mixed", "coprime", "huge"):
+        some = shapes[:3] if dens == "huge" else shapes  # the reference is slow on 300 digits
+        for n, k, m in some:
+            cases.append((_dense_matrix(rng, n, k, dens), _dense_matrix(rng, k, m, dens), None))
+        for where in ("entry", "column", "row"):
+            n, k, m = rng.choice(some)
+            a, b = _cancelling(_dense_matrix(rng, n, k, dens), _dense_matrix(rng, k, m, dens), where)
+            cases.append((a, b, where))
+    for a, b, where in cases:
+        got = a @ b
+        assert got == _naive_matmul(a, b)
+        assert all(_is_normal(x) for x in got.entries)
+        if where == "entry":
+            assert got[0, 0] == ZERO
+        elif where == "column":
+            assert all(got[i, 0] == ZERO for i in range(got.rows))
+        elif where == "row":
+            assert got.raw[0] == ()
+    assert len(packed_calls) == len(cases)
+
+
+def test_packed_fields_at_their_bound(packed_calls):
+    # (N√2)² in ζ-coordinates is N²(ζ² − 2ζ⁴ + ζ⁶): over k terms the ζ⁴ field
+    # reaches −2kN² and the folded ζ⁰ field 2kN², half the kernel's bound
+    for n in (1, 3, 2 ** 61 - 1, 10 ** 40):
+        for k in (4, 7, 8):
+            a = Matrix(k, k, (Scalar(0, n),) * (k * k))
+            got = a @ a
+            assert got == Matrix(k, k, (Scalar(2 * k * n * n),) * (k * k))
+            assert got == _naive_matmul(a, a)
+    assert len(packed_calls) == 12
+
+
+def test_the_packed_kernel_runs_only_for_dense_products(packed_calls):
+    rng = random.Random(43)
+    d = _dense_matrix(rng, 8, 8, "mixed")
+    assert d @ d == _naive_matmul(d, d)
+    assert len(packed_calls) == 1
+    packed_calls.clear()
+    perm = Matrix(8, 8, tuple(ONE if j == (3 * i + 1) % 8 else ZERO for i in range(8) for j in range(8)))
+    diag = Matrix.diagonal([Scalar(i + 1, -1, 1, Fraction(1, i + 2)) for i in range(8)])
+    for sparse in (Matrix.identity(8), perm, diag, Matrix.zero(8, 8)):
+        assert sparse @ d == _naive_matmul(sparse, d)
+        assert d @ sparse == _naive_matmul(d, sparse)
+    assert Matrix(0, 8, ()) @ d == Matrix(0, 8, ())
+    assert d @ Matrix(8, 0, ()) == Matrix(8, 0, ())
+    assert packed_calls == []
 
 
 def test_product_shape_mismatch():
