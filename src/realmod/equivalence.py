@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .hermitian import EigenSplit, HermitianSpace, SelfDualRealModule, split_eigenspaces, swap_blocks
-from .linalg import Matrix, block_diag, hstack, inverse, place, rank, solve
+from .linalg import Matrix, block_diag, inverse, kron, place, rank, rref
 from .modules import RealHom, RealModule, random_invertible
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
@@ -91,25 +91,16 @@ def _require_j(space: RealVS) -> Matrix:
 def _complex_basis(space: RealVS) -> Matrix:
     """Deterministic complex basis of (V, J), as the columns of one matrix.
 
-    Greedy over the standard basis: scans e_0, e_1, ... and keeps each vector
-    that is not already in the real span of the chosen vectors and their
-    J-images.
+    Greedy over the standard basis: keeps each e_k outside the span of the
+    kept vectors and their J-images, which is the J-invariant span of e_j, Je_j
+    for j < k, so the kept e_k are the pivots of [e_0 | Je_0 | e_1 | ...].
     """
     n = space.dim
-    chosen: list[Matrix] = []
-    span_cols: list[Matrix] = []
-    for k in range(n):
-        if 2 * len(chosen) == n:
-            break
-        e = Matrix.column([ONE if i == k else Scalar() for i in range(n)])
-        if span_cols and solve(hstack(span_cols), e) is not None:
-            continue
-        chosen.append(e)
-        span_cols.append(e)
-        span_cols.append(space.J @ e)
+    pairs = kron(Matrix.identity(n), Matrix.from_rows([[1, 0]])) + kron(space.J, Matrix.from_rows([[0, 1]]))
+    chosen = [p // 2 for p in rref(pairs)[1] if p % 2 == 0]
     if 2 * len(chosen) != n:
         raise InvariantViolation("J does not halve the dimension")
-    return place(n, len(chosen), [(0, k, e) for k, e in enumerate(chosen)])
+    return place(n, len(chosen), [(k, j, Matrix.identity(1)) for j, k in enumerate(chosen)])
 
 
 def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
@@ -179,17 +170,15 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
     """The gram the self-dual complexification extracts, on the complex basis.
 
     T holds the +i coordinates of (1 - iJ) b_k, twice the +i part of b_k, and
-    the gram is (1/2) T^dagger G T for the extracted gram G.  The -i
-    coordinates must vanish and the formula route, on the same basis, must
-    agree (asserted).
+    the gram is (1/2) T^dagger G T for the extracted gram G.  The formula
+    route, on the same basis, must agree (asserted).
     """
     _require_g_and_j(space)
     data = _complex_split(space)
     n, half = space.dim, data.space.dim
     sel = _complex_basis(space)
     coords = data.frame_inv @ (Matrix.identity(n) - I * space.J) @ sel
-    if not coords.block(0, 0, half, half).is_zero():
-        raise InvariantViolation("(1 - iJ) b has a -i component")
+    # in the frame J is diag(-i, +i), so 1 - iJ is diag(0, 2): no -i coordinates
     t = coords.block(half, 0, half, half)
     result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.space.gram @ t))
     if result != _formula_space(space, sel):

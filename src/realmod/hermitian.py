@@ -10,9 +10,9 @@ underlying Hilbert space.  `split_eigenspaces` is the one engine that splits a
 complex structure; `equivalence` splits (V, g, J) through it too.
 
 The split takes one kernel, the +i basis, and its involution image as the -i
-basis, so in frame coordinates the involution is exactly the swap.  Restricting
-the pairing to (-i) (x) (+i) on these partner bases yields a Hermitian space,
-kept by the split: `extract_hermitian`.
+basis; in its frame each law of a map or a state is one block condition (see
+`EigenSplit`).  Restricting the pairing to (-i) (x) (+i) on these partner
+bases yields a Hermitian space, kept by the split: `extract_hermitian`.
 `make_selfdual` builds the standard model back from any Hermitian space, with
 the conjugate copy first, the Hilbert space second.
 
@@ -138,9 +138,11 @@ class EigenSplit:
 
     `frame` is [minus | plus], each block space.dim columns wide: `plus` is a
     basis of ker(icplx - iI) and `minus` its involution image, a basis of the
-    -i eigenspace, so the involution reads frame_inv . inv . conj(frame) = swap.
-    `space` is the extracted Hermitian space on the +i basis, with its gram's
-    inverse.
+    -i eigenspace.  `space` is the extracted Hermitian space on the +i basis,
+    with its gram's inverse.  As icplx is equivariant, icplx . minus = -i minus,
+    and as inv . conj(inv) = I, inv . conj(frame) = frame . swap: in the frame,
+    icplx is diag(-i, +i), the involution the swap and the pairing
+    [[0, gram], [gram^T, 0]], so each law of a map or state is a block condition.
     """
 
     frame: Matrix        # dim x dim
@@ -209,30 +211,29 @@ def _internalize_raw(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) 
 
 def externalize_map(big: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     """Read off the +i block of an equivariant icplx-commuting map."""
-    d1 = split_eigenspaces(s1)
-    d2 = split_eigenspaces(s2)
+    d1, d2 = split_eigenspaces(s1), split_eigenspaces(s2)
     if big.shape != (s2.H.dim, s1.H.dim):
         raise ShapeError("ambient map has the wrong shape")
-    if not is_real_hom(s1.H, s2.H, big):
-        raise InvariantViolation("map is not equivariant")
-    if big @ s1.icplx != s2.icplx @ big:
-        raise InvariantViolation("map does not commute with icplx")
-    coords = d2.frame_inv @ big @ d1.frame
     h1, h2 = d1.space.dim, d2.space.dim
-    plus_block = coords.block(h2, h1, h2, h1)
-    if not coords.block(h2, 0, h2, h1).is_zero():
-        raise InvariantViolation("map mixes the icplx eigenspaces")
+    # on its blocks [[UL, UR], [LL, LR]] big is equivariant iff UL = conj(LR)
+    # and UR = conj(LL), and then commutes with icplx iff UR = 0 (`EigenSplit`)
+    coords = d2.frame_inv @ big @ d1.frame
+    upper_right, plus_block = coords.block(0, h1, h2, h1), coords.block(h2, h1, h2, h1)
+    if (coords.block(0, 0, h2, h1) != plus_block.conj()
+            or upper_right != coords.block(h2, 0, h2, h1).conj()):
+        raise InvariantViolation("map is not equivariant")
+    if not upper_right.is_zero():
+        raise InvariantViolation("map does not commute with icplx")
     return plus_block
 
 
 def internalize_map(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> RealHom:
     """The unique equivariant icplx-commuting map whose +i block is g.
 
-    The -i block carries the adjoint action on bras; the dagger law
-    <phi | dagger(g) psi> = <g phi | psi> is asserted through the grams.
-    `externalize_map` asserts that the map commutes with icplx.
+    Its -i block is conj(g), the action on bras; `externalize_map` reads g
+    back and asserts that the map commutes with icplx.
     """
-    hom = RealHom(s1.H, s2.H, _adjoint(g, s1, s2)[0])
+    hom = RealHom(s1.H, s2.H, _internalize_raw(g, s1, s2))
     if externalize_map(hom.mat, s1, s2) != g:
         raise InvariantViolation("internalize/externalize failed to invert")
     return hom

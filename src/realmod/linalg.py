@@ -20,7 +20,8 @@ normalizes it once; products are formed only between nonzeros, so the
 block-sparse self-dual structures and Kronecker operands cost what their
 nonzeros cost.  From 4 pairs on, `_packed_product` computes it by Kronecker
 substitution: one big-integer multiply-add per entry of A, then one unpacking
-and normalization per output entry.  Both give the same canonical rows.
+and normalization per output entry, unless its fields would be wider than 200
+bits, where the sparse kernel is faster.  Both give the same canonical rows.
 `_merge` adds a sparse run of (possibly unnormalized) terms into a row and
 normalizes each entry it touches once, which serves `+`, `-`, the trace and the
 elimination update.
@@ -146,9 +147,16 @@ def _merge(row: tuple, terms) -> tuple:
 # small products); from 6 on, 0.25 to 0.64.
 _PACKED_PAIRS = 4
 
+# ...with fields at most this many bits wide.  On dense k×k products (k = 6–16;
+# unit, shared, coprime denominators), packed over sparse time was 0.35–0.92 at
+# w = 120–132, 0.55–1.07 at 150–172, 0.66–1.15 at 191–212, 0.62–1.45 at 226–258,
+# 1.07–1.86 at 273–323 and 5.3–14 from 1500 on; the bench packs w = 12–40.
+_PACKED_BITS = 200
 
-def _packed_product(arows: tuple, brows: tuple, cols: int) -> tuple:
-    """The raw rows of A @ B by Kronecker substitution, from those of A and B.
+
+def _packed_product(arows: tuple, brows: tuple, cols: int) -> tuple | None:
+    """The raw rows of A @ B by Kronecker substitution, from those of A and B,
+    or None if its fields would be wider than `_PACKED_BITS`.
 
     Each row of A is brought over one common denominator da_i and each column
     of B over one db_j.  There an entry a + b√2 + ci + di√2 is
@@ -174,6 +182,8 @@ def _packed_product(arows: tuple, brows: tuple, cols: int) -> tuple:
     zb = max((abs(a) + abs(b) + abs(c) + abs(d)) * (db[j] // e) for row in brows for j, a, b, c, d, e in row)
     # a ζ-coordinate is at most twice its entry's |a|+|b|+|c|+|d|
     w = (4 * max(map(len, arows)) * za * zb).bit_length() + 2
+    if w > _PACKED_BITS:
+        return None
     w2, w3, span = 2 * w, 3 * w, 7 * w
     bpacked = [sum((a + ((b + d) << w) + (c << w2) + ((d - b) << w3)) * (db[j] // e) << (span * j)
                    for j, a, b, c, d, e in row) for row in brows]
@@ -359,8 +369,9 @@ class Matrix:
         if (sum(map(len, self.raw)) >= _PACKED_PAIRS * self.rows
                 and sum(map(len, brows)) >= _PACKED_PAIRS * other.cols):
             pairs = sum(len(brows[x[0]]) for arow in self.raw for x in arow)
-            if pairs and pairs >= _PACKED_PAIRS * self.rows * other.cols:
-                return _new(self.rows, other.cols, _packed_product(self.raw, brows, other.cols))
+            if (pairs and pairs >= _PACKED_PAIRS * self.rows * other.cols
+                    and (packed := _packed_product(self.raw, brows, other.cols)) is not None):
+                return _new(self.rows, other.cols, packed)
         out = []
         for arow in self.raw:
             if len(arow) == 1:  # one product per entry: nothing can cancel

@@ -181,8 +181,41 @@ def test_the_channel_command_checks_the_state_law_once(monkeypatch):
     monkeypatch.setattr(density, "is_density_shaped",
                         lambda *args: calls.append("is_density_shaped") or shaped(*args))
     assert cli.run(load("qubit.spec"), "channel", "spread")[1] == 0
-    assert calls.count("conj_transpose") == 7
+    assert calls.count("conj_transpose") == 6
     assert calls.count("is_density_shaped") == 1
+
+
+def test_dagger_and_channel_read_the_map_and_state_laws_in_the_frame(monkeypatch):
+    # each law of a map or a state is a block condition on the frame
+    # coordinates a command computes anyway (see `hermitian.EigenSplit`), so
+    # no ambient product tests it again: 4 products fewer per externalized
+    # map and per converted square
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    for command, target, count in (("dagger", "had", 22), ("channel", "spread", 36)):
+        calls.clear()
+        assert cli.run(load("qubit.spec"), command, target)[1] == 0
+        assert len(calls) == count, command
+
+
+def test_the_commands_products_stay_packed(monkeypatch):
+    # the corpus and the selftest form products whose fields are far narrower
+    # than `linalg._PACKED_BITS`, so the width cap declines none of them
+    declined = []
+    kernel = linalg._packed_product
+
+    def recorded(*args):
+        out = kernel(*args)
+        declined.append(out is None)
+        return out
+
+    monkeypatch.setattr(linalg, "_packed_product", recorded)
+    for name, command, target in RUNS:
+        cli.run(load(name), command, target)
+    for seed in range(101000, 101004):
+        assert all(r.passed for r in selftest.run_selftest(seed, 1))
+    assert declined and not any(declined)
 
 
 SHARED_SPACE = """\

@@ -125,7 +125,7 @@ def test_channel_checks_each_state_law_once(monkeypatch):
     monkeypatch.setattr(density, "is_density_shaped",
                         lambda *args: calls.append("is_density_shaped") or shaped(*args))
     channel(hadamard(), Matrix.from_rows([[1, 0], [0, 0]]), s)
-    assert calls.count("conj_transpose") == 3
+    assert calls.count("conj_transpose") == 2
     assert calls.count("is_density_shaped") == 1
 
 

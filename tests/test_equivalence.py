@@ -11,6 +11,7 @@ from realmod import hermitian
 from realmod.equivalence import (
     HermitianSpace,
     RealVS,
+    _complex_basis,
     complexify,
     diagonalized_complex_structure,
     hermitian_form_on_real_basis,
@@ -22,7 +23,7 @@ from realmod.equivalence import (
     standard_complex_structure,
 )
 from realmod.errors import InvariantViolation
-from realmod.linalg import Matrix, inverse
+from realmod.linalg import Matrix, hstack, inverse, solve
 from realmod.modules import RealModule, fixed_points
 from realmod.scalars import I, ONE, Scalar
 
@@ -89,6 +90,30 @@ def test_formula_and_functorial_routes_agree():
         assert h1.gram == h2.gram
         assert h1.gram.conj_transpose() == h1.gram
         h1.check()
+
+
+def _greedy_complex_basis(space):
+    """Scan e_0, e_1, ... and keep each e_k outside the span of the kept
+    vectors and their J-images."""
+    n = space.dim
+    kept, span = [], []
+    for k in range(n):
+        e = Matrix.column([ONE if i == k else Scalar() for i in range(n)])
+        if not span or solve(hstack(span), e) is None:
+            kept.append(k)
+            span += [e, space.J @ e]
+    return Matrix(n, len(kept), [ONE if i == k else Scalar() for i in range(n) for k in kept])
+
+
+def test_the_complex_basis_is_the_greedy_one():
+    rng = random.Random(35)
+    skipped = 0
+    for n in [2, 4, 6, 8] * 10:
+        space = random_isometric_pair(rng, n)
+        basis = _complex_basis(space)
+        assert basis == _greedy_complex_basis(space)
+        skipped += basis != Matrix.identity(n).block(0, 0, n, n // 2)
+    assert skipped  # some space skips an e_k before the last kept one
 
 
 def test_the_zero_space_carries_the_empty_gram():

@@ -263,6 +263,30 @@ def test_the_packed_kernel_runs_only_for_dense_products(packed_calls):
     assert packed_calls == []
 
 
+def test_wide_fields_take_the_sparse_kernel(monkeypatch):
+    # an all-N k×k square packs into fields of w = bit_length(4·k·N²) + 2
+    # bits; `_packed_product` declines it exactly when w exceeds the cap
+    declined = []
+    kernel = linalg._packed_product
+
+    def recorded(*args):
+        out = kernel(*args)
+        declined.append(out is None)
+        return out
+
+    monkeypatch.setattr(linalg, "_packed_product", recorded)
+    k, cap = 4, linalg._PACKED_BITS
+    by_width = {(4 * k * n * n).bit_length() + 2: n for m in range(cap) for n in (1 << m, 3 << m)}
+    for w in (cap, cap + 1):
+        n = by_width[w]
+        a = Matrix(k, k, (Scalar(n),) * (k * k))
+        assert a @ a == Matrix(k, k, (Scalar(k * n * n),) * (k * k))
+    rng = random.Random(44)
+    a, b = _dense_matrix(rng, 3, 9, "huge"), _dense_matrix(rng, 9, 2, "huge")
+    assert a @ b == _naive_matmul(a, b)
+    assert declined == [False, True, True]
+
+
 def test_product_shape_mismatch():
     with pytest.raises(ShapeError):
         Matrix.zero(2, 3) @ Matrix.zero(2, 3)
