@@ -358,14 +358,13 @@ def parse_scalar(text: str) -> Scalar:
     i = _skip_ws(text, 0, n)
     if i == n:
         raise ScalarParseError("empty scalar", i)
-    first = True
     while True:
         negative = False
-        if i < n and text[i] in "+-":
+        # i < n, and a later term starts at its sign: the loop's end raises
+        # "unexpected character" on anything else
+        if text[i] in "+-":
             negative = text[i] == "-"
             i = _skip_ws(text, i + 1, n)
-        elif not first:
-            raise ScalarParseError("expected + or - between terms", i)
         if i >= n:
             raise ScalarParseError("expected term", i)
         if "0" <= text[i] <= "9":  # ASCII only: str.isdigit also accepts '²'
@@ -410,7 +409,6 @@ def parse_scalar(text: str) -> Scalar:
             nums = [x * u for x in nums]
             nums[k] += p * (den // g)
             den *= u
-        first = False
         i = _skip_ws(text, i, n)
         if i == n:
             break

@@ -13,7 +13,9 @@ in the current directory with, per workload:
                        kernel (from its `unscaled:` line); every scaled time
                        is expressed at REFERENCE_MS for that kernel
 plus the git sha of the checkout and the Python version (from the bench's
-`env:` line).  `--checkout` defaults to the checkout holding this script, so
+`env:` line), and `dirty`: true when the checkout's tracked files differ
+from its HEAD, so the sha does not name the code that ran (null when the
+checkout is not a git work tree).  `--checkout` defaults to the checkout holding this script, so
 a baseline is recorded by pointing it at a clone of the earlier commit.
 Stdlib only.
 """
@@ -53,6 +55,13 @@ def run_one(checkout: Path, workload: str, seed: int) -> dict:
     return out
 
 
+def dirty(checkout: Path):
+    """Whether the checkout's tracked files differ from its HEAD; None outside a git work tree."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                          cwd=checkout, capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def summarize(runs: list) -> dict:
     return {
         "seeds": list(SEEDS),
@@ -71,6 +80,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     out_path = Path.cwd() / f"BENCH_{args.label}.json"
+    changed = dirty(checkout)
     runs = {w: [] for w in WORKLOADS}
     for seed in SEEDS:
         for workload in WORKLOADS:
@@ -82,6 +92,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "git": env.get("git", "unavailable"),
+        "dirty": changed,
         "python": env.get("python", "unavailable"),
         "nproc": env.get("nproc"),
         "command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
