@@ -89,10 +89,8 @@ from .density import (
     channel,
     csmat,
     fixed_vector_to_operator,
-    is_density_shaped,
     operator_to_fixed_vector,
     positivity_certificate,
-    trace,
 )
 from .quantization import (
     InternalComplex,
@@ -163,7 +161,6 @@ __all__ = [
     "hyperbolic_iso",
     "inner_to_hermitian_formula",
     "internal_complex",
-    "is_density_shaped",
     "is_internal_isometry",
     "is_real_hom",
     "is_unitary",
@@ -185,7 +182,6 @@ __all__ = [
     "standard_complex_structure",
     "standard_selfdual",
     "tensor",
-    "trace",
     "trivial_realset",
     "unvec",
     "vec",

@@ -35,9 +35,9 @@ import argparse
 import sys
 
 from .density import channel as apply_channel
-from .density import _positivity, trace
+from .density import positivity_certificate
 from .equivalence import HermitianSpace, RealVS
-from .errors import InvariantViolation, ShapeError, SingularMatrixError
+from .errors import RUN_ERRORS, InvariantViolation
 from .hermitian import (
     adjoint_oracle,
     dagger,
@@ -51,9 +51,6 @@ from .quantization import RealSet, quantize
 from .scalars import ScalarFormatError
 from .selftest import run_selftest
 from .specfile import SpecFile, SpecFileError, parse_spec
-
-_RUN_ERRORS = (InvariantViolation, ShapeError, SingularMatrixError, ZeroDivisionError)
-
 
 class _InputError(Exception):
     pass
@@ -85,7 +82,7 @@ class _Build:
     """The checked objects of one command's spec file, each built once.
 
     Calling it with `kind, name` gives that stanza's object, or raises again
-    the `_RUN_ERRORS` exception its builder raised.  Objects are kept by
+    the `RUN_ERRORS` exception its builder raised.  Objects are kept by
     (kind, name); a quantize stanza's by its basis size, the only input of
     `quantize`.  `run` makes one per call, so nothing outlives the command.
     """
@@ -106,10 +103,10 @@ class _Build:
         if obj is None:
             try:
                 obj = _BUILD[st.kind](self, st.fields)
-            except _RUN_ERRORS as exc:
+            except RUN_ERRORS as exc:
                 obj = exc
             self._objects[key] = obj
-        if isinstance(obj, _RUN_ERRORS):
+        if isinstance(obj, RUN_ERRORS):
             raise obj.with_traceback(None)
         return obj
 
@@ -128,7 +125,7 @@ def _cmd_check(build: _Build, target: str | None) -> tuple[list[str], int]:
         try:
             build.stanza(st)
             lines.append(f"check {label[0]} {label[1]}: ok")
-        except _RUN_ERRORS as exc:
+        except RUN_ERRORS as exc:
             lines.append(f"check {label[0]} {label[1]}: FAIL ({exc})")
             failed = True
     return lines, 1 if failed else 0
@@ -176,12 +173,12 @@ def _cmd_channel(build: _Build, target: str) -> tuple[list[str], int]:
     gate, rho, space = build("channel", target)
     s = make_selfdual(space)
     out = apply_channel(gate, rho, s)
-    preserved = trace(out) == trace(rho)
+    preserved = out.trace() == rho.trace()
     lines = [
         f"channel {target}: rho={format_matrix(out)}",
         "hermitian: yes",  # apply_channel's transport route returns only gram-self-adjoint operators
         f"trace-preserved: {'yes' if preserved else 'no'}",
-        f"positive: {_positivity(s, out)}",
+        f"positive: {positivity_certificate(s, out)}",
     ]
     return lines, 0
 
@@ -243,7 +240,7 @@ def run(spec: SpecFile | None, command: str, target: str | None = None,
         raise _InputError(f"unknown command {command!r}")
     except (_InputError, ScalarFormatError) as exc:
         return [f"error: {exc}"], 2
-    except _RUN_ERRORS as exc:
+    except RUN_ERRORS as exc:
         head = command if target is None else f"{command} {target}"
         return [f"{head}: FAIL ({exc})"], 1
 

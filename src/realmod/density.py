@@ -120,15 +120,6 @@ def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
     return _square_to_operator(s, unvec(v, d, d))
 
 
-def is_density_shaped(s: SelfDualRealModule, rho: Matrix) -> bool:
-    """Self-adjoint for the extracted gram (positivity not included)."""
-    return split_eigenspaces(s).space.is_self_adjoint(rho)
-
-
-def trace(rho: Matrix) -> Scalar:
-    return rho.trace()
-
-
 def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
     """Apply g to a state both ways and insist they agree.
 
@@ -137,10 +128,11 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
     back.  The transport route can only return a gram-self-adjoint operator,
     and the two isometry routes of `_isometric` must agree as well.
     """
-    n = split_eigenspaces(s).space.dim
+    space = split_eigenspaces(s).space
+    n = space.dim
     if g.shape != (n, n):
         raise ShapeError(f"gate must be {n}x{n}")
-    if not is_density_shaped(s, rho):
+    if not space.is_self_adjoint(rho):
         raise InvariantViolation("state is not gram-self-adjoint")
     hom_mat, dag = _adjoint(g, s, s)
     direct = g @ rho @ dag
@@ -159,15 +151,10 @@ def positivity_certificate(s: SelfDualRealModule, rho: Matrix) -> str:
 
     rho is PSD exactly when gram . rho, the matrix of the expectation form
     w |-> <w, rho w>, has no negative eigenvalue; `inertia` counts them
-    exactly by congruence diagonalization.
+    exactly by congruence diagonalization.  Its Hermitian test is the state
+    law, so a rho that is not gram-self-adjoint raises InvariantViolation
+    there, and one of the wrong shape raises ShapeError.
     """
-    if not is_density_shaped(s, rho):
-        raise InvariantViolation("state is not gram-self-adjoint")
-    return _positivity(s, rho)
-
-
-def _positivity(s: SelfDualRealModule, rho: Matrix) -> str:
-    """`positivity_certificate` of a rho already known to be gram-self-adjoint."""
     return "no" if inertia(split_eigenspaces(s).space.gram @ rho)[1] else "yes"
 
 
@@ -188,7 +175,7 @@ def random_state(rng: random.Random, s: SelfDualRealModule, normalized: bool = F
             terms = terms + weight * (w @ w.conj_transpose() @ space.gram)
         if not normalized:
             return terms
-        t = trace(terms)
+        t = terms.trace()
         if t.is_real() and t.sign_real() == 1:
             return t.inv() * terms
     # a negative-definite form has no positive-trace mixtures at all, so a

@@ -7,8 +7,10 @@ involution, and `fixed_points` recovers the original space on the nose.
 
 With g and J the complexification is a self-dual module: conjugation as
 involution, g as pairing, g^-1 as coevaluation and J as internal complex
-structure (without g, the J-invariant form I + J^T J stands in).  Every
-eigenvector of J used here comes from that module's `split_eigenspaces`.
+structure (without g, the J-invariant form I + J^T J stands in).  `RealVS.check`
+already tests each of that module's laws, so no module is built: every
+eigenvector of J used here comes from the self-dual engine `hermitian._split`
+applied to (conjugation, J, g) directly, and nothing inverts g.
 `hyperbolic_iso` views the split as mutually inverse equivariant maps between
 the complexification and the -i (+) +i eigenspace sum, where conjugation
 becomes the swap of the summands and J becomes diag(-i*I, +i*I); both hold
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .hermitian import EigenSplit, HermitianSpace, SelfDualRealModule, split_eigenspaces, swap_blocks
+from .hermitian import EigenSplit, HermitianSpace, _split, swap_blocks
 from .linalg import Matrix, block_diag, inverse, kron, place, rank, rref
 from .modules import RealHom, RealModule, random_invertible
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
@@ -111,15 +113,21 @@ def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
 
 
 def _complex_split(space: RealVS) -> EigenSplit:
-    """Split of the complexified (V, g, J) as a self-dual module; memoized,
-    with the complexification itself kept beside it as `_memo["complex"]`."""
+    """Split of the complexified (V, g, J) by the self-dual engine; memoized."""
     if "eigen" in space._memo:
         return space._memo["eigen"]
     J = _require_j(space)
+    # With conjugation as involution, a matrix is equivariant iff it is real,
+    # so `RealVS.check` has tested each law `SelfDualRealModule.check` would:
+    # g real <=> pairing equivariant, J real <=> icplx equivariant, g^T = g
+    # <=> pairing symmetric, J^2 = -I, and J^T g J = g <=> icplx a pairing
+    # isometry.  The split needs no coevaluation, so g is not inverted; its
+    # rank verdict makes the extracted gram nondegenerate.  Without g,
+    # G = I + J^T J stands in: real, symmetric, x^T G x = |x|^2 + |Jx|^2 > 0
+    # for real x != 0, so positive definite, and J-invariant, as
+    # J^T G J = J^T J + (J^2)^T J^2 = J^T J + I.
     g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
-    space._memo["complex"] = source = complexify(space)
-    module = SelfDualRealModule(source, g, inverse(g), J)
-    space._memo["eigen"] = data = split_eigenspaces(module)
+    space._memo["eigen"] = data = _split(Matrix.identity(space.dim), J, g)
     return data
 
 
@@ -143,7 +151,7 @@ def hyperbolic_iso(space: RealVS) -> HyperbolicIso:
     """
     data = _complex_split(space)
     ident = Matrix.identity(data.space.dim)
-    source = space._memo["complex"]
+    source = complexify(space)
     target = RealModule(space.dim, swap_blocks(ident, ident))
     return HyperbolicIso(RealHom(source, target, data.frame_inv), RealHom(target, source, data.frame))
 

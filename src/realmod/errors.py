@@ -15,3 +15,8 @@ class CompositionError(ValueError):
 
 class InvariantViolation(ValueError):
     """A structural law that defines a type failed to hold."""
+
+
+# the errors a library call raises on input it rejects: a command reports
+# them as a failed verdict, and the selftest as a failed suite
+RUN_ERRORS = (InvariantViolation, ShapeError, SingularMatrixError, ZeroDivisionError)

@@ -6,8 +6,9 @@ pairing, and an equivariant complex structure icplx (icplx^2 = -I) that is an
 isometry of the pairing.  Pairing and coevaluation are both kept as dim x dim
 matrices: pairing(u (x) w) = u^T pairing w and coev = sum_jk coev[j,k] e_j (x) e_k.
 The involution swaps the +-i eigenspaces of icplx; the +i eigenspace is the
-underlying Hilbert space.  `split_eigenspaces` is the one engine that splits a
-complex structure; `equivalence` splits (V, g, J) through it too.
+underlying Hilbert space.  `_split` is the one engine that splits a complex
+structure: `split_eigenspaces` memoizes it on a structure, and `equivalence`
+splits (V, g, J) through it directly, since (V, g, J) satisfies the same laws.
 
 The split takes one kernel, the +i basis, and its involution image as the -i
 basis; in its frame each law of a map or a state is one block condition (see
@@ -150,22 +151,27 @@ class EigenSplit:
     space: HermitianSpace
 
 
+def _split(inv: Matrix, icplx: Matrix, pairing: Matrix) -> EigenSplit:
+    """The eigen split of an involution, complex structure and pairing that
+    satisfy the laws `SelfDualRealModule.check` tests; the coevaluation is
+    not needed."""
+    plus = kernel_basis(icplx - I * Matrix.identity(icplx.rows))
+    minus = inv @ plus.conj()
+    frame = hstack([minus, plus])
+    return EigenSplit(frame, inverse(frame),
+                      HermitianSpace(plus.cols, minus.transpose() @ pairing @ plus))
+
+
 def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
-    """The eigen split of s, computed once and memoized on the structure.
+    """The eigen split of s (`_split`), computed once and memoized on the structure.
 
     The laws `SelfDualRealModule.check` tests make the split's own laws
     identities (see the comment there): the +i basis and its involution image
     each span half the space, and the pairing vanishes on like-signed pairs.
     """
-    if "eigen" in s._memo:
-        return s._memo["eigen"]
-    plus = kernel_basis(s.icplx - I * Matrix.identity(s.H.dim))
-    minus = s.H.inv @ plus.conj()
-    frame = hstack([minus, plus])
-    data = EigenSplit(frame, inverse(frame),
-                      HermitianSpace(plus.cols, minus.transpose() @ s.pairing @ plus))
-    s._memo["eigen"] = data
-    return data
+    if "eigen" not in s._memo:
+        s._memo["eigen"] = _split(s.H.inv, s.icplx, s.pairing)
+    return s._memo["eigen"]
 
 
 def extract_hermitian(s: SelfDualRealModule) -> HermitianSpace:

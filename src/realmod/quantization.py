@@ -296,8 +296,10 @@ def quantize_set(base: RealSet) -> SelfDualRealModule:
     """
     hom = reflect_map(imaginary_unit_endo(base))  # i on the reflected line bundle
     module, icplx = hom.source, hom.mat
-    # the pairing is the tau permutation, symmetric since tau is involutive
-    s = SelfDualRealModule(module, module.inv, inverse(module.inv), icplx)
+    # the pairing is the tau permutation, symmetric since tau is involutive;
+    # a real permutation matrix of an involution is its own inverse, so it is
+    # the coevaluation too (the snake identities of the check confirm it)
+    s = SelfDualRealModule(module, module.inv, module.inv, icplx)
     h = extract_hermitian(s)
     if h.gram != Matrix.identity(h.dim):
         raise InvariantViolation("quantization did not produce the standard inner product")

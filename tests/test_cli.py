@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from realmod import cli, density, hermitian, linalg, selftest
 from realmod.equivalence import HermitianSpace
+from realmod.errors import ShapeError
 from realmod.linalg import Matrix
 from realmod.specfile import SpecFileError, parse_spec
 
@@ -160,29 +161,33 @@ def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
 
 
 def test_a_command_eliminates_each_matrix_once(monkeypatch):
-    # the stanza's gram, the eigen split's one kernel and its frame, and the
-    # extracted gram: a gram is inverted by its Hermitian space's check and
-    # never ranked or inverted again
+    # the stanza's gram, inverted by its Hermitian space's check; the eigen
+    # split's one kernel and its frame; and the extracted gram, which for the
+    # standard model is the stanza's gram, inverted once more by the split's
+    # own space.  `quantize` has no stanza gram, and its coevaluation is its
+    # involution, which is its own inverse, so nothing else is eliminated.
     calls = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
-    for command, target in (("hermitian", "h2"), ("dagger", "had"), ("unitary", "had"),
-                            ("channel", "spread"), ("quantize", "pair")):
+    for command, target, count in (("hermitian", "h2", 4), ("dagger", "had", 4), ("unitary", "had", 4),
+                                   ("channel", "spread", 4), ("quantize", "pair", 3)):
         calls.clear()
         assert cli.run(load("qubit.spec"), command, target)[1] == 0
-        assert len(calls) == 4, (command, target)
+        assert len(calls) == count, (command, target)
 
 
 def test_the_channel_command_checks_the_state_law_once(monkeypatch):
     calls = []
     conj_transpose = Matrix.conj_transpose
     monkeypatch.setattr(Matrix, "conj_transpose", lambda m: calls.append("conj_transpose") or conj_transpose(m))
-    shaped = density.is_density_shaped
-    monkeypatch.setattr(density, "is_density_shaped",
-                        lambda *args: calls.append("is_density_shaped") or shaped(*args))
+    self_adjoint = HermitianSpace.is_self_adjoint
+    monkeypatch.setattr(HermitianSpace, "is_self_adjoint",
+                        lambda h, op: calls.append("is_self_adjoint") or self_adjoint(h, op))
     assert cli.run(load("qubit.spec"), "channel", "spread")[1] == 0
     assert calls.count("conj_transpose") == 6
-    assert calls.count("is_density_shaped") == 1
+    # the builder's test, so that `check` covers the state law, and
+    # `density.channel`'s, for library callers; positivity tests it in `inertia`
+    assert calls.count("is_self_adjoint") == 2
 
 
 def test_dagger_and_channel_read_the_map_and_state_laws_in_the_frame(monkeypatch):
@@ -315,6 +320,17 @@ def test_a_suite_that_ran_no_case_fails(monkeypatch):
     empty, full = selftest.run_selftest(seed=0, cases=3)
     assert (empty.passed, empty.failure) == (False, "no case ran")
     assert (full.passed, full.cases) == (True, 3)
+
+
+def test_a_library_error_fails_its_own_suite_only(monkeypatch):
+    def broken(s):
+        raise ShapeError("cannot multiply a broken square")
+    monkeypatch.setattr(density, "csmat", broken)
+    lines, code = cli.run(None, "selftest", cases=1)
+    assert code == 1
+    assert "selftest density.dimensions: FAIL (cannot multiply a broken square)" in lines
+    assert sum(": ok (" in line for line in lines) == 16
+    assert lines[-1] == "selftest: 16/17 suites passed, seed=0 cases=1"
 
 
 def test_selftest_verdicts_survive_python_O():

@@ -11,16 +11,15 @@ from realmod.density import (
     csmat,
     fixed_locus_real_dimension,
     fixed_vector_to_operator,
-    is_density_shaped,
     operator_to_fixed_vector,
     positivity_certificate,
     random_state,
-    trace,
 )
 from realmod.equivalence import HermitianSpace
 from realmod.errors import InvariantViolation, ShapeError
 from realmod.hermitian import (
     conjugate_selfdual,
+    extract_hermitian,
     hadamard,
     make_selfdual,
     random_hermitian_space,
@@ -97,7 +96,7 @@ def test_hadamard_channel_on_the_ground_state():
     out = channel(hadamard(), rho, s)
     half = Scalar(Fraction(1, 2))
     assert out == Matrix.from_rows([[half, half], [half, half]])
-    assert trace(out) == trace(rho)
+    assert out.trace() == rho.trace()
     assert positivity_certificate(s, out) == "yes"
 
 
@@ -121,12 +120,12 @@ def test_channel_checks_each_state_law_once(monkeypatch):
     calls = []
     conj_transpose = Matrix.conj_transpose
     monkeypatch.setattr(Matrix, "conj_transpose", lambda m: calls.append("conj_transpose") or conj_transpose(m))
-    shaped = density.is_density_shaped
-    monkeypatch.setattr(density, "is_density_shaped",
-                        lambda *args: calls.append("is_density_shaped") or shaped(*args))
+    self_adjoint = HermitianSpace.is_self_adjoint
+    monkeypatch.setattr(HermitianSpace, "is_self_adjoint",
+                        lambda h, op: calls.append("is_self_adjoint") or self_adjoint(h, op))
     channel(hadamard(), Matrix.from_rows([[1, 0], [0, 0]]), s)
     assert calls.count("conj_transpose") == 2
-    assert calls.count("is_density_shaped") == 1
+    assert calls.count("is_self_adjoint") == 1
 
 
 def test_channel_functoriality_and_trace_preservation():
@@ -138,8 +137,8 @@ def test_channel_functoriality_and_trace_preservation():
         u2 = random_unitary_word(rng, 2)
         step = channel(u2, channel(u1, rho, s), s)
         assert step == channel(u2 @ u1, rho, s)
-        assert trace(step) == trace(rho)
-        assert is_density_shaped(s, step)
+        assert step.trace() == rho.trace()
+        assert extract_hermitian(s).is_self_adjoint(step)
 
 
 def test_channel_keeps_states_positive():
@@ -149,7 +148,7 @@ def test_channel_keeps_states_positive():
         rho = random_state(rng, s, normalized=True)
         out = channel(random_unitary_word(rng, 2), rho, s)
         assert positivity_certificate(s, out) != "no"
-        assert trace(out) == Scalar(1)
+        assert out.trace() == Scalar(1)
 
 
 def test_non_unitary_conjugation_still_transports_both_routes():
@@ -160,7 +159,7 @@ def test_non_unitary_conjugation_still_transports_both_routes():
     rho = random_state(rng, s)
     g = Matrix.from_rows([[1, 1], [0, 1]])
     out = channel(g, rho, s)
-    assert is_density_shaped(s, out)
+    assert extract_hermitian(s).is_self_adjoint(out)
 
 
 def test_positivity_certificates():
@@ -169,8 +168,25 @@ def test_positivity_certificates():
     assert positivity_certificate(s, Matrix.from_rows([[1, 0], [0, -1]])) == "no"
     assert positivity_certificate(s, Matrix.from_rows([[1, 0], [0, 0]])) == "yes"
     assert positivity_certificate(s, Matrix.from_rows([[0, I], [-I, 0]])) == "no"
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="inertia of a non-Hermitian matrix"):
         positivity_certificate(s, Matrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(ShapeError):
+        positivity_certificate(s, Matrix.identity(3))
+    with pytest.raises(ShapeError):
+        positivity_certificate(s, Matrix.from_rows([[1], [0]]))
+
+
+def test_positivity_forms_the_expectation_form_once(monkeypatch):
+    # `inertia`'s Hermitian test is the state law, so gram . rho is formed once
+    s = standard_selfdual(2)
+    split_eigenspaces(s)
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    conj_transpose = Matrix.conj_transpose
+    monkeypatch.setattr(Matrix, "conj_transpose", lambda m: calls.append("conj_transpose") or conj_transpose(m))
+    assert positivity_certificate(s, Matrix.from_rows([[1, 0], [0, 0]])) == "yes"
+    assert calls == [1, "conj_transpose"]
 
 
 def test_positivity_of_large_boundary_states_is_decided():

@@ -7,11 +7,12 @@ from functools import partial
 
 import pytest
 
-from realmod import hermitian
+from realmod import equivalence, hermitian, linalg
 from realmod.equivalence import (
     HermitianSpace,
     RealVS,
     _complex_basis,
+    _complex_split,
     complexify,
     diagonalized_complex_structure,
     hermitian_form_on_real_basis,
@@ -141,19 +142,44 @@ def test_each_route_checks_its_space_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_the_hyperbolic_splitting_reuses_the_complexification(monkeypatch):
+def test_the_hyperbolic_splitting_builds_one_source_and_one_target(monkeypatch):
     calls = []
     check = RealModule.check
     monkeypatch.setattr(RealModule, "check", lambda m: calls.append(m) or check(m))
     for space in SPACES[:4]:
         fresh = RealVS(space.dim, space.g, space.J)
-        calls.clear()
-        hyper = hyperbolic_iso(fresh)
-        # the complexification, built once for the split, and the swap target
-        assert calls == [hyper.forward.source, hyper.forward.target]
-        calls.clear()
-        assert hyperbolic_iso(fresh).forward.source is hyper.forward.source
-        assert calls == [hyper.forward.target]
+        for _ in range(2):  # the split is kept; each call builds its two modules
+            calls.clear()
+            hyper = hyperbolic_iso(fresh)
+            assert calls == [hyper.forward.source, hyper.forward.target]
+
+
+def test_the_complexification_is_a_self_dual_module_with_the_same_split():
+    # `_complex_split` splits (conjugation, J, g) without building the
+    # module; the module builds, and its split is the same field by field
+    rng = random.Random(3900)
+    pairs = [random_isometric_pair(rng, n) for n in (0, 2, 4) for _ in range(3)]
+    for space in pairs + [RealVS(pair.dim, None, pair.J) for pair in pairs]:
+        J = space.J
+        g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
+        module = hermitian.SelfDualRealModule(complexify(space), g, inverse(g), J)
+        split, direct = hermitian.split_eigenspaces(module), _complex_split(space)
+        assert (split.frame, split.frame_inv, split.space) == (direct.frame, direct.frame_inv, direct.space)
+
+
+def test_the_functorial_route_builds_no_module_and_inverts_no_real_form(monkeypatch):
+    built, inverted = [], []
+    check = hermitian.SelfDualRealModule.check
+    monkeypatch.setattr(hermitian.SelfDualRealModule, "check", lambda s: built.append(s) or check(s))
+    for module in (equivalence, hermitian, linalg):
+        invert = module.inverse
+        monkeypatch.setattr(module, "inverse", lambda m, invert=invert: inverted.append(m) or invert(m))
+    for space in SPACES:
+        fresh = RealVS(space.dim, space.g, space.J)
+        inner_to_hermitian_functorial(fresh)
+        assert built == []
+        assert inverted and all(m != space.g for m in inverted)  # the frame and the extracted grams
+        inverted.clear()
 
 
 def test_hermitian_routes_on_the_real_basis_agree():

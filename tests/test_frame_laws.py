@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from realmod.density import fixed_vector_to_operator, operator_to_fixed_vector, random_state
-from realmod.equivalence import _complex_split, random_isometric_pair
+from realmod.equivalence import complexify, random_isometric_pair
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
     SelfDualRealModule,
@@ -40,8 +40,7 @@ def _structures(rng):
              + [_moved(lambda: conjugate_selfdual(standard_selfdual(2), random_invertible(rng, 4))),
                 _moved(lambda: quantize_set(random_realset(rng, 6, free=True)))])
     space = random_isometric_pair(rng, 4)
-    _complex_split(space)  # keeps the complexification as space._memo["complex"]
-    built.append(SelfDualRealModule(space._memo["complex"], space.g, inverse(space.g), space.J))
+    built.append(SelfDualRealModule(complexify(space), space.g, inverse(space.g), space.J))
     return built
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from realmod import linalg
-from realmod.equivalence import HermitianSpace, _complex_split, random_isometric_pair
+from realmod.equivalence import HermitianSpace, _complex_split, complexify, random_isometric_pair
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
     SelfDualRealModule,
@@ -83,7 +83,7 @@ def _structures_with_splits():
     for n in (2, 4, 6):  # the complexified (g, J) module, whose split the space keeps
         space = random_isometric_pair(rng, n)
         split = _complex_split(space)
-        yield SelfDualRealModule(space._memo["complex"], space.g, inverse(space.g), space.J), split
+        yield SelfDualRealModule(complexify(space), space.g, inverse(space.g), space.J), split
 
 
 def test_each_structure_is_its_standard_model_moved_by_its_frame():

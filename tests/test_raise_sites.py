@@ -268,8 +268,6 @@ TABLE = {
     "density.channel: channel routes disagree": Mutation(
         "density._operator_to_square", lambda orig: lambda s, rho: Scalar(2) * orig(s, rho),
         lambda: density.channel(hermitian.hadamard(), STATE, std(2)), InvariantViolation),
-    "density.positivity_certificate: state is not gram-self-adjoint": Raises(
-        lambda: density.positivity_certificate(std(1), m([[I]])), InvariantViolation),
     "density.random_state: found no positive-trace mixture; the form may lack positive directions": Raises(
         lambda: density.random_state(random.Random(0), hermitian.make_selfdual(
             hermitian.HermitianSpace(1, m([[-1]]))), normalized=True), InvariantViolation),
@@ -615,3 +613,28 @@ def test_each_cross_check_fires_under_its_mutation(key, monkeypatch):
     module = importlib.import_module(f"realmod.{module_name}")
     monkeypatch.setattr(module, attribute, entry.patch(getattr(module, attribute)))
     _assert_raises(key, entry.call, entry.error, entry.message)
+
+
+# a selftest suite relies on these library raises instead of testing the law
+# again: each mutation above that fires the raise fails the suite with its message
+COVERED_SUITES = {
+    "equivalence.central": "equivalence.inner_to_hermitian_functorial: functorial and formula routes disagree",
+    "hermitian.dagger": "hermitian._adjoint: dagger violates the adjoint law",
+    "hermitian.unitary": "hermitian._isometric: isometry routes disagree",
+    "density.dimensions":
+        "density.csmat: symmetric icplx-fixed part has dimension {basis.cols}, expected {n * n}",
+    "quantization.quantize":
+        "quantization.quantize_set: quantization did not produce the standard inner product",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(COVERED_SUITES))
+def test_each_mutation_fails_the_suite_that_relies_on_its_raise(suite, monkeypatch):
+    key = COVERED_SUITES[suite]
+    entry = TABLE[key]
+    module_name, attribute = entry.name.rsplit(".", 1)
+    module = importlib.import_module(f"realmod.{module_name}")
+    monkeypatch.setattr(module, attribute, entry.patch(getattr(module, attribute)))
+    result = next(r for r in selftest.run_selftest(0, 4) if r.name == suite)
+    assert not result.passed
+    assert re.fullmatch(SITES[key].pattern, result.failure)
