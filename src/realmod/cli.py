@@ -176,7 +176,9 @@ def _cmd_channel(build: _Build, target: str) -> tuple[list[str], int]:
     preserved = out.trace() == rho.trace()
     lines = [
         f"channel {target}: rho={format_matrix(out)}",
-        "hermitian: yes",  # apply_channel's transport route returns only gram-self-adjoint operators
+        # apply_channel returns its direct route only once it equals the transport
+        # route, whose symmetric square gives only gram-self-adjoint operators
+        "hermitian: yes",
         f"trace-preserved: {'yes' if preserved else 'no'}",
         f"positive: {positivity_certificate(s, out)}",
     ]

@@ -14,8 +14,11 @@ A = rho . gram^-1 to
 
 with p_k the +i basis and c_l the involution image of p_l.  Conjugation
 invariance is automatic; braiding invariance is exactly Hermiticity of A,
-equivalently self-adjointness of rho.  Converting back tests each law once,
-the last two on eigen-frame coordinates (`hermitian.EigenSplit`).
+equivalently self-adjointness of rho.  Both directions are the map converters
+of `hermitian` bent through the (co)pairing, as `hermitian._adjoint` bends a
+map: the square of rho is its internalization followed by the coevaluation,
+and a square followed by the pairing is a map whose +i block is rho.  So this
+module reads no eigen coordinates of its own.
 
 A map g acts on the square as G (x) G with G the internalization of g.
 Transporting v(rho) this way and converting back is proven here (by exact
@@ -29,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, ShapeError
-from .hermitian import SelfDualRealModule, _adjoint, _isometric, split_eigenspaces, swap_blocks
+from .hermitian import SelfDualRealModule, _adjoint, _internalize_raw, externalize_map, split_eigenspaces
 from .linalg import (
     Matrix,
     inertia,
@@ -78,9 +81,7 @@ def fixed_locus_real_dimension(space: CSMatSpace) -> int:
 
 def _operator_to_square(s: SelfDualRealModule, rho: Matrix) -> Matrix:
     """The fixed vector of a checked rho as the dim x dim matrix Vm it flattens from."""
-    data = split_eigenspaces(s)
-    coef = rho @ data.space.gram_inv
-    return data.frame @ swap_blocks(coef.conj(), coef) @ data.frame.transpose()
+    return _internalize_raw(rho, s, s) @ s.coev
 
 
 def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
@@ -95,21 +96,17 @@ def operator_to_fixed_vector(s: SelfDualRealModule, rho: Matrix) -> Matrix:
 
 def _square_to_operator(s: SelfDualRealModule, vm: Matrix) -> Matrix:
     """Inverse of `_operator_to_square`; rejects squares outside the locus."""
-    data = split_eigenspaces(s)
-    n = data.space.dim
     if vm.transpose() != vm:
         raise InvariantViolation("vector is not braiding-symmetric")
-    # vm is fixed by icplx (x) icplx iff both like-signed blocks of x vanish,
-    # and then by the involution iff UR = conj(LL) (`EigenSplit`)
-    x = data.frame_inv @ vm @ data.frame_inv.transpose()
-    if not x.block(0, 0, n, n).is_zero() or not x.block(n, n, n, n).is_zero():
-        raise InvariantViolation("vector is not fixed by icplx (x) icplx")
-    coef = x.block(n, 0, n, n)
-    if x.block(0, n, n, n) != coef.conj():
-        raise InvariantViolation("vector is not involution-fixed")
-    # x is symmetric, so coef^T = UR = conj(coef): coef is Hermitian, so is
-    # gram . rho = gram . coef . gram, and rho is gram-self-adjoint
-    return coef @ data.space.gram
+    # The square bends to the map vm . pairing.  As icplx is a pairing
+    # isometry, vm is fixed by icplx (x) icplx iff the map commutes with
+    # icplx; as the pairing is equivariant, vm is involution-fixed iff the map
+    # is equivariant.  In eigen coordinates (`EigenSplit`) the pairing is
+    # [[0, gram], [gram^T, 0]], so a map diag(conj(rho), rho) comes from
+    # vm = [[0, conj(A)], [A, 0]] with A = rho . gram^-1: the square of rho.
+    # vm symmetric makes A Hermitian, so gram . rho = gram . A . gram is too:
+    # rho is a state.
+    return externalize_map(vm @ s.pairing, s, s)
 
 
 def fixed_vector_to_operator(s: SelfDualRealModule, v: Matrix) -> Matrix:
@@ -125,8 +122,9 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
 
     Direct route: g . rho . dagger(g).  Transport route: push the fixed vector
     of rho through G (x) G (as G Vm G^T on the reshaped square) and convert
-    back.  The transport route can only return a gram-self-adjoint operator,
-    and the two isometry routes of `_isometric` must agree as well.
+    back.  The transport route can only return a gram-self-adjoint operator.
+    Whether g is unitary is not decided here: a caller that needs trace
+    preservation compares the traces, or asks `hermitian.is_unitary`.
     """
     space = split_eigenspaces(s).space
     n = space.dim
@@ -140,9 +138,6 @@ def channel(g: Matrix, rho: Matrix, s: SelfDualRealModule) -> Matrix:
     transported = _square_to_operator(s, hom_mat @ vm @ hom_mat.transpose())
     if direct != transported:
         raise InvariantViolation("channel routes disagree")
-    # `_isometric` proves dagger(g) g = I by two routes, so a unitary channel
-    # keeps the trace: trace(g rho dagger(g)) = trace(rho dagger(g) g)
-    _isometric(hom_mat, dag, g, s, s)
     return direct
 
 

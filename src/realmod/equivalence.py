@@ -32,7 +32,7 @@ valid `HermitianSpace`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
@@ -49,7 +49,6 @@ class RealVS:
     dim: int
     g: Matrix | None = None
     J: Matrix | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check()
@@ -113,9 +112,7 @@ def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
 
 
 def _complex_split(space: RealVS) -> EigenSplit:
-    """Split of the complexified (V, g, J) by the self-dual engine; memoized."""
-    if "eigen" in space._memo:
-        return space._memo["eigen"]
+    """Split of the complexified (V, g, J) by the self-dual engine."""
     J = _require_j(space)
     # With conjugation as involution, a matrix is equivariant iff it is real,
     # so `RealVS.check` has tested each law `SelfDualRealModule.check` would:
@@ -127,8 +124,7 @@ def _complex_split(space: RealVS) -> EigenSplit:
     # for real x != 0, so positive definite, and J-invariant, as
     # J^T G J = J^T J + (J^2)^T J^2 = J^T J + I.
     g = space.g if space.g is not None else Matrix.identity(space.dim) + J.transpose() @ J
-    space._memo["eigen"] = data = _split(Matrix.identity(space.dim), J, g)
-    return data
+    return _split(Matrix.identity(space.dim), J, g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,18 +217,14 @@ def standard_complex_structure(n: int) -> Matrix:
 def random_isometric_pair(rng: random.Random, n: int) -> RealVS:
     """Random (g, J) with g symmetric nondegenerate and J an isometric
     complex structure: J is a conjugated block rotation and g is the
-    J-average of a random Gramian, redrawn while degenerate."""
-    j0 = standard_complex_structure(n)
-    while True:
-        q = random_invertible(rng, n, real=True)
-        J = q @ j0 @ inverse(q)
-        a = random_invertible(rng, n, real=True)
-        g0 = a.transpose() @ a
-        g = (g0 + J.transpose() @ g0 @ J) * Scalar(Fraction(1, 2))
-        try:
-            return RealVS(n, g, J)
-        except InvariantViolation:
-            continue
+    J-average of a random Gramian."""
+    q = random_invertible(rng, n, real=True)
+    J = q @ standard_complex_structure(n) @ inverse(q)
+    a = random_invertible(rng, n, real=True)
+    g0 = a.transpose() @ a
+    # a is real and invertible, so g0 is positive definite, and so is g: it is
+    # nondegenerate, and RealVS's check passes
+    return RealVS(n, (g0 + J.transpose() @ g0 @ J) * Scalar(Fraction(1, 2)), J)
 
 
 def random_real_vs(rng: random.Random, n: int) -> RealVS:

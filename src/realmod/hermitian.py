@@ -11,9 +11,11 @@ structure: `split_eigenspaces` memoizes it on a structure, and `equivalence`
 splits (V, g, J) through it directly, since (V, g, J) satisfies the same laws.
 
 The split takes one kernel, the +i basis, and its involution image as the -i
-basis; in its frame each law of a map or a state is one block condition (see
-`EigenSplit`).  Restricting the pairing to (-i) (x) (+i) on these partner
-bases yields a Hermitian space, kept by the split: `extract_hermitian`.
+basis; in its frame each law of a map is one block condition (see
+`EigenSplit`), and `density` reads each law of a state through the same
+converters, bending the state's square through the pairing first.
+Restricting the pairing to (-i) (x) (+i) on these partner bases yields a
+Hermitian space, kept by the split: `extract_hermitian`.
 `make_selfdual` builds the standard model back from any Hermitian space, with
 the conjugate copy first, the Hilbert space second.
 
@@ -25,8 +27,9 @@ produces the Hermitian adjoint: `dagger`.  It is computed by that composite
 (contracted as coev . G^T . pairing, which is the same linear map) and
 always agrees with the gram-side oracle gram1^-1 . conj_transpose(g) . gram2.
 Isometry of a map can be read off either as pairing-preservation of its
-internalization or as dagger(g) g = id; both routes are computed and compared.
-`_adjoint` and `_isometric` are the one place each of these steps is written.
+internalization or as dagger(g) g = id; `is_internal_isometry` computes both
+routes and compares them.  `_adjoint` and `is_internal_isometry` are the one
+place each of these steps is written.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class EigenSplit:
     with its gram's inverse.  As icplx is equivariant, icplx . minus = -i minus,
     and as inv . conj(inv) = I, inv . conj(frame) = frame . swap: in the frame,
     icplx is diag(-i, +i), the involution the swap and the pairing
-    [[0, gram], [gram^T, 0]], so each law of a map or state is a block condition.
+    [[0, gram], [gram^T, 0]], so each law of a map is a block condition.
     """
 
     frame: Matrix        # dim x dim
@@ -267,15 +270,6 @@ def _adjoint(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> tuple
     return hom_mat, out
 
 
-def _isometric(hom_mat: Matrix, dag: Matrix, g: Matrix,
-               s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:
-    """G^T . pairing2 . G = pairing1 and dagger(g) g = id, insisting they agree."""
-    route_pairing = hom_mat.transpose() @ s2.pairing @ hom_mat == s1.pairing
-    if route_pairing != (dag @ g).is_identity():
-        raise InvariantViolation("isometry routes disagree")
-    return route_pairing
-
-
 def dagger(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     """Adjoint of g: H1 -> H2 via dualization, as a map H2 -> H1 (see `_adjoint`)."""
     return _adjoint(g, s1, s2)[1]
@@ -299,8 +293,12 @@ def dagger_composite_dense(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealMo
 
 
 def is_internal_isometry(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:
-    """Pairing preservation of the internalization == dagger(g) g = id (`_isometric`)."""
-    return _isometric(*_adjoint(g, s1, s2), g, s1, s2)
+    """G^T . pairing2 . G = pairing1 and dagger(g) g = id, insisting they agree."""
+    hom_mat, dag = _adjoint(g, s1, s2)
+    route_pairing = hom_mat.transpose() @ s2.pairing @ hom_mat == s1.pairing
+    if route_pairing != (dag @ g).is_identity():
+        raise InvariantViolation("isometry routes disagree")
+    return route_pairing
 
 
 def is_unitary(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> bool:

@@ -233,9 +233,13 @@ class Scalar:
 
 
 def _make(na: int, nb: int, nc: int, nd: int, den: int) -> Scalar:
-    """Fast constructor from raw integer coordinates; normalizes in place."""
-    if den < 0:
-        na, nb, nc, nd, den = -na, -nb, -nc, -nd, -den
+    """Fast constructor from raw integer coordinates; normalizes in place.
+
+    den must be positive, and every caller's is: 1, a Scalar's denominator or
+    a product of two, a `Fraction`'s, `parse_scalar`'s running product, or
+    `inv`'s norm p^2 - 2 q^2, the product of the two real embeddings of
+    x conj(x), each positive for x != 0.
+    """
     g = math.gcd(na, nb, nc, nd, den)
     if g > 1:
         na //= g

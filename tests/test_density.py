@@ -85,9 +85,15 @@ def test_round_trip_rejects_vectors_off_the_locus():
     skew = Matrix.from_rows([[1 if k == 1 else 0] for k in range(d * d)])
     with pytest.raises(InvariantViolation, match="braiding-symmetric"):
         fixed_vector_to_operator(s, skew)
-    diagonal = Matrix.from_rows([[1 if k == 0 else 0] for k in range(d * d)])
-    with pytest.raises(InvariantViolation, match="fixed by icplx"):
+    # a square off the locus is read as the map it bends to through the
+    # pairing: e0 (x) e0 + e2 (x) e2 is involution-fixed but not icplx-fixed,
+    # and i (e0 (x) e1 + e1 (x) e0) is neither, which reports equivariance first
+    diagonal = Matrix.from_rows([[1 if k in (0, 2 * d + 2) else 0] for k in range(d * d)])
+    with pytest.raises(InvariantViolation, match="^map does not commute with icplx$"):
         fixed_vector_to_operator(s, diagonal)
+    imaginary = Matrix.from_rows([[I if k in (1, d) else 0] for k in range(d * d)])
+    with pytest.raises(InvariantViolation, match="^map is not equivariant$"):
+        fixed_vector_to_operator(s, imaginary)
 
 
 def test_hadamard_channel_on_the_ground_state():

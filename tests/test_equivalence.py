@@ -282,12 +282,3 @@ def test_invalid_pairs_are_rejected_with_the_validation_message(space, exc, iso_
         inner_to_hermitian_functorial(space())
     assert str(caught.value) == functorial_message
 
-
-def test_a_memo_changes_neither_equality_nor_hash():
-    for space in SPACES[:4]:
-        fresh = RealVS(space.dim, space.g, space.J)
-        hyperbolic_iso(space)
-        assert space._memo and not fresh._memo
-        assert space == fresh and fresh == space
-        assert hash(space) == hash(fresh)
-        assert "_memo" not in repr(space)

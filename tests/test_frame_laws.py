@@ -1,5 +1,6 @@
-"""Each law of a map or a state, read as a block condition on eigen-frame
-coordinates, against the same law written on ambient coordinates."""
+"""Each law of a map, read as a block condition on eigen-frame coordinates,
+and each law of a state, read through the map converters, against the same
+law written on ambient coordinates."""
 
 import itertools
 import random
@@ -68,13 +69,18 @@ def _ambient_externalize(big, s1, s2):
 
 
 def _ambient_square_to_operator(s, vm):
-    """The three square laws on ambient coordinates, then the operator."""
+    """The three square laws on ambient coordinates, then the operator.
+
+    Past the braiding, a square is read as the map vm . pairing, so a square
+    that is not involution-fixed reports the map law it breaks, equivariance,
+    and one that is not fixed by icplx (x) icplx reports commutation.
+    """
     if vm.transpose() != vm:
         raise InvariantViolation("vector is not braiding-symmetric")
-    if s.icplx @ vm @ s.icplx.transpose() != vm:
-        raise InvariantViolation("vector is not fixed by icplx (x) icplx")
     if s.H.inv @ vm.conj() @ s.H.inv.transpose() != vm:
-        raise InvariantViolation("vector is not involution-fixed")
+        raise InvariantViolation("map is not equivariant")
+    if s.icplx @ vm @ s.icplx.transpose() != vm:
+        raise InvariantViolation("map does not commute with icplx")
     data = split_eigenspaces(s)
     n = data.space.dim
     return (data.frame_inv @ vm @ data.frame_inv.transpose()).block(n, 0, n, n) @ data.space.gram
@@ -142,5 +148,5 @@ def test_each_frame_law_reports_its_own_message():
         externalize_map(s.H.inv, s, s)
     rho = random_state(random.Random(63), s)
     vm = unvec(operator_to_fixed_vector(s, rho), 4, 4)
-    with pytest.raises(InvariantViolation, match="^vector is not involution-fixed$"):
+    with pytest.raises(InvariantViolation, match="^map is not equivariant$"):
         fixed_vector_to_operator(s, vec(I * vm))

@@ -57,6 +57,13 @@ def test_construction_rejects_bad_grams():
         make_selfdual(HermitianSpace(2, Matrix.from_rows([[1, 1], [1, 1]])))
 
 
+def test_an_operator_of_the_wrong_shape_is_not_a_state():
+    h = HermitianSpace(2, Matrix.from_rows([[1, 0], [0, -1]]))
+    assert h.is_self_adjoint(Matrix.identity(2))
+    assert not h.is_self_adjoint(Matrix.identity(3))
+    assert not h.is_self_adjoint(Matrix.zero(2, 1))
+
+
 def _partner_bases(s, split):
     """(minus, plus): the frame's two column blocks, each space.dim wide."""
     d, half = s.H.dim, split.space.dim

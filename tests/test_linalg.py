@@ -1,6 +1,8 @@
 """Exact matrices: arithmetic, elimination, tensor calculus, text form."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -46,6 +48,14 @@ def test_constructors_and_shape_checks():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(ShapeError):
         Matrix.from_rows([[1]]) @ Matrix.from_rows([[1, 2], [3, 4]])
+
+
+def test_matrices_print_compare_and_pickle():
+    m = Matrix.from_rows([[1, I], [Fraction(1, 2), 0]])
+    assert str(m) == "1,1*i;1/2,0" and repr(m) == "Matrix('1,1*i;1/2,0')"
+    assert m.__eq__(1) is NotImplemented and m != 1
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert type(copied) is Matrix and copied == m and hash(copied) == hash(m)
 
 
 def test_arithmetic_against_hand_values():

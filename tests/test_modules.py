@@ -49,6 +49,9 @@ def test_hom_condition_is_equivariance():
     assert is_real_hom(m, m, Matrix.from_rows([[0, 1], [1, 0]]))
     # multiplication by i anti-commutes with an antilinear involution
     assert not is_real_hom(m, m, I * Matrix.identity(2))
+    # a matrix of the wrong shape is no map between the modules at all
+    assert not is_real_hom(m, m, Matrix.identity(3))
+    assert not is_real_hom(m, tensor_unit(), Matrix.identity(2))
     with pytest.raises(InvariantViolation, match=r"^equivariance: mat\*inv_src != inv_tgt\*conj\(mat\)$"):
         RealHom(m, m, I * Matrix.identity(2))
 

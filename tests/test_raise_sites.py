@@ -255,10 +255,6 @@ TABLE = {
         lambda: density.operator_to_fixed_vector(std(1), m([[I]])), InvariantViolation),
     "density._square_to_operator: vector is not braiding-symmetric": Raises(
         lambda: density.fixed_vector_to_operator(std(1), m([[0], [1], [0], [0]])), InvariantViolation),
-    "density._square_to_operator: vector is not fixed by icplx (x) icplx": Raises(
-        lambda: density.fixed_vector_to_operator(std(1), m([[1], [0], [0], [0]])), InvariantViolation),
-    "density._square_to_operator: vector is not involution-fixed": Raises(
-        lambda: density.fixed_vector_to_operator(std(1), m([[0], [I], [I], [0]])), InvariantViolation),
     "density.fixed_vector_to_operator: fixed vector must be an ambient column": Raises(
         lambda: density.fixed_vector_to_operator(std(1), ID2), ShapeError),
     "density.channel: gate must be {n}x{n}": Raises(
@@ -339,7 +335,7 @@ TABLE = {
     "hermitian._adjoint: dagger violates the adjoint law": Mutation(
         "hermitian._internalize_raw", lambda orig: lambda g, s1, s2: Scalar(2) * orig(g, s1, s2),
         lambda: hermitian.dagger(hermitian.hadamard(), std(2), std(2)), InvariantViolation),
-    "hermitian._isometric: isometry routes disagree": Mutation(
+    "hermitian.is_internal_isometry: isometry routes disagree": Mutation(
         "hermitian._adjoint", doubled_dagger,
         lambda: hermitian.is_unitary(hermitian.hadamard(), std(2), std(2)), InvariantViolation),
     # -- linalg
@@ -620,7 +616,7 @@ def test_each_cross_check_fires_under_its_mutation(key, monkeypatch):
 COVERED_SUITES = {
     "equivalence.central": "equivalence.inner_to_hermitian_functorial: functorial and formula routes disagree",
     "hermitian.dagger": "hermitian._adjoint: dagger violates the adjoint law",
-    "hermitian.unitary": "hermitian._isometric: isometry routes disagree",
+    "hermitian.unitary": "hermitian.is_internal_isometry: isometry routes disagree",
     "density.dimensions":
         "density.csmat: symmetric icplx-fixed part has dimension {basis.cols}, expected {n * n}",
     "quantization.quantize":

@@ -1,6 +1,7 @@
 """Field axioms, conjugation, ordering, and the canonical text form."""
 
 import math
+import operator
 import random
 import re
 import sys
@@ -116,6 +117,21 @@ def test_interop_with_int_and_fraction():
     assert hash(Scalar(Fraction(2, 3))) == hash(Fraction(2, 3))
     total = Scalar(3) + 1
     assert isinstance(total, Scalar) and total == 4
+    x = Scalar(1, 0, 1)  # 1 + i
+    assert 1 - x == -I and Fraction(1, 2) - x == Scalar(Fraction(-1, 2), 0, -1)
+    assert 2 / x == ONE - I
+    assert str(x) == "1+1*i" and repr(x) == "Scalar('1+1*i')"
+
+
+def test_foreign_operands_are_declined():
+    x, foreign = Scalar(1), object()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        with pytest.raises(TypeError):
+            op(x, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, x)
+    assert x.__pow__(Fraction(1, 2)) is NotImplemented
+    assert x.__eq__(foreign) is NotImplemented and x != foreign
 
 
 @given(scalars)

@@ -37,6 +37,8 @@ def test_parses_every_stanza_kind():
     st = spec.find("gate", "u")
     assert st.fields["on"] == "h"
     assert st.fields["mat"].rows == 2
+    assert list(st.fields) == ["on", "mat"] and len(st.fields) == 2
+    assert repr(st.fields) == "{'on': 'h', 'mat': Matrix('0,1;1,0')}"
     assert spec.find("check", "k1").fields["kind"] == "hermitian"
     assert spec.find("realset", "s").fields["tau"] == (1, 0)
     assert spec.find("quantize", "q").fields["basis"] == ("a", "b")
