@@ -29,7 +29,11 @@ elimination update.
 One pivot step, `_pivot`, is the only row-update loop: echelon reduction, `det`
 and `inertia` all eliminate through it, with one fused multiply-subtract and one
 normalization per updated entry.  Echelon reduction uses first-nonzero
-pivoting, and `kernel_basis` returns the null space as the columns of one
+pivoting (the leftmost column, then the top-most row) and reaches each pivot's
+rows through a column index: the rows holding each column, built in one pass
+and kept through row swaps and fill-in, so a step visits the rows holding its
+pivot column rather than every row.  Its result is the unique reduced row
+echelon form, and `kernel_basis` returns the null space as the columns of one
 matrix, one per free column in ascending index order, so all derived bases are
 deterministic.
 
@@ -42,6 +46,7 @@ case.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
@@ -514,11 +519,36 @@ def block_diag(mats) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; index (i1*b.rows + i2, j1*b.cols + j2)."""
+    """Kronecker product; index (i1*b.rows + i2, j1*b.cols + j2).
+
+    The rows of B are scaled once per distinct value of A (1 keeps B's own
+    rows), and each entry of A then only shifts the columns of those rows.
+    A row of B whose entries are all 1 takes A's value as it is, already in
+    lowest terms, so `kron` with an identity factor forms no product.
+    """
     w = b.cols
-    return _new(a.rows * b.rows, a.cols * w, tuple(
-        tuple(chain.from_iterable(_scaled(brow, x[1:], x[0] * w) for x in arow))
-        for arow in a.raw for brow in b.raw))
+    # the columns of each row of B whose entries are all 1, else None
+    unit = [tuple([e[0] for e in brow]) if all(e[1:] == _ONE for e in brow) else None for brow in b.raw]
+    scaled = {_ONE: b.raw}  # raw value of A -> the rows of B times it, None at a unit row
+    out = []
+    for arow in a.raw:
+        parts = []
+        for x in arow:
+            v = x[1:]
+            rows = scaled.get(v)
+            if rows is None:
+                rows = scaled[v] = tuple(None if cols is not None else _canon(_products(brow, v))
+                                         for brow, cols in zip(b.raw, unit))
+            parts.append((x[0] * w, v, rows))
+        for i, cols in enumerate(unit):
+            if cols is not None:
+                out.append(tuple([(s + j,) + v for s, v, _ in parts for j in cols]))
+            elif len(parts) == 1:
+                s, _, rows = parts[0]
+                out.append(_scaled(rows[i], _ONE, s))
+            else:
+                out.append(tuple(chain.from_iterable(_scaled(rows[i], _ONE, s) for s, _, rows in parts)))
+    return _new(a.rows * b.rows, a.cols * w, tuple(out))
 
 
 def kron_swap(d1: int, d2: int) -> Matrix:
@@ -569,19 +599,40 @@ def _rref(rows: list) -> list:
     """In-place reduced row echelon form of raw rows; returns pivot column indices.
 
     The pivot is the first nonzero of the leftmost column that has one below
-    the rows already reduced, scanning top-down, so the result is
-    deterministic for a given input.
+    the rows already reduced, scanning top-down.  `holders[j]` holds every
+    row with an entry in column j, and perhaps rows whose entry there
+    cancelled (`_pivot` tests each target), so a step visits only the rows
+    holding its pivot column.
     """
+    holders = defaultdict(set)  # column -> rows with an entry there
+    for k, row in enumerate(rows):
+        for e in row:
+            holders[e[0]].add(k)
     pivots = []
-    nrows = len(rows)
-    for r in range(nrows):
-        lead = [(row[0][0], k) for k, row in enumerate(rows[r:], r) if row]
-        if not lead:
+    r, nrows = 0, len(rows)
+    for c in sorted(holders):
+        if r == nrows:
             break
-        c, k = min(lead)
-        rows[r], rows[k] = rows[k], rows[r]
-        _pivot(rows, r, c, [i for i in range(nrows) if i != r])
+        # rows r.. hold nothing left of column c, so a row there holding c leads with it
+        k = min((k for k in holders[c] if k >= r and rows[k] and rows[k][0][0] == c), default=None)
+        if k is None:
+            continue
+        if k != r:  # unindex both rows before indexing either: they may share columns
+            for i in (r, k):
+                for e in rows[i]:
+                    holders[e[0]].discard(i)
+            rows[r], rows[k] = rows[k], rows[r]
+            for i in (r, k):
+                for e in rows[i]:
+                    holders[e[0]].add(i)
+        targets = holders[c]
+        targets.discard(r)
+        _pivot(rows, r, c, targets)
+        for e in rows[r][1:]:
+            holders[e[0]] |= targets
+        holders[c] = {r}
         pivots.append(c)
+        r += 1
     return pivots
 
 

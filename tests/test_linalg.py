@@ -159,6 +159,37 @@ def test_products_of_empty_shapes():
     assert kron(Matrix(0, 2, ()), b) == Matrix(0, 4, ())
     assert kron(b, Matrix(0, 2, ())) == Matrix(0, 4, ())
     assert kron(b, Matrix(1, 0, ())) == Matrix(3, 0, ())
+    assert kron(Matrix(2, 0, ()), b) == Matrix(6, 0, ())
+    assert kron(Matrix.zero(2, 1), b) == Matrix.zero(6, 2)
+    assert kron(b, Matrix.zero(1, 2)) == Matrix.zero(3, 4)
+
+
+def test_kron_shortcuts_agree_with_the_per_entry_reference():
+    # B's rows of all 1s take A's value as it is, a repeated value of A
+    # reuses B's rows scaled once, a row of A with several entries joins its
+    # shifted parts, and a zero row of either factor gives zero rows
+    half = Scalar(Fraction(1, 2))
+    a = Matrix.from_rows([[half, 0, half, I], [0, 0, 0, 0], [SQRT2, half, 0, SQRT2], [0, I, 0, 0]])
+    b = Matrix.from_rows([[1, 0, 1], [0, 0, 0], [I, 1, half], [0, 1, 0]])
+    for x, y in ((a, b), (b, a), (a, a), (a, Matrix.identity(3)), (Matrix.identity(2), a),
+                 (a, kron_swap(2, 2)), (kron_swap(2, 3), b), (a, vec(b)), (vec(a).transpose(), b)):
+        got = kron(x, y)
+        assert got == _naive_kron(x, y)
+        assert all(_is_normal(e) for e in got.entries)
+
+
+def test_kron_with_an_identity_factor_forms_no_product(monkeypatch):
+    x = Matrix.from_rows([[Fraction(1, 2), I, 0], [0, SQRT2, 3], [-1, 0, 0]])
+    expect = {d: (_naive_kron(Matrix.identity(d), x), _naive_kron(x, Matrix.identity(d))) for d in (1, 2, 4)}
+    calls = []
+    products = linalg._products
+    monkeypatch.setattr(linalg, "_products", lambda *args: calls.append(args) or products(*args))
+    for d, (left, right) in expect.items():
+        assert kron(Matrix.identity(d), x) == left
+        assert kron(x, Matrix.identity(d)) == right
+    assert calls == []
+    kron(x, x)
+    assert calls
 
 
 @pytest.fixture
@@ -453,6 +484,39 @@ def test_the_kernel_is_one_matrix_of_basis_columns():
             _assert_the_kernel_contract(m)
         assert kernel_basis(full) == Matrix.zero(n, 0)
         assert kernel_basis(Matrix.zero(3, n)) == Matrix.identity(n)
+
+
+def test_elimination_agrees_with_the_reference_on_structured_sparse_input():
+    rng = random.Random(41)
+    cases = [kron_swap(d, d) - Matrix.identity(d * d) for d in range(1, 7)] + [
+        # the pivot row of column 0 is swapped with row 0, and both hold columns 1 and 2
+        Matrix.from_rows([[0, 1, 1], [1, 1, 1], [0, 1, 2]]),
+        # row 1 loses column 1 by exact cancellation but stays indexed there, so
+        # column 1's pivot search and its step both meet a row that no longer holds it
+        Matrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 0]]),
+        # row 1 gains column 2 from the first step, which the last step must clear
+        Matrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 0, 1]]),
+    ]
+    for m in cases:
+        _assert_elimination_matches_the_reference(m, random_matrix(rng, m.rows, 1))
+
+
+def test_elimination_visits_only_the_rows_holding_each_pivot_column(monkeypatch):
+    # kron_swap(12, 12) - I has 264 nonzeros, at most 2 per row; handing every
+    # step all other rows would visit 66 * 143 of them
+    m = kron_swap(12, 12) - Matrix.identity(144)
+    handed = []
+    pivot = linalg._pivot
+
+    def counted(rows, r, c, targets):
+        targets = list(targets)
+        handed.append(len(targets))
+        return pivot(rows, r, c, targets)
+
+    monkeypatch.setattr(linalg, "_pivot", counted)
+    k = kernel_basis(m)
+    assert k.shape == (144, 78) and (m @ k).is_zero()
+    assert len(handed) == 66 and sum(handed) <= sum(map(len, m.raw))
 
 
 def test_determinant_of_a_scaled_permutation_is_its_signed_product():
