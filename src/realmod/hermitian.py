@@ -187,7 +187,11 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
 
     Blocks are ordered (-i summand, +i summand); the pairing carries the gram
     on the mixed blocks symmetrically and the coevaluation is its inverse,
-    built from the gram-dual basis in both orders.
+    built from the gram-dual basis in both orders.  The involution is a
+    permutation, and so are the split's frame (the identity) and its `plus`
+    and `minus` selections; for a gram that is a permutation, such as the
+    identity, so are the pairing and the coevaluation.  `linalg` multiplies
+    by and inverts these without arithmetic.
     """
     n = h.dim
     ident = Matrix.identity(n)

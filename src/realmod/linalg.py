@@ -13,11 +13,16 @@ edge: `Matrix(rows, cols, entries)`, `from_rows` and `parse_matrix` convert
 them in, and `entries`, `m[i, j]`, `row`, `col`, `trace` and `det` convert
 them out (an absent entry reads as the shared ZERO).  `format_matrix` prints
 the raw rows directly, writing `0` for each absent column.
-`@` counts its term pairs (an entry of A in column t with each entry of B's
-row t) and takes one of two paths.  Below 4 pairs per output entry it sums the
-integer numerators of each output entry over a running common denominator and
-normalizes it once; products are formed only between nonzeros, so the
-block-sparse self-dual structures and Kronecker operands cost what their
+When B selects columns (each row of B holds at most one entry, exactly 1, and
+no two rows share its column: an identity, a permutation or a selection), `@`
+moves each entry of A to B's column for its row and drops those whose row of B
+is empty: every moved entry is 1·x = x and no two land in one column, so no
+product is formed and no gcd taken.  The test stops at the first row of B that
+fails it.  Otherwise `@` counts its term pairs (an entry of A in column t with
+each entry of B's row t) and takes one of two paths.  Below 4 pairs per output
+entry it sums the integer numerators of each output entry over a running common
+denominator and normalizes it once; products are formed only between nonzeros,
+so the block-sparse self-dual structures and Kronecker operands cost what their
 nonzeros cost.  From 4 pairs on, `_packed_product` computes it by Kronecker
 substitution: one big-integer multiply-add per entry of A, then one unpacking
 and normalization per output entry, unless its fields would be wider than 200
@@ -35,7 +40,8 @@ and kept through row swaps and fill-in, so a step visits the rows holding its
 pivot column rather than every row.  Its result is the unique reduced row
 echelon form, and `kernel_basis` returns the null space as the columns of one
 matrix, one per free column in ascending index order, so all derived bases are
-deterministic.
+deterministic.  `inverse` returns the transpose of a permutation, since
+PᵀP = I, and eliminates every other matrix.
 
 One block engine builds and reads every block matrix: `place` sets blocks
 into an all-zero frame and `Matrix.block` slices one out.  Both take their
@@ -107,6 +113,22 @@ def _scaled(row: tuple, x: tuple, shift: int = 0) -> tuple:
     if x == _ONE:
         return row if not shift else tuple((j + shift, a, b, c, d, e) for j, a, b, c, d, e in row)
     return _canon(_products(row, x, shift))
+
+
+def _unit_columns(m: "Matrix") -> list | None:
+    """The column of each row's entry when every row of m holds at most one
+    entry, that entry is exactly 1 and no two rows share its column (None at
+    an empty row); otherwise None, found at the first row that fails."""
+    out, seen = [], set()
+    for row in m.raw:
+        if not row:
+            out.append(None)
+            continue
+        if len(row) > 1 or row[0][1:] != _ONE or (j := row[0][0]) in seen:
+            return None
+        seen.add(j)
+        out.append(j)
+    return out
 
 
 def _neg(row: tuple) -> tuple:
@@ -368,6 +390,13 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         brows = other.raw
+        if (moved := _unit_columns(other)) is not None:
+            # B selects columns: each entry of A is multiplied by 1 and moved
+            # to a column no other entry of its row reaches, so nothing is
+            # formed or added
+            return _new(self.rows, other.cols, tuple(
+                tuple(sorted((moved[t], a, b, c, d, e) for t, a, b, c, d, e in arow if moved[t] is not None))
+                for arow in self.raw))
         # a term pair takes an entry of A and one of B, so there are at most
         # nnz(A) * other.cols and self.rows * nnz(B) of them: the pairs of a
         # sparser A or B are not counted
@@ -669,6 +698,8 @@ def kernel_basis(m: Matrix) -> Matrix:
 def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ShapeError("inverse of a non-square matrix")
+    if (moved := _unit_columns(m)) is not None and None not in moved:
+        return m.transpose()  # a permutation: PᵀP = I
     n = m.rows
     rows = [row + ((n + i,) + _ONE,) for i, row in enumerate(m.raw)]
     pivots = _rref(rows)

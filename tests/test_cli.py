@@ -161,19 +161,25 @@ def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
 
 
 def test_a_command_eliminates_each_matrix_once(monkeypatch):
-    # the stanza's gram, inverted by its Hermitian space's check; the eigen
-    # split's one kernel and its frame; and the extracted gram, which for the
-    # standard model is the stanza's gram, inverted once more by the split's
-    # own space.  `quantize` has no stanza gram, and its coevaluation is its
-    # involution, which is its own inverse, so nothing else is eliminated.
+    # the eigen split's one kernel is always eliminated.  A permutation is
+    # inverted by transposing it, so on `qubit.spec`, whose `h2` has the
+    # identity gram, nothing else is: neither the stanza's gram, nor the
+    # split's frame (the identity for the standard model), nor the extracted
+    # gram, which for the standard model is the stanza's gram.  A gram that is
+    # not a permutation is eliminated by its Hermitian space's check and again
+    # by the split's own space, besides the kernel
     calls = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
-    for command, target, count in (("hermitian", "h2", 4), ("dagger", "had", 4), ("unitary", "had", 4),
-                                   ("channel", "spread", 4), ("quantize", "pair", 3)):
+    for spec, command, target, count in (
+            ("qubit.spec", "hermitian", "h2", 1), ("qubit.spec", "dagger", "had", 1),
+            ("qubit.spec", "unitary", "had", 1), ("qubit.spec", "channel", "spread", 1),
+            ("qubit.spec", "quantize", "pair", 1),
+            ("indefinite.spec", "hermitian", "lor", 3), ("indefinite.spec", "hermitian", "skew", 3),
+            ("indefinite.spec", "dagger", "boost", 3), ("indefinite.spec", "channel", "push", 3)):
         calls.clear()
-        assert cli.run(load("qubit.spec"), command, target)[1] == 0
-        assert len(calls) == count, (command, target)
+        assert cli.run(load(spec), command, target)[1] == 0
+        assert len(calls) == count, (spec, command, target)
 
 
 def test_the_channel_command_checks_the_state_law_once(monkeypatch):

@@ -328,6 +328,58 @@ def test_wide_fields_take_the_sparse_kernel(monkeypatch):
     assert declined == [False, True, True]
 
 
+def _selection(rng, rows, cols, empty=()):
+    """A rows×cols matrix with one 1 in each row not in `empty`, no two in
+    one column."""
+    targets = iter(rng.sample(range(cols), rows - len(empty)))
+    units = [None if i in empty else next(targets) for i in range(rows)]
+    return Matrix(rows, cols, tuple(ONE if j == t else ZERO for t in units for j in range(cols)))
+
+
+def _permutation(rng, n):
+    return _selection(rng, n, n)
+
+
+def test_a_column_selection_on_the_right_relabels_the_columns_of_a(monkeypatch):
+    # B with at most one entry per row, each exactly 1 and in its own column,
+    # moves each entry of A to B's column for its row and drops those whose
+    # row of B is empty; no product is formed and no gcd taken
+    rng = random.Random(53)
+    cases = []
+    for k in (1, 3, 6):
+        n = rng.randrange(1, 6)
+        for a in (_dense_matrix(rng, n, k, "mixed"), _sparse_matrix(rng, n, k)):
+            empty = set(rng.sample(range(k), rng.randrange(1, k + 1)))
+            for b in (Matrix.identity(k), _permutation(rng, k), _selection(rng, k, k + 2, empty),
+                      _selection(rng, k, k - len(empty), empty)):
+                cases.append((a, b))
+    for n in (1, 2, 4):  # the split's 2n×n `plus` and `minus` of the standard model
+        a = _sparse_matrix(rng, 3, 2 * n)
+        for b in (vstack([Matrix.zero(n, n), Matrix.identity(n)]), vstack([Matrix.identity(n), Matrix.zero(n, n)])):
+            cases.append((a, b))
+    cases += [(Matrix(0, 0, ()), Matrix.identity(0)), (Matrix(2, 0, ()), Matrix(0, 0, ())),
+              (Matrix(2, 0, ()), Matrix(0, 3, ())), (Matrix(0, 3, ()), _permutation(rng, 3)),
+              (_sparse_matrix(rng, 2, 3), Matrix.zero(3, 2))]
+    expect = [_naive_matmul(a, b) for a, b in cases]
+    calls = []
+    for name in ("_products", "_packed_product", "gcd"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+    assert [a @ b for a, b in cases] == expect
+    assert calls == []
+
+
+def test_a_repeated_or_scaled_unit_column_takes_the_summing_path():
+    # two unit rows of B in one column add their entries of A there, and an
+    # entry other than 1 scales; both must agree with the reference
+    rng = random.Random(59)
+    a = _dense_matrix(rng, 3, 3, "mixed")
+    half = Scalar(Fraction(1, 2))
+    for b in (Matrix.from_rows([[1, 0], [1, 0], [0, 1]]), Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, half]]),
+              Matrix.from_rows([[0, I, 0], [1, 0, 0], [0, 0, 1]]), Matrix.from_rows([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])):
+        assert a @ b == _naive_matmul(a, b)
+
+
 def test_product_shape_mismatch():
     with pytest.raises(ShapeError):
         Matrix.zero(2, 3) @ Matrix.zero(2, 3)
@@ -517,6 +569,27 @@ def test_elimination_visits_only_the_rows_holding_each_pivot_column(monkeypatch)
     k = kernel_basis(m)
     assert k.shape == (144, 78) and (m @ k).is_zero()
     assert len(handed) == 66 and sum(handed) <= sum(map(len, m.raw))
+
+
+def test_the_inverse_of_a_permutation_is_its_transpose(monkeypatch):
+    rng = random.Random(61)
+    perms = [_permutation(rng, n) for n in (0, 1, 2, 3, 5, 8, 8, 12)]
+    expect = [Matrix.from_rows([row[p.rows:] for row in _gauss_jordan(hstack([p, Matrix.identity(p.rows)]))[0]])
+              if p.rows else p for p in perms]
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
+    for p, inv in zip(perms, expect):
+        assert inverse(p) == p.transpose() == inv
+    assert calls == []
+    # a unit selection with an empty row, or two rows in one column, is
+    # singular; a permutation with an entry other than 1 is eliminated
+    for m in (Matrix.from_rows([[0, 1, 0], [0, 0, 0], [1, 0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])):
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+    scaled = Matrix.from_rows([[0, 2], [1, 0]])
+    assert inverse(scaled) == Matrix.from_rows([[0, 1], [Fraction(1, 2), 0]])
+    assert len(calls) == 3
 
 
 def test_determinant_of_a_scaled_permutation_is_its_signed_product():

@@ -1,7 +1,9 @@
 """`tools/record_bench.py` flags a record taken from a checkout whose tracked
-files differ from HEAD, so its git sha does not name the code that ran."""
+files differ from HEAD, so its git sha does not name the code that ran, and
+names the code of `src/` and `bench/` by a hash of their files."""
 
 import importlib.util
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -37,3 +39,34 @@ def test_a_checkout_is_dirty_exactly_when_a_tracked_file_changed(tmp_path, monke
     assert dirty(tmp_path) is True  # staged but not committed
     _git(tmp_path, "commit", "-q", "-m", "second")
     assert dirty(tmp_path) is False
+
+
+def test_a_tree_hash_names_the_python_files_under_its_directory(tmp_path):
+    tree_sha256 = _load_tool().tree_sha256
+    one = tmp_path / "one"
+    for rel, text in (("src/realmod/a.py", "A = 1\n"), ("src/realmod/sub/b.py", "B = 2\n"),
+                      ("bench/run.py", "RUN = 3\n"), ("README.md", "readme\n")):
+        (one / rel).parent.mkdir(parents=True, exist_ok=True)
+        (one / rel).write_text(text)
+    two = tmp_path / "two"
+    shutil.copytree(one, two)
+    src = tree_sha256(one / "src")
+    assert tree_sha256(two / "src") == src
+    assert tree_sha256(one / "bench") != src
+    # outside src/, or not a .py file under it, or under __pycache__
+    (two / "bench" / "run.py").write_text("RUN = 4\n")
+    (two / "README.md").write_text("changed\n")
+    (two / "src" / "realmod" / "notes.txt").write_text("notes\n")
+    (two / "src" / "realmod" / "__pycache__").mkdir()
+    (two / "src" / "realmod" / "__pycache__" / "a.py").write_text("stale\n")
+    assert tree_sha256(two / "src") == src
+    # a file's bytes, its name, or a new file
+    b = two / "src" / "realmod" / "sub" / "b.py"
+    b.write_text("B = 3\n")
+    assert tree_sha256(two / "src") != src
+    b.write_text("B = 2\n")
+    b.rename(b.with_name("c.py"))
+    assert tree_sha256(two / "src") != src
+    b.with_name("c.py").rename(b)
+    (two / "src" / "new.py").write_text("")
+    assert tree_sha256(two / "src") != src

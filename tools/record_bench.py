@@ -13,9 +13,11 @@ in the current directory with, per workload:
                        kernel (from its `unscaled:` line); every scaled time
                        is expressed at REFERENCE_MS for that kernel
 plus the git sha of the checkout and the Python version (from the bench's
-`env:` line), and `dirty`: true when the checkout's tracked files differ
+`env:` line), `dirty`: true when the checkout's tracked files differ
 from its HEAD, so the sha does not name the code that ran (null when the
-checkout is not a git work tree).  `--checkout` defaults to the checkout holding this script, so
+checkout is not a git work tree), and `src_sha256` and `bench_sha256`, which
+name the code of `src/` and `bench/` whatever commit holds it (see
+`tree_sha256`).  `--checkout` defaults to the checkout holding this script, so
 a baseline is recorded by pointing it at a clone of the earlier commit.
 Stdlib only.
 """
@@ -23,6 +25,7 @@ Stdlib only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -62,6 +65,19 @@ def dirty(checkout: Path):
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
+def tree_sha256(directory: Path) -> str:
+    """One sha256 over the sorted relative paths and bytes of the `.py` files
+    under directory, tracked or not, skipping `__pycache__`."""
+    files = sorted((p.relative_to(directory).as_posix(), p) for p in directory.rglob("*.py")
+                   if "__pycache__" not in p.relative_to(directory).parts)
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def summarize(runs: list) -> dict:
     return {
         "seeds": list(SEEDS),
@@ -81,6 +97,7 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     out_path = Path.cwd() / f"BENCH_{args.label}.json"
     changed = dirty(checkout)
+    hashes = {f"{name}_sha256": tree_sha256(checkout / name) for name in ("src", "bench")}
     runs = {w: [] for w in WORKLOADS}
     for seed in SEEDS:
         for workload in WORKLOADS:
@@ -93,6 +110,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "git": env.get("git", "unavailable"),
         "dirty": changed,
+        **hashes,
         "python": env.get("python", "unavailable"),
         "nproc": env.get("nproc"),
         "command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
