@@ -15,7 +15,9 @@ basis; in its frame each law of a map is one block condition (see
 `EigenSplit`), and `density` reads each law of a state through the same
 converters, bending the state's square through the pairing first.
 Restricting the pairing to (-i) (x) (+i) on these partner bases yields a
-Hermitian space, kept by the split: `extract_hermitian`.
+Hermitian space, kept by the split: `extract_hermitian`; the coevaluation,
+moved into the frame, holds its gram's inverse, which the space checks by one
+product instead of eliminating the gram.
 `make_selfdual` builds the standard model back from any Hermitian space, with
 the conjugate copy first, the Hilbert space second.
 
@@ -54,11 +56,16 @@ from .scalars import I, INV_SQRT2, ONE, Scalar
 
 @dataclass(frozen=True, slots=True)
 class HermitianSpace:
-    """Complex space with an invertible conjugate-symmetric gram; `check` keeps its inverse."""
+    """Complex space with an invertible conjugate-symmetric gram; `check` keeps its inverse.
+
+    `gram_inv` may be given as a claim: `check` keeps it when gram . claim is
+    the identity, one product, and otherwise inverts the gram by elimination,
+    so a wrong claim changes neither the verdict nor the inverse kept.
+    """
 
     dim: int
     gram: Matrix
-    gram_inv: Matrix = field(init=False, repr=False, compare=False)
+    gram_inv: Matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check()
@@ -68,6 +75,9 @@ class HermitianSpace:
             raise InvariantViolation("gram has the wrong shape")
         if self.gram.conj_transpose() != self.gram:
             raise InvariantViolation("gram is not conjugate-symmetric")
+        claim = self.gram_inv
+        if claim is not None and claim.shape == self.gram.shape and (self.gram @ claim).is_identity():
+            return  # a square right inverse is the inverse
         try:
             object.__setattr__(self, "gram_inv", inverse(self.gram))
         except SingularMatrixError:
@@ -143,7 +153,8 @@ class EigenSplit:
     `frame` is [minus | plus], each block space.dim columns wide: `plus` is a
     basis of ker(icplx - iI) and `minus` its involution image, a basis of the
     -i eigenspace.  `space` is the extracted Hermitian space on the +i basis,
-    with its gram's inverse.  As icplx is equivariant, icplx . minus = -i minus,
+    with its gram's inverse, read off the coevaluation when the split is
+    given one (`_split`).  As icplx is equivariant, icplx . minus = -i minus,
     and as inv . conj(inv) = I, inv . conj(frame) = frame . swap: in the frame,
     icplx is diag(-i, +i), the involution the swap and the pairing
     [[0, gram], [gram^T, 0]], so each law of a map is a block condition.
@@ -154,15 +165,24 @@ class EigenSplit:
     space: HermitianSpace
 
 
-def _split(inv: Matrix, icplx: Matrix, pairing: Matrix) -> EigenSplit:
+def _split(inv: Matrix, icplx: Matrix, pairing: Matrix, coev: Matrix | None = None) -> EigenSplit:
     """The eigen split of an involution, complex structure and pairing that
-    satisfy the laws `SelfDualRealModule.check` tests; the coevaluation is
-    not needed."""
+    satisfy the laws `SelfDualRealModule.check` tests.
+
+    Given the coevaluation, the extracted space's gram inverse is read off it
+    and checked by one product (`HermitianSpace`): in the frame the pairing
+    is [[0, gram], [gram^T, 0]] and coev = pairing^-1, so
+    frame^-1 . coev . frame^-T is [[0, gram^-T], [gram^-1, 0]].  Without it
+    the gram is eliminated.
+    """
     plus = kernel_basis(icplx - I * Matrix.identity(icplx.rows))
     minus = inv @ plus.conj()
     frame = hstack([minus, plus])
-    return EigenSplit(frame, inverse(frame),
-                      HermitianSpace(plus.cols, minus.transpose() @ pairing @ plus))
+    frame_inv = inverse(frame)
+    n = plus.cols
+    claim = None if coev is None else (
+        frame_inv.block(n, 0, n, 2 * n) @ coev @ frame_inv.block(0, 0, n, 2 * n).transpose())
+    return EigenSplit(frame, frame_inv, HermitianSpace(n, minus.transpose() @ pairing @ plus, claim))
 
 
 def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
@@ -173,7 +193,7 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
     each span half the space, and the pairing vanishes on like-signed pairs.
     """
     if "eigen" not in s._memo:
-        s._memo["eigen"] = _split(s.H.inv, s.icplx, s.pairing)
+        s._memo["eigen"] = _split(s.H.inv, s.icplx, s.pairing, s.coev)
     return s._memo["eigen"]
 
 
@@ -191,7 +211,8 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     permutation, and so are the split's frame (the identity) and its `plus`
     and `minus` selections; for a gram that is a permutation, such as the
     identity, so are the pairing and the coevaluation.  `linalg` multiplies
-    by and inverts these without arithmetic.
+    by and inverts these without arithmetic, and reads the kernel of the
+    diagonal icplx - iI off its empty columns.
     """
     n = h.dim
     ident = Matrix.identity(n)

@@ -27,6 +27,8 @@ nonzeros cost.  From 4 pairs on, `_packed_product` computes it by Kronecker
 substitution: one big-integer multiply-add per entry of A, then one unpacking
 and normalization per output entry, unless its fields would be wider than 200
 bits, where the sparse kernel is faster.  Both give the same canonical rows.
+When every row of B keeps its own column, as in the identity, the selection
+moves nothing, and A's rows are the product as they are.
 `_merge` adds a sparse run of (possibly unnormalized) terms into a row and
 normalizes each entry it touches once, which serves `+`, `-`, the trace and the
 elimination update.
@@ -40,8 +42,10 @@ and kept through row swaps and fill-in, so a step visits the rows holding its
 pivot column rather than every row.  Its result is the unique reduced row
 echelon form, and `kernel_basis` returns the null space as the columns of one
 matrix, one per free column in ascending index order, so all derived bases are
-deterministic.  `inverse` returns the transpose of a permutation, since
-PᵀP = I, and eliminates every other matrix.
+deterministic; a matrix whose rows each hold at most one entry, no two in one
+column, reduces to unit rows, so its kernel is read off its empty columns.
+`inverse` returns the transpose of a permutation, since PᵀP = I, and
+eliminates every other matrix.
 
 One block engine builds and reads every block matrix: `place` sets blocks
 into an all-zero frame and `Matrix.block` slices one out.  Both take their
@@ -115,16 +119,17 @@ def _scaled(row: tuple, x: tuple, shift: int = 0) -> tuple:
     return _canon(_products(row, x, shift))
 
 
-def _unit_columns(m: "Matrix") -> list | None:
+def _unit_columns(m: "Matrix", unit: bool = True) -> list | None:
     """The column of each row's entry when every row of m holds at most one
-    entry, that entry is exactly 1 and no two rows share its column (None at
-    an empty row); otherwise None, found at the first row that fails."""
+    entry, that entry is exactly 1 (any value when not `unit`) and no two rows
+    share its column (None at an empty row); otherwise None, found at the
+    first row that fails."""
     out, seen = [], set()
     for row in m.raw:
         if not row:
             out.append(None)
             continue
-        if len(row) > 1 or row[0][1:] != _ONE or (j := row[0][0]) in seen:
+        if len(row) > 1 or (unit and row[0][1:] != _ONE) or (j := row[0][0]) in seen:
             return None
         seen.add(j)
         out.append(j)
@@ -393,7 +398,10 @@ class Matrix:
         if (moved := _unit_columns(other)) is not None:
             # B selects columns: each entry of A is multiplied by 1 and moved
             # to a column no other entry of its row reaches, so nothing is
-            # formed or added
+            # formed or added; where every row of B keeps its own column,
+            # nothing moves either
+            if moved == list(range(other.rows)):
+                return _new(self.rows, other.cols, self.raw)
             return _new(self.rows, other.cols, tuple(
                 tuple(sorted((moved[t], a, b, c, d, e) for t, a, b, c, d, e in arow if moved[t] is not None))
                 for arow in self.raw))
@@ -680,10 +688,17 @@ def kernel_basis(m: Matrix) -> Matrix:
     m.cols x nullity matrix.
 
     One basis column per free column, in ascending free-column order, with a 1
-    in the free coordinate.
+    in the free coordinate.  When every row of m holds at most one entry and
+    no two rows share its column, the reduced rows are the unit rows of those
+    columns, so the basis is read off the empty columns without elimination.
     """
-    rows = list(m.raw)
-    pivots = _rref(rows)
+    if (lone := _unit_columns(m, unit=False)) is not None:
+        # each nonzero row scales to the unit row of its own column
+        pivots = sorted(j for j in lone if j is not None)
+        rows = [()] * len(pivots)  # what follows each reduced row's 1
+    else:
+        rows = list(m.raw)
+        pivots = _rref(rows)
     free = sorted(set(range(m.cols)).difference(pivots))
     index = [0] * m.cols  # free column -> its basis column
     out = [()] * m.cols

@@ -161,22 +161,22 @@ def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
 
 
 def test_a_command_eliminates_each_matrix_once(monkeypatch):
-    # the eigen split's one kernel is always eliminated.  A permutation is
-    # inverted by transposing it, so on `qubit.spec`, whose `h2` has the
-    # identity gram, nothing else is: neither the stanza's gram, nor the
-    # split's frame (the identity for the standard model), nor the extracted
-    # gram, which for the standard model is the stanza's gram.  A gram that is
-    # not a permutation is eliminated by its Hermitian space's check and again
-    # by the split's own space, besides the kernel
+    # the split's kernel, of icplx - iI, is read off its empty columns, since
+    # the standard model's icplx is diagonal; its frame is the identity,
+    # inverted by transposing it; and the extracted space's gram inverse is
+    # read off the coevaluation and checked by one product.  So on
+    # `qubit.spec`, whose `h2` has the identity gram, nothing is eliminated,
+    # and a gram that is not a permutation is eliminated once, by the check
+    # of the stanza's Hermitian space
     calls = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
     for spec, command, target, count in (
-            ("qubit.spec", "hermitian", "h2", 1), ("qubit.spec", "dagger", "had", 1),
-            ("qubit.spec", "unitary", "had", 1), ("qubit.spec", "channel", "spread", 1),
-            ("qubit.spec", "quantize", "pair", 1),
-            ("indefinite.spec", "hermitian", "lor", 3), ("indefinite.spec", "hermitian", "skew", 3),
-            ("indefinite.spec", "dagger", "boost", 3), ("indefinite.spec", "channel", "push", 3)):
+            ("qubit.spec", "hermitian", "h2", 0), ("qubit.spec", "dagger", "had", 0),
+            ("qubit.spec", "unitary", "had", 0), ("qubit.spec", "channel", "spread", 0),
+            ("qubit.spec", "quantize", "pair", 0),
+            ("indefinite.spec", "hermitian", "lor", 1), ("indefinite.spec", "hermitian", "skew", 1),
+            ("indefinite.spec", "dagger", "boost", 1), ("indefinite.spec", "channel", "push", 1)):
         calls.clear()
         assert cli.run(load(spec), command, target)[1] == 0
         assert len(calls) == count, (spec, command, target)
@@ -201,11 +201,13 @@ def test_dagger_and_channel_read_the_map_and_state_laws_in_the_frame(monkeypatch
     # coordinates a command computes anyway (see `hermitian.EigenSplit`), so
     # no ambient product tests it again: 4 products fewer per externalized
     # map and per converted square.  `channel` computes no isometry verdict,
-    # whose two routes `unitary` compares
+    # whose two routes `unitary` compares.  The split forms 3 products where it
+    # used to eliminate the extracted gram: 2 read its inverse off the
+    # coevaluation and 1 checks it
     calls = []
     matmul = Matrix.__matmul__
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
-    for command, target, count in (("dagger", "had", 22), ("channel", "spread", 33)):
+    for command, target, count in (("dagger", "had", 25), ("channel", "spread", 36)):
         calls.clear()
         assert cli.run(load("qubit.spec"), command, target)[1] == 0
         assert len(calls) == count, command

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from realmod import linalg
+from realmod import hermitian, linalg
 from realmod.equivalence import HermitianSpace, _complex_split, complexify, random_isometric_pair
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
@@ -91,6 +91,56 @@ def _structures_with_splits():
         space = random_isometric_pair(rng, n)
         split = _complex_split(space)
         yield SelfDualRealModule(complexify(space), space.g, inverse(space.g), space.J), split
+
+
+def test_the_split_reads_its_gram_inverse_off_the_coevaluation(monkeypatch):
+    # frame^-1 . coev . frame^-T is [[0, gram^-T], [gram^-1, 0]]; the split
+    # keeps its lower-left block, checked by one product, and never inverts
+    # its gram.  The standard models eliminate nothing: icplx - iI is read
+    # off, the frame is the identity, and the block is the stanza's own inverse
+    rng = random.Random(73)
+    spaces = [HermitianSpace(gram.rows, gram) for gram in GRAMS] + [HermitianSpace(0, Matrix.zero(0, 0))]
+    standard = [make_selfdual(h) for h in spaces] + [quantize(n) for n in (1, 2, 3)]
+    moved = [random_selfdual(rng, n) for n in (0, 1, 2, 3)] + [
+        quantize_set(random_realset(rng, size, free=True)) for size in (4, 6)]
+    inverted, eliminated = [], []
+    monkeypatch.setattr(hermitian, "inverse", lambda m: inverted.append(m) or inverse(m))
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: eliminated.append(rows) or rref(rows))
+    for k, s in enumerate(standard + moved):
+        eliminated.clear()
+        space = split_eigenspaces(s).space
+        assert not any(m is space.gram for m in inverted)
+        assert eliminated == [] or k >= len(standard)
+        assert space.gram_inv == inverse(space.gram)
+    for h, s in zip(spaces, standard):
+        assert split_eigenspaces(s).space.gram_inv == h.gram_inv
+
+
+def test_a_wrong_claimed_inverse_changes_nothing():
+    # off in one entry, or of the wrong shape, a claim fails its product and
+    # the gram is eliminated as without it: same verdict, message and inverse
+    rng = random.Random(79)
+    grams = GRAMS + [Matrix.from_rows([[1, 1], [1, 1]]), Matrix.from_rows([[1, 1], [0, 1]]), Matrix.zero(0, 0)]
+
+    def outcome(*args):
+        try:
+            h = HermitianSpace(*args)
+        except InvariantViolation as e:
+            return str(e)
+        return h, h.gram_inv
+
+    for gram in grams:
+        n = gram.rows
+        without = outcome(n, gram)
+        base = without[1] if isinstance(without, tuple) else Matrix.identity(n)
+        claims = [Matrix.identity(n + 1)]
+        if n:
+            i, j = rng.randrange(n), rng.randrange(n)
+            claims.append(base + Matrix(n, n, [ONE if (r, c) == (i, j) else Scalar()
+                                                 for r in range(n) for c in range(n)]))
+        for claim in claims:
+            assert outcome(n, gram, claim) == without
 
 
 def test_each_structure_is_its_standard_model_moved_by_its_frame():

@@ -369,6 +369,37 @@ def test_a_column_selection_on_the_right_relabels_the_columns_of_a(monkeypatch):
     assert calls == []
 
 
+def test_a_times_the_identity_is_a(monkeypatch):
+    # when every row of B keeps its own column, as in the identity, A's rows
+    # are the product as they are: nothing is moved, sorted or formed; a
+    # permutation that moves a row still relabels
+    rng = random.Random(67)
+    cases = [(Matrix(0, 0, ()), Matrix.identity(0)), (Matrix(3, 0, ()), Matrix.identity(0)),
+             (Matrix(0, 4, ()), Matrix.identity(4))]
+    for k in (1, 2, 5, 9):
+        n = rng.randrange(1, 6)
+        for a in (_dense_matrix(rng, n, k, "mixed"), _sparse_matrix(rng, n, k)):
+            cases += [(a, Matrix.identity(k)), (a, hstack([Matrix.identity(k), Matrix.zero(k, 2)]))]
+    moved = []
+    for k in (2, 3, 6):
+        a = _dense_matrix(rng, 3, k, "mixed")
+        p = _permutation(rng, k)
+        while p.is_identity():
+            p = _permutation(rng, k)
+        moved.append((a, p, _naive_matmul(a, p)))
+    expect = [_naive_matmul(a, b) for a, b in cases]
+    calls = []
+    for name in ("_products", "_packed_product", "gcd"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+    for (a, b), want in zip(cases, expect):
+        got = a @ b
+        assert got == want and got.raw is a.raw
+    for a, p, want in moved:
+        assert a @ p == want != a
+    assert calls == []
+
+
 def test_a_repeated_or_scaled_unit_column_takes_the_summing_path():
     # two unit rows of B in one column add their entries of A there, and an
     # entry other than 1 scales; both must agree with the reference
@@ -469,6 +500,15 @@ def _elimination_case(rng):
     return Matrix.from_rows(entries)
 
 
+def _reference_kernel(m):
+    """The kernel basis read off `_gauss_jordan`'s reduced rows."""
+    ref, pivots, _ = _gauss_jordan(m)
+    free = [f for f in range(m.cols) if f not in pivots]
+    return Matrix(m.cols, len(free), [
+        ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
+        for j in range(m.cols) for f in free])
+
+
 def _assert_the_kernel_contract(m):
     """kernel_basis(m) is one m.cols x nullity matrix that m annihilates, and
     its rows at the free columns of the reference elimination are the identity."""
@@ -487,11 +527,8 @@ def _assert_elimination_matches_the_reference(m, b):
     ref, pivots, product = _gauss_jordan(m)
     assert rref(m) == (Matrix.from_rows(ref) if m.rows else m, tuple(pivots))
     assert rank(m) == len(pivots)
-    free = [f for f in range(m.cols) if f not in pivots]
     _assert_the_kernel_contract(m)
-    assert kernel_basis(m) == Matrix(m.cols, len(free), [
-        ONE if j == f else -ref[pivots.index(j)][f] if j in pivots else ZERO
-        for j in range(m.cols) for f in free])
+    assert kernel_basis(m) == _reference_kernel(m)
     aug, aug_pivots, _ = _gauss_jordan(hstack([m, b]))
     x = solve(m, b)
     if m.cols in aug_pivots:
@@ -569,6 +606,35 @@ def test_elimination_visits_only_the_rows_holding_each_pivot_column(monkeypatch)
     k = kernel_basis(m)
     assert k.shape == (144, 78) and (m @ k).is_zero()
     assert len(handed) == 66 and sum(handed) <= sum(map(len, m.raw))
+
+
+def _lone_entries(rng, rows, cols):
+    """A rows×cols matrix with at most one nonzero in each row and in each
+    column, of any value, in random rows and columns."""
+    taken = rng.sample(range(cols), rng.randrange(min(rows, cols) + 1))
+    where = dict(zip(rng.sample(range(rows), len(taken)), taken))
+    values = (I, SQRT2, Scalar(Fraction(1, 3)), -ONE, ONE, Scalar(Fraction(-2, 5), 1, 0, 1))
+    return Matrix(rows, cols, tuple(rng.choice(values) if where.get(i) == j else ZERO
+                                    for i in range(rows) for j in range(cols)))
+
+
+def test_a_kernel_with_one_entry_per_row_and_column_is_read_off(monkeypatch):
+    # each nonzero row reduces to the unit row of its own column, so the basis
+    # is the unit vectors of the empty columns, as elimination gives it
+    rng = random.Random(71)
+    cases = [_lone_entries(rng, rng.randrange(6), rng.randrange(6)) for _ in range(60)]
+    cases += [Matrix(0, 0, ()), Matrix(0, 3, ()), Matrix(3, 0, ()), Matrix.zero(2, 3),
+              Matrix.diagonal([-2 * I, -2 * I, ZERO, ZERO])]  # the standard model's icplx - iI
+    # two one-entry rows in one column are eliminated
+    shared = [Matrix.from_rows([[0, I], [0, 3]]), Matrix.from_rows([[SQRT2, 0, 0], [0, 0, 1], [1, 0, 0]])]
+    expect = [_reference_kernel(m) for m in cases + shared]
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
+    assert [kernel_basis(m) for m in cases] == expect[:len(cases)]
+    assert calls == []
+    assert [kernel_basis(m) for m in shared] == expect[len(cases):]
+    assert len(calls) == len(shared)
 
 
 def test_the_inverse_of_a_permutation_is_its_transpose(monkeypatch):
