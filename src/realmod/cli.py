@@ -18,13 +18,15 @@ Commands:
 
 Every stanza's object is built in one place, the table `_BUILD` (kind ->
 builder): a module, realvs, hermitian or realset stanza gives its checked
-object, a gate gives (matrix, space), a channel gives (gate, state, space)
-once the state is gram-self-adjoint, a quantize stanza gives its quantized
-structure and a check stanza its target's object.  `check` runs the builder
-of each stanza and the commands take their objects from `_Build` only, so
-`check` asserts every law whose failure makes a command exit 1.  Each command
-builds each object once: `run` makes one `_Build` table, and every stanza that
-names a built object, or one whose builder failed, reads it from there.
+object, a gate gives (matrix, space) with the space of whichever of
+`specfile.SPACE_KINDS` declares its `on=`, a channel gives (gate, state,
+space) once the state is gram-self-adjoint, a quantize stanza gives its
+quantized structure and a check stanza its target's object.  `check` runs the
+builder of each stanza and the commands, declared once in `_COMMANDS`, take
+their objects from `_Build` only, so `check` asserts every law whose failure
+makes a command exit 1.  Each command builds each object once: `run` makes one
+`_Build` table, and every stanza that names a built object, or one whose
+builder failed, reads it from there.
 
 Exit codes: 0 all verdicts passed, 1 a verdict failed, 2 input error.
 """
@@ -50,7 +52,8 @@ from .modules import RealModule
 from .quantization import RealSet, quantize
 from .scalars import ScalarFormatError
 from .selftest import run_selftest
-from .specfile import SpecFile, SpecFileError, parse_spec
+from .specfile import SPACE_KINDS, SpecFile, SpecFileError, parse_spec, split_lines
+
 
 class _InputError(Exception):
     pass
@@ -69,7 +72,7 @@ _BUILD = {
     "module": lambda build, f: RealModule(f["dim"], f["inv"]),
     "realvs": lambda build, f: RealVS(f["dim"], f["g"], f["J"]),
     "hermitian": lambda build, f: HermitianSpace(f["dim"], f["gram"]),
-    "gate": lambda build, f: (f["mat"], build("hermitian", f["on"])),
+    "gate": lambda build, f: (f["mat"], build.space(f["on"])),
     "realset": lambda build, f: RealSet(f["size"], f["tau"]),
     "quantize": lambda build, f: quantize(len(f["basis"])),  # builds and checks the whole structure
     "channel": _build_channel,
@@ -96,6 +99,13 @@ class _Build:
         if st is None:
             raise _InputError(f"no {_NOUN.get(kind, kind)} named {name!r}")
         return self.stanza(st)
+
+    def space(self, name: str):
+        """The object of the space `name`, of the first of `SPACE_KINDS` that declares it."""
+        for kind in SPACE_KINDS:
+            if self.spec.find(kind, name) is not None:
+                break
+        return self(kind, name)
 
     def stanza(self, st):
         key = (st.kind, len(st.fields["basis"]) if st.kind == "quantize" else st.name)
@@ -217,6 +227,11 @@ def _cmd_selftest(seed: int, cases: int) -> tuple[list[str], int]:
     return lines, 0 if passed == len(results) else 1
 
 
+# command -> handler(build, target) for every command that reads a spec file
+_COMMANDS = {"check": _cmd_check, "hermitian": _cmd_hermitian, "dagger": _cmd_dagger,
+             "unitary": _cmd_unitary, "channel": _cmd_channel, "quantize": _cmd_quantize}
+
+
 def run(spec: SpecFile | None, command: str, target: str | None = None,
         seed: int = 0, cases: int = 100) -> tuple[list[str], int]:
     """Execute one command; returns (report lines, exit code)."""
@@ -225,21 +240,12 @@ def run(spec: SpecFile | None, command: str, target: str | None = None,
             return _cmd_selftest(seed, cases)
         if spec is None:
             raise _InputError(f"command {command!r} needs --input")
-        build = _Build(spec)
-        if command == "check":
-            return _cmd_check(build, target)
-        if command in ("hermitian", "dagger", "unitary", "channel", "quantize"):
-            if target is None:
-                raise _InputError(f"command {command!r} needs --target")
-            handler = {
-                "hermitian": _cmd_hermitian,
-                "dagger": _cmd_dagger,
-                "unitary": _cmd_unitary,
-                "channel": _cmd_channel,
-                "quantize": _cmd_quantize,
-            }[command]
-            return handler(build, target)
-        raise _InputError(f"unknown command {command!r}")
+        handler = _COMMANDS.get(command)
+        if handler is None:
+            raise _InputError(f"unknown command {command!r}")
+        if target is None and handler is not _cmd_check:
+            raise _InputError(f"command {command!r} needs --target")
+        return handler(_Build(spec), target)
     except (_InputError, ScalarFormatError) as exc:
         return [f"error: {exc}"], 2
     except RUN_ERRORS as exc:
@@ -253,7 +259,7 @@ def main(argv=None) -> int:
         description="Exact involutive-module toolkit: check, extract, quantize, self-test.")
     parser.add_argument("--input", help="spec file path")
     parser.add_argument("--command", required=True,
-                        help="check | hermitian | dagger | unitary | channel | quantize | selftest")
+                        help=" | ".join((*_COMMANDS, "selftest")))
     parser.add_argument("--target", help="object name the command acts on")
     parser.add_argument("--seed", type=int, default=0, help="property-test seed (default 0)")
     parser.add_argument("--cases", type=int, default=100, help="property-test case budget (default 100)")
@@ -270,7 +276,7 @@ def main(argv=None) -> int:
             return 2
         except UnicodeDecodeError as exc:
             # the lines up to the first undecodable byte, which starts the last one
-            head = (data[:exc.start].decode("utf-8") + "?").splitlines()
+            head = split_lines(data[:exc.start].decode("utf-8") + "?")
             print(f"error: cannot read {args.input}: not UTF-8 text "
                   f"(line {len(head)}, column {len(head[-1])})")
             return 2

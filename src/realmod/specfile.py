@@ -10,23 +10,26 @@ Stanza kinds and their keys:
     module    <name> dim=<n> inv=<matrix>
     realvs    <name> dim=<n> g=<matrix> J=<matrix>
     hermitian <name> dim=<n> gram=<matrix>
-    gate      <name> on=<hermitian> mat=<matrix>
+    gate      <name> on=<space> mat=<matrix>
     realset   <name> size=<n> tau=<perm>
     quantize  <name> basis=<labels>
     channel   <name> gate=<gate> rho=<gate>
     check     <name> target=<name> [kind=<kind>]
 
 Names are unique per kind and every reference must already be defined
-(definition before use).  A `gate` names a square matrix on a declared
-Hermitian space; states for `channel` are declared the same way.
+(definition before use).  A `gate` names a square matrix on a declared space,
+a stanza of a kind in `SPACE_KINDS`; states for `channel` are declared the
+same way.  `_SCHEMA` declares each kind's keys in the order above, its
+optional and matrix keys, and its validator.
 
-Each line is split once with `str.split()`, which splits on the same
-whitespace as `_tokens`; an error records the token it lies in, and the line
-is scanned for token columns only when that error is raised.  Every matrix is
-validated, with its shape, when the file is parsed, so a malformed matrix is a
-positioned error even in a stanza no command reads.  It is converted to a
-`Matrix` only when a command first reads it from `Stanza.fields`, and that
-conversion is kept on the stanza.
+Lines break only at CR LF, CR and LF, as in Python's tokenizer: the other
+breaks of `str.splitlines` are whitespace within a line.  Each line is split
+once with `str.split()`, which splits on the same whitespace as `_tokens`; an
+error records the token it lies in, and the line is scanned for token columns
+only when that error is raised.  Every matrix is validated, with its shape,
+when the file is parsed, so a malformed matrix is a positioned error even in a
+stanza no command reads.  It is converted to a `Matrix` only when a command
+first reads it from `Stanza.fields`, and that conversion is kept on the stanza.
 """
 
 from __future__ import annotations
@@ -40,19 +43,7 @@ from .linalg import MatrixParseError, parse_matrix
 from .scalars import MAX_LITERAL_LENGTH, SCALAR_PATTERN
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_KINDS = ("module", "realvs", "hermitian", "gate", "realset", "quantize", "channel", "check")
-_KEYS = {
-    "module": ("dim", "inv"),
-    "realvs": ("dim", "g", "J"),
-    "hermitian": ("dim", "gram"),
-    "gate": ("on", "mat"),
-    "realset": ("size", "tau"),
-    "quantize": ("basis",),
-    "channel": ("gate", "rho"),
-    "check": ("target", "kind"),
-}
-_OPTIONAL = {"check": ("kind",)}
-_MATRIX_KEYS = frozenset(("inv", "g", "J", "gram", "mat"))
+SPACE_KINDS = ("hermitian",)  # the kinds whose object is a HermitianSpace, what `on=` names
 
 
 class SpecFileError(ValueError):
@@ -100,20 +91,15 @@ class SpecFile:
     stanzas: tuple
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _declared(self) -> dict:
-        """kind -> {name: stanza}, in file order; `parse_spec` stores the index it built."""
+    def find(self, kind: str, name: str):
+        """The first stanza of `kind` named `name`, or None.  The index, kind ->
+        {name: stanza}, is the one `parse_spec` built, or is built here once."""
         if "declared" not in self._memo:
             declared = {}
             for st in self.stanzas:
                 declared.setdefault(st.kind, {}).setdefault(st.name, st)
             self._memo["declared"] = declared
-        return self._memo["declared"]
-
-    def find(self, kind: str, name: str):
-        return self._declared().get(kind, {}).get(name)
-
-    def names(self, kind: str) -> tuple:
-        return tuple(self._declared().get(kind, ()))
+        return self._memo["declared"].get(kind, {}).get(name)
 
 
 _TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace(), on which str.split() splits
@@ -185,49 +171,38 @@ def _parse_mat(text: str, key: str) -> tuple:
     return m, m.shape
 
 
-def _square(f: dict, key: str, dim: int):
-    """The value of the matrix field `key`, which must be dim x dim."""
-    value, shape = _parse_mat(f[key], key)
-    if shape != (dim, dim):
-        raise _Bad(f"{key} must be dim x dim", key)
-    return value
+def _resolve(declared: dict, kinds: tuple, f: dict, key: str):
+    """The stanza `f[key]` names: the first of `kinds` that declares it."""
+    name = f[key]
+    for kind in kinds:
+        st = declared[kind].get(name)
+        if st is not None:
+            return st
+    raise _Bad(f"unknown {' or '.join(kinds)} {name!r}", key)
 
 
-def _resolve(declared: dict, kind: str, f: dict, key: str):
-    st = declared[kind].get(f[key])
-    if st is None:
-        raise _Bad(f"unknown {kind} {f[key]!r}", key)
-    return st
-
-
-def _module(f: dict, declared: dict) -> dict:
+def _square(f: dict, declared: dict, matrices: tuple) -> dict:
+    """dim and the fields `matrices`, each dim x dim; all parse before any shape is checked."""
     dim = _parse_int(f["dim"], "dim", minimum=1)
-    return {"dim": dim, "inv": _square(f, "inv", dim)}
-
-
-def _realvs(f: dict, declared: dict) -> dict:
-    dim = _parse_int(f["dim"], "dim", minimum=1)
-    (g, gshape), (j, jshape) = _parse_mat(f["g"], "g"), _parse_mat(f["J"], "J")
-    for key, shape in (("g", gshape), ("J", jshape)):
+    values = {"dim": dim}
+    for key in matrices:
+        values[key] = _parse_mat(f[key], key)
+    for key in matrices:
+        values[key], shape = values[key]
         if shape != (dim, dim):
             raise _Bad(f"{key} must be dim x dim", key)
-    return {"dim": dim, "g": g, "J": j}
+    return values
 
 
-def _hermitian(f: dict, declared: dict) -> dict:
-    dim = _parse_int(f["dim"], "dim", minimum=1)
-    return {"dim": dim, "gram": _square(f, "gram", dim)}
-
-
-def _gate(f: dict, declared: dict) -> dict:
-    d = _resolve(declared, "hermitian", f, "on").fields["dim"]
+def _gate(f: dict, declared: dict, matrices: tuple) -> dict:
+    d = _resolve(declared, SPACE_KINDS, f, "on").fields["dim"]
     mat, shape = _parse_mat(f["mat"], "mat")
     if shape != (d, d):
         raise _Bad(f"mat must be {d}x{d} for {f['on']}", "mat")
     return {"on": f["on"], "mat": mat}
 
 
-def _realset(f: dict, declared: dict) -> dict:
+def _realset(f: dict, declared: dict, matrices: tuple) -> dict:
     size = _parse_int(f["size"], "size")
     tau = []
     at = 0
@@ -241,7 +216,7 @@ def _realset(f: dict, declared: dict) -> dict:
     return {"size": size, "tau": tuple(tau)}
 
 
-def _quantize(f: dict, declared: dict) -> dict:
+def _quantize(f: dict, declared: dict, matrices: tuple) -> dict:
     parts = f["basis"].split(",")
     at = 0
     seen = set()
@@ -255,22 +230,22 @@ def _quantize(f: dict, declared: dict) -> dict:
     return {"basis": tuple(parts)}
 
 
-def _channel(f: dict, declared: dict) -> dict:
-    gate = _resolve(declared, "gate", f, "gate")
-    if gate.fields["on"] != _resolve(declared, "gate", f, "rho").fields["on"]:
+def _channel(f: dict, declared: dict, matrices: tuple) -> dict:
+    gate = _resolve(declared, ("gate",), f, "gate")
+    if gate.fields["on"] != _resolve(declared, ("gate",), f, "rho").fields["on"]:
         raise _Bad("gate and rho live on different spaces", "rho")
     return {"gate": f["gate"], "rho": f["rho"]}
 
 
-def _check(f: dict, declared: dict) -> dict:
+def _check(f: dict, declared: dict, matrices: tuple) -> dict:
     target = f["target"]
     if "kind" in f:
         kind = f["kind"]
-        if kind not in _KINDS or kind == "check":
+        if kind not in _SCHEMA or kind == "check":
             raise _Bad(f"bad kind {kind!r}", "kind")
-        _resolve(declared, kind, f, "target")
+        _resolve(declared, (kind,), f, "target")
     else:
-        hits = [k for k in _KINDS if k != "check" and target in declared[k]]
+        hits = [k for k in _SCHEMA if k != "check" and target in declared[k]]
         if not hits:
             raise _Bad(f"unknown target {target!r}", "target")
         if len(hits) > 1:
@@ -279,14 +254,24 @@ def _check(f: dict, declared: dict) -> dict:
     return {"kind": kind, "target": target}
 
 
-# kind -> validator(fields, declared): the stanza's parsed values, every one checked
-_VALIDATE = {"module": _module, "realvs": _realvs, "hermitian": _hermitian, "gate": _gate,
-             "realset": _realset, "quantize": _quantize, "channel": _channel, "check": _check}
+# kind -> (keys, optional keys, matrix keys, validator(fields, declared, matrix
+# keys)); the validator gives the stanza's parsed values, every one checked
+_SCHEMA = {
+    "module": (("dim", "inv"), (), ("inv",), _square),
+    "realvs": (("dim", "g", "J"), (), ("g", "J"), _square),
+    "hermitian": (("dim", "gram"), (), ("gram",), _square),
+    "gate": (("on", "mat"), (), ("mat",), _gate),
+    "realset": (("size", "tau"), (), (), _realset),
+    "quantize": (("basis",), (), (), _quantize),
+    "channel": (("gate", "rho"), (), (), _channel),
+    "check": (("target", "kind"), ("kind",), (), _check),
+}
+_MATRIX_KEYS = frozenset(key for row in _SCHEMA.values() for key in row[2])
 
 
 def _stanza(toks: list, declared: dict, lineno: int) -> Stanza:
     kind = toks[0]
-    if kind not in _VALIDATE:
+    if kind not in _SCHEMA:
         raise _Bad(f"unknown stanza kind {kind!r}", 0)
     if len(toks) < 2:
         raise _Bad("stanza needs a name", 0, len(kind))
@@ -295,7 +280,7 @@ def _stanza(toks: list, declared: dict, lineno: int) -> Stanza:
         raise _Bad(f"bad name {name!r}", 1)
     if name in declared[kind]:
         raise _Bad(f"duplicate {kind} name {name!r}", 1)
-    keys = _KEYS[kind]
+    keys, optional, matrices, validate = _SCHEMA[kind]
     fields = {}
     for i in range(2, len(toks)):
         key, eq, value = toks[i].partition("=")
@@ -310,9 +295,16 @@ def _stanza(toks: list, declared: dict, lineno: int) -> Stanza:
         fields[key] = value
     if len(fields) < len(keys):
         for key in keys:
-            if key not in fields and key not in _OPTIONAL.get(kind, ()):
+            if key not in fields and key not in optional:
                 raise _Bad(f"{kind} needs {key}=", 0)
-    return Stanza(kind, name, _Fields(_VALIDATE[kind](fields, declared)), lineno)
+    return Stanza(kind, name, _Fields(validate(fields, declared, matrices)), lineno)
+
+
+def split_lines(text: str) -> list:
+    """The lines of `text`, broken only at CR LF, CR and LF."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -320,8 +312,8 @@ def parse_spec(text: str) -> SpecFile:
 
     Each line is split once; a column is worked out only for an error."""
     stanzas = []
-    declared = {kind: {} for kind in _KINDS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    declared = {kind: {} for kind in _SCHEMA}
+    for lineno, line in enumerate(split_lines(text), start=1):
         toks = line.partition("#")[0].split()
         if not toks:
             continue

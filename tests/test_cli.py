@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from realmod import cli, density, hermitian, linalg, selftest
+from realmod import cli, density, hermitian, linalg, selftest, specfile
 from realmod.equivalence import HermitianSpace
 from realmod.errors import ShapeError
 from realmod.linalg import Matrix
@@ -384,6 +384,8 @@ def test_a_spec_that_is_not_utf8_is_a_positioned_input_error(capsys, tmp_path):
         # columns count characters: "# \xc3\xa9t\xc3\xa9 " is the 6 characters "# \u00e9t\u00e9 "
         (b"# \xc3\xa9t\xc3\xa9 \xe9\r\nhermitian q dim=1 gram=1\n", 1, 7),
         (b"hermitian q dim=1 gram=1\r\n\r\n\xc3", 3, 1),
+        # a form feed or U+2028 in a comment ends no line, as in parse_spec
+        (b"hermitian q dim=1 gram=1 # \x0c\xe2\x80\xa8\n\xff", 2, 1),
     )
     for data, line, col in cases:
         path.write_bytes(data)
@@ -437,6 +439,15 @@ def test_unprintable_coordinates_are_input_errors(capsys, tmp_path):
         assert (code, out) == (2, f"error: cannot print a scalar coordinate of more than {limit} digits\n")
 
 
+def test_the_docstring_and_help_list_the_command_table_in_order(capsys):
+    block = cli.__doc__.split("Commands:\n\n")[1].split("\n\n")[0]
+    commands = [*cli._COMMANDS, "selftest"]
+    assert [line.split()[0] for line in block.splitlines() if line[4] != " "] == commands
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert " | ".join(commands) in " ".join(capsys.readouterr().out.split())
+
+
 def test_console_script_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "realmod.cli",
@@ -483,7 +494,7 @@ def _fuzz_spec(draw):
     dim = draw(_mostly(st.just(str(n)), st.sampled_from(("0", "3", "-1", "٢", "²"))))
     forms = ("1", "2", "-1") if n == 1 else ("1,0;0,1", "1,0;0,-1", "2,1*i;-1*i,1", "0,1;1,0")
     states = ("1", "1/2") if n == 1 else ("1/2,0;0,1/2", "1,0;0,0", "1/2,1/2*i;-1/2*i,1/2")
-    templates = [  # each stanza refers only to those before it
+    templates = [  # each stanza refers only to those before it; one or more per kind
         f"hermitian h dim={dim} gram={draw(_fuzz_matrix(n, forms))}",
         f"gate g on=h mat={draw(_fuzz_matrix(n, forms))}",
         f"gate r on=h mat={draw(_fuzz_matrix(n, states))}",
@@ -500,20 +511,22 @@ def _fuzz_spec(draw):
         edit = draw(st.sampled_from(("insert", "replace", "delete")))
         ch = "" if edit == "delete" else draw(st.sampled_from(_FUZZ_ALPHABET + "\n"))
         text = text[:at] + ch + text[at + (0 if edit == "insert" else 1):]
-    return text
+    return text, templates
 
 
 @given(_fuzz_spec())
 @settings(derandomize=True, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_any_spec_text_gets_an_exit_code_and_no_traceback(text):
+def test_any_spec_text_gets_an_exit_code_and_no_traceback(text_and_templates):
+    text, templates = text_and_templates
+    assert {t.split()[0] for t in templates} == set(specfile._SCHEMA)
     try:
         spec = parse_spec(text)
     except SpecFileError:
         return  # exit 2 with a positioned message
-    commands = ("hermitian", "dagger", "unitary", "channel", "quantize")
-    names = "hgrckqmvs"  # every stanza name the templates declare
-    runs = [("check", None)] + [(command, name) for command in ("check",) + commands for name in names]
+    commands = [command for command in cli._COMMANDS if command != "check"]
+    names = [t.split()[1] for t in templates]  # every stanza name the templates declare
+    runs = [("check", None)] + [(command, name) for command in cli._COMMANDS for name in names]
     results = {(command, target): cli.run(spec, command, target) for command, target in runs}
     for lines, code in results.values():
         assert code in (0, 1, 2)

@@ -22,14 +22,13 @@ from realmod.specfile import parse_spec
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
 CORPUS = sorted(DATA.glob("*.spec"))
-COMMANDS = ("check", "hermitian", "dagger", "unitary", "channel", "quantize")
 
 
 def render(path: pathlib.Path) -> str:
     spec = parse_spec(path.read_text(encoding="utf-8"))
     names = sorted({st.name for st in spec.stanzas})
     out = []
-    for command, target in [("check", None)] + [(c, n) for n in names for c in COMMANDS]:
+    for command, target in [("check", None)] + [(c, n) for n in names for c in cli._COMMANDS]:
         lines, code = cli.run(spec, command, target)
         out.append(f"$ {command}" + ("" if target is None else f" {target}"))
         out.extend(lines)

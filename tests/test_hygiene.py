@@ -4,8 +4,9 @@ cycle), the modules import each other without a cycle, no module uses a bare
 `assert` (`python -O` strips it, so no verdict may rest on one), every
 class with a `check` runs it in `__post_init__`, the one place a `.check()`
 call may appear (an object that exists has passed its laws, so no caller
-checks it again), and the package's `__all__` lists exactly the names its
-`__init__.py` imports.
+checks it again), the package's `__all__` lists exactly the names its
+`__init__.py` imports, and every stanza kind the input format declares has
+exactly one builder in the command line's table.
 
 Stdlib only.  `__init__.py` is exempt from the unused-name scan: its imports
 are the public re-exports.
@@ -15,6 +16,7 @@ import ast
 from pathlib import Path
 
 import realmod
+from realmod import cli, specfile
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "realmod"
 
@@ -191,3 +193,9 @@ def test_the_package_exports_exactly_the_names_it_imports():
 def test_the_scan_sees_every_reexport():
     tree = ast.parse("from .a import b, c as d\nimport os\ndef f():\n    from .e import g\n")
     assert _reexports(tree) == ["b", "d"]
+
+
+def test_every_stanza_kind_has_one_builder():
+    # a kind with no builder would raise a KeyError from `_Build.stanza`
+    assert set(cli._BUILD) == set(specfile._SCHEMA)
+    assert set(specfile.SPACE_KINDS) <= set(specfile._SCHEMA)

@@ -508,10 +508,8 @@ TABLE = {
         spec_error("module m dim=1 inv=x"), SpecFileError, "unexpected character 'x' (line 1, column 20)"),
     "specfile._square: {key} must be dim x dim": Raises(
         spec_error("module m dim=2 inv=1"), SpecFileError, "inv must be dim x dim (line 1, column 20)"),
-    "specfile._resolve: unknown {kind} {f[key]!r}": Raises(
+    "specfile._resolve: unknown {' or '.join(kinds)} {name!r}": Raises(
         spec_error("gate g on=q mat=1"), SpecFileError, "unknown hermitian 'q' (line 1, column 11)"),
-    "specfile._realvs: {key} must be dim x dim": Raises(
-        spec_error("realvs v dim=2 g=1 J=1"), SpecFileError, "g must be dim x dim (line 1, column 18)"),
     "specfile._gate: mat must be {d}x{d} for {f['on']}": Raises(
         spec_error(QUBIT + "gate g on=q mat=1,0"), SpecFileError, "mat must be 1x1 for q (line 3, column 17)"),
     "specfile._realset: tau must list size entries": Raises(

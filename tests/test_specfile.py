@@ -33,8 +33,8 @@ def test_parses_every_stanza_kind():
     spec = parse_spec(GOOD)
     assert tuple(st.name for st in spec.stanzas) == (
         "h", "u", "m", "v", "s", "q", "c", "k1", "k2")
-    assert spec.names("gate") == ("u",)
     st = spec.find("gate", "u")
+    assert [g for g in spec.stanzas if g.kind == "gate"] == [st]
     assert st.fields["on"] == "h"
     assert st.fields["mat"].rows == 2
     assert list(st.fields) == ["on", "mat"] and len(st.fields) == 2
@@ -42,9 +42,11 @@ def test_parses_every_stanza_kind():
     assert spec.find("check", "k1").fields["kind"] == "hermitian"
     assert spec.find("realset", "s").fields["tau"] == (1, 0)
     assert spec.find("quantize", "q").fields["basis"] == ("a", "b")
-    assert spec.find("gate", "h") is None and spec.names("channel") == ("c",)
+    assert spec.find("gate", "h") is None
+    assert [c.name for c in spec.stanzas if c.kind == "channel"] == ["c"]
     rebuilt = SpecFile(spec.stanzas)  # built without parse_spec's index
-    assert rebuilt.find("gate", "u") is st and rebuilt.names("check") == ("k1", "k2")
+    assert rebuilt.find("gate", "u") is st
+    assert [rebuilt.find("check", k) for k in ("k1", "k2")] == [c for c in spec.stanzas if c.kind == "check"]
 
 
 def test_comments_and_blank_lines_are_skipped():
@@ -148,6 +150,7 @@ CHANNEL_SPACES = ("hermitian a dim=1 gram=1\nhermitian b dim=1 gram=2\n"
     ("realvs v dim=2 g=1,0;0,1 J=0,-1,0;1,0,0\n", "J must be dim x dim", 1, 28),
     ("realvs v dim=2 g=1 J=0,-1;1,0\n", "g must be dim x dim", 1, 18),
     ("realvs v dim=2 J=0,-1;1,0 g=1\n", "g must be dim x dim", 1, 29),
+    ("realvs v dim=2 g=1 J=x\n", "unexpected character 'x'", 1, 22),  # every matrix parses before a shape is checked
     ("hermitian h dim=2 gram=1\n", "gram must be dim x dim", 1, 24),
     (TWO + "gate u on=h mat=1\n", "mat must be 2x2 for h", 2, 17),
     (TWO + "gate u on=k mat=1\n", "unknown hermitian 'k'", 2, 11),
@@ -233,6 +236,30 @@ def test_tokens_split_on_exactly_the_unicode_whitespace():
     for line in lines:
         assert _tokens(line) == _reference_tokens(line), repr(line)
         assert [t for t, _ in _tokens(line)] == line.partition("#")[0].split(), repr(line)
+
+
+def test_lines_break_only_where_the_tokenizer_does_not_see_whitespace():
+    # \v \f \x1c-\x1e \x85 U+2028 U+2029 separate tokens within one line; only
+    # CR LF, CR and LF end a line
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        spec = parse_spec(f"hermitian h dim=1{sep}gram=1 # a{sep}b\ngate u on=h{sep}mat=1")
+        assert [(st.kind, st.name, st.line) for st in spec.stanzas] == [("hermitian", "h", 1), ("gate", "u", 2)]
+        assert err(f"module m dim=1 inv=1 # a{sep}b\r\n\rfoo{sep}x\n") == "unknown stanza kind 'foo' (line 3, column 1)"
+
+
+def _docstring_kinds() -> dict:
+    """kind -> (keys, optional keys), as the module docstring's block lists them."""
+    block = specfile.__doc__.split("Stanza kinds and their keys:\n\n")[1].split("\n\n")[0]
+    kinds = {}
+    for line in block.splitlines():
+        kind, _, *keys = line.split()
+        kinds[kind] = (tuple(k.strip("[]").split("=")[0] for k in keys),
+                       tuple(k.strip("[]").split("=")[0] for k in keys if k.startswith("[")))
+    return kinds
+
+
+def test_the_docstring_lists_each_kind_with_its_schema_keys_in_order():
+    assert list(_docstring_kinds().items()) == [(kind, row[:2]) for kind, row in specfile._SCHEMA.items()]
 
 
 # terms of matrix text: well-formed ones (digit runs at the fast path's bound
