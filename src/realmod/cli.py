@@ -10,7 +10,7 @@ Commands:
     check      validate the invariants of every declared object (optionally
                only stanzas whose name equals --target)
     hermitian  extract the Hermitian space of a quantize or hermitian stanza
-    dagger     adjoint of a gate, with the gram-oracle cross-check
+    dagger     adjoint of a gate, asserted to equal the gram oracle
     unitary    isometry verdict for a gate (exit 0 iff unitary)
     channel    apply a channel stanza: transformed operator plus certificates
     quantize   build a quantize stanza: module, icplx, gram, certificates
@@ -18,13 +18,15 @@ Commands:
 
 Every stanza's object is built in one place, the table `_BUILD` (kind ->
 builder): a module, realvs, hermitian or realset stanza gives its checked
-object, a gate gives (matrix, space) with the space of whichever of
-`specfile.SPACE_KINDS` declares its `on=`, a channel gives (gate, state,
-space) once the state is gram-self-adjoint, a quantize stanza gives its
-quantized structure and a check stanza its target's object.  `check` runs the
-builder of each stanza and the commands, declared once in `_COMMANDS`, take
-their objects from `_Build` only, so `check` asserts every law whose failure
-makes a command exit 1.  Each command builds each object once: `run` makes one
+object, a gate gives (matrix, space) with the space its `on=` resolved to, a
+channel gives (gate, state, space) once the state is gram-self-adjoint, a
+quantize stanza gives its quantized structure and a check stanza its target's
+object.  A reference is built from the (kind, name) that `specfile` resolved
+it to.  `check` runs the builder of each stanza and the commands, declared
+once in `_COMMANDS`, take their objects from `_Build` only, so `check` asserts
+every law whose failure makes a command exit 1; `channel` reads its stanza's
+gate and state without the channel builder, as `density.channel` tests the
+state law itself.  Each command builds each object once: `run` makes one
 `_Build` table, and every stanza that names a built object, or one whose
 builder failed, reads it from there.
 
@@ -40,29 +42,28 @@ from .density import channel as apply_channel
 from .density import positivity_certificate
 from .equivalence import HermitianSpace, RealVS
 from .errors import RUN_ERRORS, InvariantViolation
-from .hermitian import (
-    adjoint_oracle,
-    dagger,
-    extract_hermitian,
-    is_unitary,
-    make_selfdual,
-)
+from .hermitian import dagger, extract_hermitian, is_unitary, make_selfdual
 from .linalg import format_matrix
 from .modules import RealModule
 from .quantization import RealSet, quantize
 from .scalars import ScalarFormatError
 from .selftest import run_selftest
-from .specfile import SPACE_KINDS, SpecFile, SpecFileError, parse_spec, split_lines
+from .specfile import SpecFile, SpecFileError, parse_spec, split_lines
 
 
 class _InputError(Exception):
     pass
 
 
+def _channel_inputs(build: _Build, f: dict) -> tuple:
+    """(gate, state, space) of a channel stanza's fields, the state untested."""
+    gate, space = build(*f["gate"])
+    return gate, build(*f["rho"])[0], space  # the state is on the gate's space, as parsing ensured
+
+
 def _build_channel(build: _Build, f: dict) -> tuple:
-    gate, space = build("gate", f["gate"])
-    rho = build.spec.find("gate", f["rho"]).fields["mat"]  # on the gate's space, as parsing ensured
-    if not space.is_self_adjoint(rho):  # the law `channel` asserts on its state
+    gate, rho, space = _channel_inputs(build, f)
+    if not space.is_self_adjoint(rho):  # the law `density.channel` asserts on its state
         raise InvariantViolation("state is not gram-self-adjoint")
     return gate, rho, space
 
@@ -72,11 +73,11 @@ _BUILD = {
     "module": lambda build, f: RealModule(f["dim"], f["inv"]),
     "realvs": lambda build, f: RealVS(f["dim"], f["g"], f["J"]),
     "hermitian": lambda build, f: HermitianSpace(f["dim"], f["gram"]),
-    "gate": lambda build, f: (f["mat"], build.space(f["on"])),
+    "gate": lambda build, f: (f["mat"], build(*f["on"])),
     "realset": lambda build, f: RealSet(f["size"], f["tau"]),
     "quantize": lambda build, f: quantize(len(f["basis"])),  # builds and checks the whole structure
     "channel": _build_channel,
-    "check": lambda build, f: build(f["kind"], f["target"]),
+    "check": lambda build, f: build(*f["target"]),
 }
 _NOUN = {"quantize": "quantize stanza"}
 
@@ -95,17 +96,14 @@ class _Build:
         self._objects = {}
 
     def __call__(self, kind: str, name: str):
+        return self.stanza(self.find(kind, name))
+
+    def find(self, kind: str, name: str):
+        """The stanza of `kind` named `name`, not built."""
         st = self.spec.find(kind, name)
         if st is None:
             raise _InputError(f"no {_NOUN.get(kind, kind)} named {name!r}")
-        return self.stanza(st)
-
-    def space(self, name: str):
-        """The object of the space `name`, of the first of `SPACE_KINDS` that declares it."""
-        for kind in SPACE_KINDS:
-            if self.spec.find(kind, name) is not None:
-                break
-        return self(kind, name)
+        return st
 
     def stanza(self, st):
         key = (st.kind, len(st.fields["basis"]) if st.kind == "quantize" else st.name)
@@ -131,7 +129,7 @@ def _cmd_check(build: _Build, target: str | None) -> tuple[list[str], int]:
     if target is not None and not stanzas:
         raise _InputError(f"no stanza named {target!r}")
     for st in stanzas:
-        label = (st.fields["kind"], st.fields["target"]) if st.kind == "check" else (st.kind, st.name)
+        label = st.fields["target"] if st.kind == "check" else (st.kind, st.name)
         try:
             build.stanza(st)
             lines.append(f"check {label[0]} {label[1]}: ok")
@@ -161,14 +159,12 @@ def _cmd_hermitian(build: _Build, target: str) -> tuple[list[str], int]:
 def _cmd_dagger(build: _Build, target: str) -> tuple[list[str], int]:
     mat, space = build("gate", target)
     s = make_selfdual(space)
-    d = dagger(mat, s, s)
-    oracle = adjoint_oracle(mat, space, space)
     lines = [
-        f"dagger {target}: mat={format_matrix(d)}",
-        "adjoint-law: ok",  # asserted inside dagger
-        f"oracle-agreement: {'ok' if d == oracle else 'FAIL'}",
+        f"dagger {target}: mat={format_matrix(dagger(mat, s, s))}",
+        "adjoint-law: ok",  # dagger asserts it, as its agreement with the gram oracle
+        "oracle-agreement: ok",  # dagger raises otherwise
     ]
-    return lines, 0 if d == oracle else 1
+    return lines, 0
 
 
 def _cmd_unitary(build: _Build, target: str) -> tuple[list[str], int]:
@@ -180,7 +176,7 @@ def _cmd_unitary(build: _Build, target: str) -> tuple[list[str], int]:
 
 
 def _cmd_channel(build: _Build, target: str) -> tuple[list[str], int]:
-    gate, rho, space = build("channel", target)
+    gate, rho, space = _channel_inputs(build, build.find("channel", target).fields)
     s = make_selfdual(space)
     out = apply_channel(gate, rho, s)
     preserved = out.trace() == rho.trace()

@@ -15,11 +15,10 @@ basis; in its frame each law of a map is one block condition (see
 `EigenSplit`), and `density` reads each law of a state through the same
 converters, bending the state's square through the pairing first.
 Restricting the pairing to (-i) (x) (+i) on these partner bases yields a
-Hermitian space, kept by the split: `extract_hermitian`; the coevaluation,
-moved into the frame, holds its gram's inverse, which the space checks by one
-product instead of eliminating the gram.
+Hermitian space, kept by the split: `extract_hermitian`.
 `make_selfdual` builds the standard model back from any Hermitian space, with
-the conjugate copy first, the Hilbert space second.
+the conjugate copy first, the Hilbert space second; its split asserts that it
+extracts that space's gram and keeps the space.
 
 Dualizing a forward map through coevaluation and pairing,
 
@@ -27,7 +26,7 @@ Dualizing a forward map through coevaluation and pairing,
 
 produces the Hermitian adjoint: `dagger`.  It is computed by that composite
 (contracted as coev . G^T . pairing, which is the same linear map) and
-always agrees with the gram-side oracle gram1^-1 . conj_transpose(g) . gram2.
+asserted equal to the gram-side oracle gram1^-1 . conj_transpose(g) . gram2.
 Isometry of a map can be read off either as pairing-preservation of its
 internalization or as dagger(g) g = id; `is_internal_isometry` computes both
 routes and compares them.  `_adjoint` and `is_internal_isometry` are the one
@@ -56,16 +55,11 @@ from .scalars import I, INV_SQRT2, ONE, Scalar
 
 @dataclass(frozen=True, slots=True)
 class HermitianSpace:
-    """Complex space with an invertible conjugate-symmetric gram; `check` keeps its inverse.
-
-    `gram_inv` may be given as a claim: `check` keeps it when gram . claim is
-    the identity, one product, and otherwise inverts the gram by elimination,
-    so a wrong claim changes neither the verdict nor the inverse kept.
-    """
+    """Complex space with an invertible conjugate-symmetric gram; `check` keeps its inverse."""
 
     dim: int
     gram: Matrix
-    gram_inv: Matrix | None = field(default=None, repr=False, compare=False)
+    gram_inv: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check()
@@ -75,9 +69,6 @@ class HermitianSpace:
             raise InvariantViolation("gram has the wrong shape")
         if self.gram.conj_transpose() != self.gram:
             raise InvariantViolation("gram is not conjugate-symmetric")
-        claim = self.gram_inv
-        if claim is not None and claim.shape == self.gram.shape and (self.gram @ claim).is_identity():
-            return  # a square right inverse is the inverse
         try:
             object.__setattr__(self, "gram_inv", inverse(self.gram))
         except SingularMatrixError:
@@ -153,10 +144,10 @@ class EigenSplit:
     `frame` is [minus | plus], each block space.dim columns wide: `plus` is a
     basis of ker(icplx - iI) and `minus` its involution image, a basis of the
     -i eigenspace.  `space` is the extracted Hermitian space on the +i basis,
-    with its gram's inverse, read off the coevaluation when the split is
-    given one (`_split`).  As icplx is equivariant, icplx . minus = -i minus,
-    and as inv . conj(inv) = I, inv . conj(frame) = frame . swap: in the frame,
-    icplx is diag(-i, +i), the involution the swap and the pairing
+    with its gram's inverse; for a standard model it is the space the model
+    was built from (`_split`).  As icplx is equivariant, icplx . minus = -i
+    minus, and as inv . conj(inv) = I, inv . conj(frame) = frame . swap: in the
+    frame, icplx is diag(-i, +i), the involution the swap and the pairing
     [[0, gram], [gram^T, 0]], so each law of a map is a block condition.
     """
 
@@ -165,24 +156,24 @@ class EigenSplit:
     space: HermitianSpace
 
 
-def _split(inv: Matrix, icplx: Matrix, pairing: Matrix, coev: Matrix | None = None) -> EigenSplit:
+def _split(inv: Matrix, icplx: Matrix, pairing: Matrix, space: HermitianSpace | None = None) -> EigenSplit:
     """The eigen split of an involution, complex structure and pairing that
-    satisfy the laws `SelfDualRealModule.check` tests.
+    satisfy the laws `SelfDualRealModule.check` tests; the coevaluation is
+    not needed.
 
-    Given the coevaluation, the extracted space's gram inverse is read off it
-    and checked by one product (`HermitianSpace`): in the frame the pairing
-    is [[0, gram], [gram^T, 0]] and coev = pairing^-1, so
-    frame^-1 . coev . frame^-T is [[0, gram^-T], [gram^-1, 0]].  Without it
-    the gram is eliminated.
+    Given the space a standard model was built from, the extracted gram must
+    equal its gram, the make -> extract round trip, and the split keeps that
+    checked space; otherwise it checks a space of its own.
     """
     plus = kernel_basis(icplx - I * Matrix.identity(icplx.rows))
     minus = inv @ plus.conj()
     frame = hstack([minus, plus])
-    frame_inv = inverse(frame)
-    n = plus.cols
-    claim = None if coev is None else (
-        frame_inv.block(n, 0, n, 2 * n) @ coev @ frame_inv.block(0, 0, n, 2 * n).transpose())
-    return EigenSplit(frame, frame_inv, HermitianSpace(n, minus.transpose() @ pairing @ plus, claim))
+    gram = minus.transpose() @ pairing @ plus
+    if space is None:
+        space = HermitianSpace(plus.cols, gram)
+    elif gram != space.gram:
+        raise InvariantViolation("make/extract round trip fails")
+    return EigenSplit(frame, inverse(frame), space)
 
 
 def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
@@ -193,7 +184,7 @@ def split_eigenspaces(s: SelfDualRealModule) -> EigenSplit:
     each span half the space, and the pairing vanishes on like-signed pairs.
     """
     if "eigen" not in s._memo:
-        s._memo["eigen"] = _split(s.H.inv, s.icplx, s.pairing, s.coev)
+        s._memo["eigen"] = _split(s.H.inv, s.icplx, s.pairing, s._memo.get("space"))
     return s._memo["eigen"]
 
 
@@ -207,7 +198,9 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
 
     Blocks are ordered (-i summand, +i summand); the pairing carries the gram
     on the mixed blocks symmetrically and the coevaluation is its inverse,
-    built from the gram-dual basis in both orders.  The involution is a
+    built from the gram-dual basis in both orders.  The model records h, which
+    its split keeps once it extracts h's gram back (`_split`), so h's gram is
+    not checked or inverted again.  The involution is a
     permutation, and so are the split's frame (the identity) and its `plus`
     and `minus` selections; for a gram that is a permutation, such as the
     identity, so are the pairing and the coevaluation.  `linalg` multiplies
@@ -219,8 +212,10 @@ def make_selfdual(h: HermitianSpace) -> SelfDualRealModule:
     module = RealModule(2 * n, swap_blocks(ident, ident))
     icplx = Matrix.diagonal([-I] * n + [I] * n)
     gram_dual = h.gram_inv.conj()
-    return SelfDualRealModule(module, swap_blocks(h.gram, h.gram.transpose()),
-                              swap_blocks(gram_dual, gram_dual.transpose()), icplx)
+    s = SelfDualRealModule(module, swap_blocks(h.gram, h.gram.transpose()),
+                           swap_blocks(gram_dual, gram_dual.transpose()), icplx)
+    s._memo["space"] = h
+    return s
 
 
 def conjugate_selfdual(s: SelfDualRealModule, t: Matrix) -> SelfDualRealModule:
@@ -286,11 +281,12 @@ def _adjoint(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> tuple
 
     Bending G through coevaluation on the source and the pairing on the target
     contracts to coev1 . G^T . pairing2 on ambient coordinates; its +i block is
-    the adjoint, asserted to satisfy gram1 . dagger(g) = conj_transpose(g) . gram2.
+    the adjoint, asserted to equal `adjoint_oracle`.  As gram1 is invertible
+    that is the adjoint law gram1 . dagger(g) = conj_transpose(g) . gram2.
     """
     hom_mat = _internalize_raw(g, s1, s2)
     out = externalize_map(s1.coev @ hom_mat.transpose() @ s2.pairing, s2, s1)
-    if split_eigenspaces(s1).space.gram @ out != g.conj_transpose() @ split_eigenspaces(s2).space.gram:
+    if out != adjoint_oracle(g, split_eigenspaces(s1).space, split_eigenspaces(s2).space):
         raise InvariantViolation("dagger violates the adjoint law")
     return hom_mat, out
 

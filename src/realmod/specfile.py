@@ -19,7 +19,10 @@ Stanza kinds and their keys:
 Names are unique per kind and every reference must already be defined
 (definition before use).  A `gate` names a square matrix on a declared space,
 a stanza of a kind in `SPACE_KINDS`; states for `channel` are declared the
-same way.  `_SCHEMA` declares each kind's keys in the order above, its
+same way.  Each reference is resolved once, by `_resolve`, when its line is
+parsed: the fields `on`, `gate`, `rho` and `target` hold the (kind, name) of
+the stanza they name, so a reader looks it up without knowing which kinds the
+key allows.  `_SCHEMA` declares each kind's keys in the order above, its
 optional and matrix keys, and its validator.
 
 Lines break only at CR LF, CR and LF, as in Python's tokenizer: the other
@@ -195,11 +198,12 @@ def _square(f: dict, declared: dict, matrices: tuple) -> dict:
 
 
 def _gate(f: dict, declared: dict, matrices: tuple) -> dict:
-    d = _resolve(declared, SPACE_KINDS, f, "on").fields["dim"]
+    space = _resolve(declared, SPACE_KINDS, f, "on")
+    d = space.fields["dim"]
     mat, shape = _parse_mat(f["mat"], "mat")
     if shape != (d, d):
         raise _Bad(f"mat must be {d}x{d} for {f['on']}", "mat")
-    return {"on": f["on"], "mat": mat}
+    return {"on": (space.kind, space.name), "mat": mat}
 
 
 def _realset(f: dict, declared: dict, matrices: tuple) -> dict:
@@ -232,9 +236,10 @@ def _quantize(f: dict, declared: dict, matrices: tuple) -> dict:
 
 def _channel(f: dict, declared: dict, matrices: tuple) -> dict:
     gate = _resolve(declared, ("gate",), f, "gate")
-    if gate.fields["on"] != _resolve(declared, ("gate",), f, "rho").fields["on"]:
+    rho = _resolve(declared, ("gate",), f, "rho")
+    if gate.fields["on"] != rho.fields["on"]:  # keys: comparing stanzas would parse their matrices
         raise _Bad("gate and rho live on different spaces", "rho")
-    return {"gate": f["gate"], "rho": f["rho"]}
+    return {"gate": (gate.kind, gate.name), "rho": (rho.kind, rho.name)}
 
 
 def _check(f: dict, declared: dict, matrices: tuple) -> dict:
@@ -243,7 +248,7 @@ def _check(f: dict, declared: dict, matrices: tuple) -> dict:
         kind = f["kind"]
         if kind not in _SCHEMA or kind == "check":
             raise _Bad(f"bad kind {kind!r}", "kind")
-        _resolve(declared, (kind,), f, "target")
+        _resolve(declared, (kind,), f, "target")  # raises for an undeclared target
     else:
         hits = [k for k in _SCHEMA if k != "check" and target in declared[k]]
         if not hits:
@@ -251,7 +256,7 @@ def _check(f: dict, declared: dict, matrices: tuple) -> dict:
         if len(hits) > 1:
             raise _Bad(f"ambiguous target {target!r}; add kind=", "target")
         kind = hits[0]
-    return {"kind": kind, "target": target}
+    return {"target": (kind, target)}
 
 
 # kind -> (keys, optional keys, matrix keys, validator(fields, declared, matrix

@@ -163,11 +163,10 @@ def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
 def test_a_command_eliminates_each_matrix_once(monkeypatch):
     # the split's kernel, of icplx - iI, is read off its empty columns, since
     # the standard model's icplx is diagonal; its frame is the identity,
-    # inverted by transposing it; and the extracted space's gram inverse is
-    # read off the coevaluation and checked by one product.  So on
-    # `qubit.spec`, whose `h2` has the identity gram, nothing is eliminated,
-    # and a gram that is not a permutation is eliminated once, by the check
-    # of the stanza's Hermitian space
+    # inverted by transposing it; and it keeps the stanza's Hermitian space,
+    # whose gram it extracts back.  So on `qubit.spec`, whose `h2` has the
+    # identity gram, nothing is eliminated, and a gram that is not a
+    # permutation is eliminated once, by the check of the stanza's space
     calls = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
@@ -190,10 +189,19 @@ def test_the_channel_command_checks_the_state_law_once(monkeypatch):
     monkeypatch.setattr(HermitianSpace, "is_self_adjoint",
                         lambda h, op: calls.append("is_self_adjoint") or self_adjoint(h, op))
     assert cli.run(load("qubit.spec"), "channel", "spread")[1] == 0
-    assert calls.count("conj_transpose") == 6
-    # the builder's test, so that `check` covers the state law, and
-    # `density.channel`'s, for library callers; positivity tests it in `inertia`
-    assert calls.count("is_self_adjoint") == 2
+    # the stanza's gram, the state, the oracle's g^dagger and positivity's
+    # `inertia`, which tests the state law on gram . rho
+    assert calls.count("conj_transpose") == 4
+    # `density.channel`'s test; the command reads its state without the
+    # channel builder, whose test is for `check`
+    assert calls.count("is_self_adjoint") == 1
+    # both paths report a state that breaks the law
+    spec = parse_spec("hermitian q dim=1 gram=1\ngate one on=q mat=1\ngate r on=q mat=i\nchannel c gate=one rho=r")
+    for command, target in (("check", None), ("channel", "c")):
+        calls.clear()
+        lines, code = cli.run(spec, command, target)
+        assert code == 1 and lines[-1].endswith("channel c: FAIL (state is not gram-self-adjoint)")
+        assert calls.count("is_self_adjoint") == 1
 
 
 def test_dagger_and_channel_read_the_map_and_state_laws_in_the_frame(monkeypatch):
@@ -201,13 +209,14 @@ def test_dagger_and_channel_read_the_map_and_state_laws_in_the_frame(monkeypatch
     # coordinates a command computes anyway (see `hermitian.EigenSplit`), so
     # no ambient product tests it again: 4 products fewer per externalized
     # map and per converted square.  `channel` computes no isometry verdict,
-    # whose two routes `unitary` compares.  The split forms 3 products where it
-    # used to eliminate the extracted gram: 2 read its inverse off the
-    # coevaluation and 1 checks it
+    # whose two routes `unitary` compares.  The split keeps the stanza's space
+    # and forms no product for its gram's inverse; `dagger`'s comparison with
+    # the gram oracle is its adjoint law, so the command forms no second
+    # oracle; and `channel` tests its state law once, in `density.channel`
     calls = []
     matmul = Matrix.__matmul__
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
-    for command, target, count in (("dagger", "had", 25), ("channel", "spread", 36)):
+    for command, target, count in (("dagger", "had", 20), ("channel", "spread", 32)):
         calls.clear()
         assert cli.run(load("qubit.spec"), command, target)[1] == 0
         assert len(calls) == count, command
@@ -343,12 +352,14 @@ def test_a_library_error_fails_its_own_suite_only(monkeypatch):
 
 
 def test_selftest_verdicts_survive_python_O():
-    # with dagger sabotaged to return its input, the dagger suite must fail
-    # even when the interpreter strips assert statements
+    # with dagger sabotaged to double its input, the dagger suite must fail
+    # even when the interpreter strips assert statements.  The suite leaves
+    # the gram oracle to `dagger` itself, so the sabotage must break a law
+    # the suite tests: doubling breaks involutivity
     code = (
         "import sys\n"
         "from realmod import hermitian, selftest\n"
-        "hermitian.dagger = lambda g, s1, s2: g\n"
+        "hermitian.dagger = lambda g, s1, s2: g + g\n"
         "failed = [r.name for r in selftest.run_selftest(0, 1) if not r.passed]\n"
         "print(sys.flags.optimize, ' '.join(failed))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from realmod import hermitian, linalg
+from realmod import density, hermitian, linalg
 from realmod.equivalence import HermitianSpace, _complex_split, complexify, random_isometric_pair
 from realmod.errors import InvariantViolation
 from realmod.hermitian import (
@@ -93,54 +93,32 @@ def _structures_with_splits():
         yield SelfDualRealModule(complexify(space), space.g, inverse(space.g), space.J), split
 
 
-def test_the_split_reads_its_gram_inverse_off_the_coevaluation(monkeypatch):
-    # frame^-1 . coev . frame^-T is [[0, gram^-T], [gram^-1, 0]]; the split
-    # keeps its lower-left block, checked by one product, and never inverts
-    # its gram.  The standard models eliminate nothing: icplx - iI is read
-    # off, the frame is the identity, and the block is the stanza's own inverse
+def test_the_split_keeps_each_gram_inverse(monkeypatch):
+    # a standard model's split keeps the space the model was built from, whose
+    # check inverted its gram, and eliminates nothing: icplx - iI is read off
+    # and the frame is the identity.  A quantized model extracts the identity
+    # gram, a permutation.  Every other split eliminates the gram it extracts
     rng = random.Random(73)
     spaces = [HermitianSpace(gram.rows, gram) for gram in GRAMS] + [HermitianSpace(0, Matrix.zero(0, 0))]
     standard = [make_selfdual(h) for h in spaces] + [quantize(n) for n in (1, 2, 3)]
     moved = [random_selfdual(rng, n) for n in (0, 1, 2, 3)] + [
         quantize_set(random_realset(rng, size, free=True)) for size in (4, 6)]
-    inverted, eliminated = [], []
-    monkeypatch.setattr(hermitian, "inverse", lambda m: inverted.append(m) or inverse(m))
+    eliminated = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: eliminated.append(rows) or rref(rows))
     for k, s in enumerate(standard + moved):
         eliminated.clear()
         space = split_eigenspaces(s).space
-        assert not any(m is space.gram for m in inverted)
         assert eliminated == [] or k >= len(standard)
         assert space.gram_inv == inverse(space.gram)
     for h, s in zip(spaces, standard):
-        assert split_eigenspaces(s).space.gram_inv == h.gram_inv
+        assert extract_hermitian(s) is h
 
 
-def test_a_wrong_claimed_inverse_changes_nothing():
-    # off in one entry, or of the wrong shape, a claim fails its product and
-    # the gram is eliminated as without it: same verdict, message and inverse
-    rng = random.Random(79)
-    grams = GRAMS + [Matrix.from_rows([[1, 1], [1, 1]]), Matrix.from_rows([[1, 1], [0, 1]]), Matrix.zero(0, 0)]
-
-    def outcome(*args):
-        try:
-            h = HermitianSpace(*args)
-        except InvariantViolation as e:
-            return str(e)
-        return h, h.gram_inv
-
-    for gram in grams:
-        n = gram.rows
-        without = outcome(n, gram)
-        base = without[1] if isinstance(without, tuple) else Matrix.identity(n)
-        claims = [Matrix.identity(n + 1)]
-        if n:
-            i, j = rng.randrange(n), rng.randrange(n)
-            claims.append(base + Matrix(n, n, [ONE if (r, c) == (i, j) else Scalar()
-                                                 for r in range(n) for c in range(n)]))
-        for claim in claims:
-            assert outcome(n, gram, claim) == without
+def test_a_space_takes_no_claimed_inverse():
+    gram = Matrix.identity(1)
+    with pytest.raises(TypeError):
+        HermitianSpace(1, gram, gram)
 
 
 def test_each_structure_is_its_standard_model_moved_by_its_frame():
@@ -235,6 +213,18 @@ def test_dagger_matches_gram_adjoint_oracle():
         s1, s2 = make_selfdual(h1), make_selfdual(h2)
         g = random_matrix(rng, n, n)
         assert dagger(g, s1, s2) == adjoint_oracle(g, h1, h2)
+
+
+def test_dagger_unitary_and_channel_assert_the_gram_oracle(monkeypatch):
+    # `_adjoint` compares every dagger with the oracle, so a wrong oracle
+    # fails each caller: the `dagger`, `unitary` and `channel` commands
+    s = standard_selfdual(2)
+    oracle = hermitian.adjoint_oracle
+    monkeypatch.setattr(hermitian, "adjoint_oracle", lambda g, h1, h2: Scalar(2) * oracle(g, h1, h2))
+    for call in (lambda: dagger(hadamard(), s, s), lambda: is_unitary(hadamard(), s, s),
+                 lambda: density.channel(hadamard(), Matrix.from_rows([[1, 0], [0, 0]]), s)):
+        with pytest.raises(InvariantViolation, match="^dagger violates the adjoint law$"):
+            call()
 
 
 def test_dagger_agrees_with_the_dense_tensor_composite():

@@ -223,7 +223,7 @@ TABLE = {
     "cli._build_channel: state is not gram-self-adjoint": Reports(
         QUBIT + "gate r on=q mat=i\nchannel c gate=one rho=r", "check", None,
         "check channel c: FAIL (state is not gram-self-adjoint)", 1),
-    "cli._Build.__call__: no {_NOUN.get(kind, kind)} named {name!r}": Reports(
+    "cli._Build.find: no {_NOUN.get(kind, kind)} named {name!r}": Reports(
         QUBIT, "dagger", "nope", "error: no gate named 'nope'", 2),
     "cli._Build.stanza: obj.with_traceback(None)": Reports(
         "module m dim=1 inv=2", "check", None, "check module m: FAIL (involutivity: inv*conj(inv) != I)", 1),
@@ -321,6 +321,9 @@ TABLE = {
         lambda: selfdual([[1, 0], [0, 2]], [[1, 0], [0, Scalar(1) / 2]]), InvariantViolation),
     "hermitian.conjugate_selfdual: frame change has the wrong shape": Raises(
         lambda: hermitian.conjugate_selfdual(std(1), ID3), ShapeError),
+    "hermitian._split: make/extract round trip fails": Mutation(
+        "hermitian.kernel_basis", lambda orig: lambda mat: Scalar(2) * orig(mat),
+        lambda: hermitian.extract_hermitian(std(1)), InvariantViolation),
     "hermitian._internalize_raw: map must be {h2}x{h1}, got {g.rows}x{g.cols}": Raises(
         lambda: hermitian.dagger(ID2, std(1), std(1)), ShapeError, "map must be 1x1, got 2x2"),
     "hermitian.externalize_map: ambient map has the wrong shape": Raises(
@@ -613,6 +616,7 @@ def test_each_cross_check_fires_under_its_mutation(key, monkeypatch):
 # again: each mutation above that fires the raise fails the suite with its message
 COVERED_SUITES = {
     "equivalence.central": "equivalence.inner_to_hermitian_functorial: functorial and formula routes disagree",
+    "hermitian.extract": "hermitian._split: make/extract round trip fails",
     "hermitian.dagger": "hermitian._adjoint: dagger violates the adjoint law",
     "hermitian.unitary": "hermitian.is_internal_isometry: isometry routes disagree",
     "density.dimensions":

@@ -35,11 +35,14 @@ def test_parses_every_stanza_kind():
         "h", "u", "m", "v", "s", "q", "c", "k1", "k2")
     st = spec.find("gate", "u")
     assert [g for g in spec.stanzas if g.kind == "gate"] == [st]
-    assert st.fields["on"] == "h"
+    # each reference holds the (kind, name) it resolved to when parsed
+    assert st.fields["on"] == ("hermitian", "h")
     assert st.fields["mat"].rows == 2
     assert list(st.fields) == ["on", "mat"] and len(st.fields) == 2
-    assert repr(st.fields) == "{'on': 'h', 'mat': Matrix('0,1;1,0')}"
-    assert spec.find("check", "k1").fields["kind"] == "hermitian"
+    assert repr(st.fields) == "{'on': ('hermitian', 'h'), 'mat': Matrix('0,1;1,0')}"
+    assert dict(spec.find("channel", "c").fields) == {"gate": ("gate", "u"), "rho": ("gate", "u")}
+    assert dict(spec.find("check", "k1").fields) == {"target": ("hermitian", "h")}
+    assert dict(spec.find("check", "k2").fields) == {"target": ("quantize", "q")}
     assert spec.find("realset", "s").fields["tau"] == (1, 0)
     assert spec.find("quantize", "q").fields["basis"] == ("a", "b")
     assert spec.find("gate", "h") is None
@@ -109,7 +112,7 @@ def test_check_target_disambiguation():
     )
     assert "ambiguous" in err(text)
     spec = parse_spec(text.replace("target=x", "target=x kind=realset"))
-    assert spec.find("check", "k").fields["kind"] == "realset"
+    assert spec.find("check", "k").fields["target"] == ("realset", "x")
 
 
 def test_check_rejects_unknown_targets_and_kinds():
