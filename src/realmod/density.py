@@ -5,7 +5,9 @@ the braiding and by icplx (x) icplx has dimension n^2 over the scalars, where
 n is the Hilbert space dimension; its locus of involution-fixed points has
 dimension n^2 over the real subfield.  Its elements correspond exactly to the
 operators on the +i eigenspace that are self-adjoint for the extracted gram:
-density matrices without positivity.
+density matrices without positivity.  `csmat` reads the braiding's fixed
+vectors off the swap's orbits and eliminates icplx (x) icplx - I within them,
+so the n^2 is a verdict of that elimination, not of the construction.
 
 The correspondence sends an operator rho with coefficient matrix
 A = rho . gram^-1 to
@@ -33,16 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, ShapeError
 from .hermitian import SelfDualRealModule, _adjoint, _internalize_raw, externalize_map, split_eigenspaces
-from .linalg import (
-    Matrix,
-    inertia,
-    kernel_basis,
-    kron,
-    kron_swap,
-    realify,
-    unvec,
-    vec,
-)
+from .linalg import Matrix, _permutation_kernel, inertia, kernel_basis, kron, kron_swap, realify, unvec, vec
 from .scalars import Scalar
 from .modules import random_matrix
 
@@ -60,12 +53,12 @@ class CSMatSpace:
 
 
 def csmat(s: SelfDualRealModule) -> CSMatSpace:
-    """Iterated kernels: fix the braiding, then fix icplx (x) icplx."""
+    """The braiding's fixed vectors read off the swap's orbits, then the kernel
+    of icplx (x) icplx - I within them, by elimination."""
     n = split_eigenspaces(s).space.dim
     d = s.H.dim
-    ident = Matrix.identity(d * d)
-    sym = kernel_basis(kron_swap(d, d) - ident)
-    basis = sym @ kernel_basis((kron(s.icplx, s.icplx) - ident) @ sym)
+    sym = _permutation_kernel(kron_swap(d, d))
+    basis = sym @ kernel_basis((kron(s.icplx, s.icplx) - Matrix.identity(d * d)) @ sym)
     if basis.cols != n * n:
         raise InvariantViolation(
             f"symmetric icplx-fixed part has dimension {basis.cols}, expected {n * n}")

@@ -35,22 +35,27 @@ elimination update.
 
 One pivot step, `_pivot`, is the only row-update loop: echelon reduction, `det`
 and `inertia` all eliminate through it, with one fused multiply-subtract and one
-normalization per updated entry.  Echelon reduction uses first-nonzero
-pivoting (the leftmost column, then the top-most row) and reaches each pivot's
-rows through a column index: the rows holding each column, built in one pass
-and kept through row swaps and fill-in, so a step visits the rows holding its
-pivot column rather than every row.  Its result is the unique reduced row
-echelon form, and `kernel_basis` returns the null space as the columns of one
-matrix, one per free column in ascending index order, so all derived bases are
-deterministic; a matrix whose rows each hold at most one entry, no two in one
-column, reduces to unit rows, so its kernel is read off its empty columns.
-`inverse` returns the transpose of a permutation, since PᵀP = I, and
-eliminates every other matrix.
+normalization per updated entry.  A pivot of 1 is used as it is and one of -1
+negates its row, and a multiplier of ±1 merges the pivot row or its negation:
+none of them forms an inverse or a product.  Echelon reduction uses
+first-nonzero pivoting (the leftmost column, then the top-most row) and reaches
+each pivot's rows through a column index: the rows holding each column, built
+in one pass and kept through row swaps and fill-in, so a step visits the rows
+holding its pivot column rather than every row.  Its result is the unique
+reduced row echelon form, and `kernel_basis` returns the null space as the
+columns of one matrix, one per free column in ascending index order, so all
+derived bases are deterministic; a matrix whose rows each hold at most one
+entry, no two in one column, reduces to unit rows, so its kernel is read off
+its empty columns.  For a permutation P, `_permutation_kernel` reads the
+kernel of P - I off P's orbits: their indicators, by largest index, are the
+basis elimination gives.  `inverse` returns the transpose of a permutation,
+since PᵀP = I, and eliminates every other matrix.
 
 One block engine builds and reads every block matrix: `place` sets blocks
 into an all-zero frame and `Matrix.block` slices one out.  Both take their
 shape explicitly, so empty blocks and 0-dimensional frames need no special
-case.
+case.  `realify` builds its four real blocks without them: each pair of output
+rows in one pass over a row of each operand.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from math import gcd, lcm
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar, _canonical as _scalar, _format_raw, parse_scalar, ScalarParseError
 
-_ONE = (1, 0, 0, 0, 1)  # the raw value (na, nb, nc, nd, den) of 1
+_ONE, _MINUS_ONE = (1, 0, 0, 0, 1), (-1, 0, 0, 0, 1)  # the raw values (na, nb, nc, nd, den) of ±1
 
 
 def _entry(value) -> Scalar:
@@ -463,12 +468,6 @@ class Matrix:
             tuple((j, a, b, -c, -d, e) for j, a, b, c, d, e in row)
             if any(x[3] or x[4] for x in row) else row for row in self.raw))
 
-    def real_part(self) -> "Matrix":
-        """Entrywise real part, a matrix over Q(sqrt2)."""
-        return _new(self.rows, self.cols, tuple(
-            _canon((j, a, b, 0, 0, e) for j, a, b, c, d, e in row if a or b)
-            if any(x[3] or x[4] for x in row) else row for row in self.raw))
-
     def imag_part(self) -> "Matrix":
         """Entrywise imaginary part, a matrix over Q(sqrt2)."""
         return _new(self.rows, self.cols, tuple(
@@ -620,15 +619,26 @@ def _pivot(rows: list, r: int, c: int, targets) -> tuple:
     every row in `targets`; returns the raw pivot (na, nb, nc, nd, den) before
     scaling."""
     pivot = _at(rows[r], c)[1:]
-    x = _scalar(*pivot).inv()
-    prow = rows[r] = _scaled(rows[r], (x.na, x.nb, x.nc, x.nd, x.den))
+    if pivot == _MINUS_ONE:
+        rows[r] = _neg(rows[r])
+    elif pivot != _ONE:
+        x = _scalar(*pivot).inv()
+        rows[r] = _scaled(rows[r], (x.na, x.nb, x.nc, x.nd, x.den))
+    prow, negated = rows[r], ()  # negated: -prow, once a row's entry is 1
     probe = (c,)
     for k in targets:
         row = rows[k]
         i = bisect_left(row, probe)
         if i < len(row) and row[i][0] == c:
-            _, fa, fb, fc, fd, fe = row[i]
-            rows[k] = _merge(row, _products(prow, (-fa, -fb, -fc, -fd, fe)))
+            f = row[i][1:]
+            if f == _MINUS_ONE:
+                rows[k] = _merge(row, prow)
+            elif f == _ONE:
+                negated = negated or _neg(prow)
+                rows[k] = _merge(row, negated)
+            else:
+                fa, fb, fc, fd, fe = f
+                rows[k] = _merge(row, _products(prow, (-fa, -fb, -fc, -fd, fe)))
     return pivot
 
 
@@ -708,6 +718,22 @@ def kernel_basis(m: Matrix) -> Matrix:
     for p, row in zip(pivots, rows):  # the reduced row is 1 at p, then free columns
         out[p] = tuple((index[f], -a, -b, -c, -d, e) for f, a, b, c, d, e in row[1:])
     return _new(m.cols, len(free), tuple(out))
+
+
+def _permutation_kernel(p: Matrix) -> Matrix:
+    """`kernel_basis(p - I)` of a permutation matrix p: p v = v exactly when v
+    is constant on each orbit of i -> p(i), the column of row i's entry, and
+    elimination leaves each orbit's largest index free, with the orbit's
+    indicator as its basis column."""
+    label, orbits = [None] * p.rows, 0  # index -> its orbit, counted from the last
+    for i in reversed(range(p.rows)):
+        if label[i] is None:  # no larger index is in i's orbit
+            j = i
+            while label[j] is None:
+                label[j] = orbits
+                j = p.raw[j][0][0]
+            orbits += 1
+    return _new(p.rows, orbits, tuple(((orbits - 1 - k,) + _ONE,) for k in label))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -804,6 +830,13 @@ def inertia(m: Matrix) -> tuple:
 # -- realification -----------------------------------------------------------------
 
 
+def _real(out: list, j: int, a: int, b: int, e: int) -> None:
+    """Append the raw (a + b√2)/e at column j to out in lowest terms, unless it is 0."""
+    if a or b:
+        g = gcd(a, b, e)
+        out.append((j, a, b, 0, 0, e) if g == 1 else (j, a // g, b // g, 0, 0, e // g))
+
+
 def realify(mat: Matrix, conj_part: Matrix) -> Matrix:
     """Real form of the additive map v -> mat*v + conj_part*conj(v).
 
@@ -813,10 +846,27 @@ def realify(mat: Matrix, conj_part: Matrix) -> Matrix:
     """
     if mat.shape != conj_part.shape:
         raise ShapeError("mat and conj_part must share a shape")
-    r, c = mat.rows, mat.cols
-    s, d = mat + conj_part, mat - conj_part
-    return place(2 * r, 2 * c, [(0, 0, s.real_part()), (0, c, -d.imag_part()),
-                                (r, 0, s.imag_part()), (r, c, d.real_part())])
+    r, w = mat.rows, mat.cols
+    top, bottom = [], []  # rows i and r + i, from row i of mat and of conj_part
+    for xrow, yrow in zip(mat.raw, conj_part.raw):
+        re_s, im_d, im_s, re_d = [], [], [], []
+        i = k = 0  # the next entry of each row; an absent entry reads as zero
+        while i < len(xrow) or k < len(yrow):
+            jx = xrow[i][0] if i < len(xrow) else w
+            jy = yrow[k][0] if k < len(yrow) else w
+            j, a, b, c, d, e = xrow[i] if jx <= jy else (jy, 0, 0, 0, 0, yrow[k][5])
+            _, a2, b2, c2, d2, e2 = yrow[k] if jy <= jx else (jx, 0, 0, 0, 0, e)
+            i, k = i + (jx <= jy), k + (jy <= jx)
+            if e != e2:  # over the denominator e * e2
+                a, b, c, d, a2, b2, c2, d2, e = (a * e2, b * e2, c * e2, d * e2,
+                                                 a2 * e, b2 * e, c2 * e, d2 * e, e * e2)
+            _real(re_s, j, a + a2, b + b2, e)
+            _real(im_d, j + w, c2 - c, d2 - d, e)
+            _real(im_s, j, c + c2, d + d2, e)
+            _real(re_d, j + w, a - a2, b - b2, e)
+        top.append(tuple(re_s + im_d))
+        bottom.append(tuple(im_s + re_d))
+    return _new(2 * r, 2 * w, tuple(top + bottom))
 
 
 # -- text form -----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from realmod import density
+from realmod import density, linalg
 from realmod.density import (
     channel,
     csmat,
@@ -27,7 +27,7 @@ from realmod.hermitian import (
     split_eigenspaces,
     standard_selfdual,
 )
-from realmod.linalg import Matrix
+from realmod.linalg import Matrix, kernel_basis, kron, kron_swap
 from realmod.modules import random_invertible
 from realmod.scalars import I, Scalar
 
@@ -48,6 +48,38 @@ def test_the_zero_structure_has_a_zero_dimensional_locus():
     space = csmat(make_selfdual(HermitianSpace(0, Matrix.zero(0, 0))))
     assert space.dim == 0 and space.basis.shape == (0, 0)
     assert fixed_locus_real_dimension(space) == 0
+
+
+def _csmat_reference(s):
+    """The braiding kernel by elimination, then the icplx (x) icplx kernel within it."""
+    d = s.H.dim
+    ident = Matrix.identity(d * d)
+    sym = kernel_basis(kron_swap(d, d) - ident)
+    return sym @ kernel_basis((kron(s.icplx, s.icplx) - ident) @ sym)
+
+
+def test_csmat_matches_the_two_kernel_reference():
+    rng = random.Random(57)
+    models = [standard_selfdual(n) for n in range(5)]
+    models += [make_selfdual(random_hermitian_space(rng, n)) for n in (1, 2, 3, 4)]
+    models += [conjugate_selfdual(make_selfdual(random_hermitian_space(rng, n)), random_invertible(rng, 2 * n))
+               for n in (1, 2, 3, 4)]
+    for s in models:
+        assert csmat(s).basis == _csmat_reference(s)
+
+
+def test_csmat_eliminates_only_the_icplx_kernel(monkeypatch):
+    # the braiding's fixed vectors are read off the swap's orbits; at n = 1
+    # the icplx kernel's matrix has one entry per row and column, so it is
+    # read off too
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
+    for n in (1, 2, 3, 4):
+        s = standard_selfdual(n)
+        calls.clear()
+        assert csmat(s).dim == n * n
+        assert len(calls) == (n > 1)
 
 
 def test_dimensions_survive_transport():

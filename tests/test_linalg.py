@@ -637,6 +637,56 @@ def test_a_kernel_with_one_entry_per_row_and_column_is_read_off(monkeypatch):
     assert len(calls) == len(shared)
 
 
+def test_the_kernel_of_a_permutation_less_the_identity_is_read_off_its_orbits(monkeypatch):
+    # each orbit's indicator, ordered by the orbit's largest index, is the
+    # basis column elimination gives that index as a free column
+    rng = random.Random(67)
+    perms = [_permutation(rng, n) for n in range(13) for _ in range(30)]
+    perms += [Matrix.identity(6), Matrix(0, 0, ()), kron_swap(4, 4), kron_swap(2, 5)]
+    expect = [kernel_basis(p - Matrix.identity(p.rows)) for p in perms]
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
+    assert [linalg._permutation_kernel(p) for p in perms] == expect
+    assert calls == []
+
+
+def _unit_word(rng, n):
+    """A row permutation of a unit lower bidiagonal matrix with ±1 below the
+    diagonal, its rows signed: a product of ±1 elementary matrices whose
+    elimination, and its inverse's, meets only ±1 pivots and multipliers."""
+    rows = [[rng.choice((1, -1)) if j == i - 1 else int(j == i) for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(rng.sample([[rng.choice((1, -1)) * x for x in row] for row in rows], n))
+
+
+def test_unit_pivots_and_multipliers_form_no_inverse_and_no_product(monkeypatch):
+    rng = random.Random(73)
+    words = [_unit_word(rng, n) for n in (1, 2, 3, 5, 8) for _ in range(4)]
+    cases = [(kron_swap(d, d) - Matrix.identity(d * d), False) for d in range(1, 6)]
+    cases += [(w, True) for w in words + [inverse(w) for w in words]]  # (matrix, invertible)
+    calls = []
+    inv, products = Scalar.inv, linalg._products
+    monkeypatch.setattr(Scalar, "inv", lambda x: calls.append("inv") or inv(x))
+    monkeypatch.setattr(linalg, "_products", lambda *args: calls.append("_products") or products(*args))
+    got = [(rref(m), kernel_basis(m), det(m), inverse(m) if full else None) for m, full in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for (m, full), (reduced, kernel, determinant, inverted) in zip(cases, got):
+        ref, pivots, product = _gauss_jordan(m)
+        assert reduced == (Matrix.from_rows(ref), tuple(pivots))
+        assert kernel == _reference_kernel(m)
+        assert determinant == (product if full else ZERO)
+        if full:
+            inv_rows = _gauss_jordan(hstack([m, Matrix.identity(m.rows)]))[0]
+            assert inverted == Matrix.from_rows([r[m.cols:] for r in inv_rows])
+    # a ±1 pivot beside multipliers of every kind, ±1 among them
+    mixed = [Matrix.from_rows([[-1, 2, 0, I], [1, 0, 1, 1], [-1, 1, 1, 0], [2, 1, 0, 1], [I, 0, SQRT2, 1]]),
+             Matrix.from_rows([[1, -1, 2], [1, 1, 0], [-1, 0, 3], [Fraction(1, 2), 1, 1]]),
+             Matrix.from_rows([[0, -1, 1], [1, 1, -1], [-1, I, 2]])]
+    for m in mixed:
+        _assert_elimination_matches_the_reference(m, random_matrix(rng, m.rows, 1))
+
+
 def test_the_inverse_of_a_permutation_is_its_transpose(monkeypatch):
     rng = random.Random(61)
     perms = [_permutation(rng, n) for n in (0, 1, 2, 3, 5, 8, 8, 12)]
@@ -1036,7 +1086,6 @@ def test_entrywise_operations_agree_with_the_per_entry_reference(case, s):
     _agrees(s * a, rows, cols, each(lambda x: s * x, ga))
     _agrees(a * s, rows, cols, each(lambda x: x * s, ga))
     _agrees(a.conj(), rows, cols, each(Scalar.conj, ga))
-    _agrees(a.real_part(), rows, cols, each(Scalar.real_part, ga))
     _agrees(a.imag_part(), rows, cols, each(Scalar.imag_part, ga))
     transposed = [[ga[i][j] for i in range(rows)] for j in range(cols)]
     _agrees(a.transpose(), cols, rows, transposed)
