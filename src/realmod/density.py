@@ -6,8 +6,10 @@ n is the Hilbert space dimension; its locus of involution-fixed points has
 dimension n^2 over the real subfield.  Its elements correspond exactly to the
 operators on the +i eigenspace that are self-adjoint for the extracted gram:
 density matrices without positivity.  `csmat` reads the braiding's fixed
-vectors off the swap's orbits and eliminates icplx (x) icplx - I within them,
-so the n^2 is a verdict of that elimination, not of the construction.
+vectors off the swap's orbits and takes the kernel of icplx (x) icplx - I
+within them: read off when its rows hold one entry each, as a diagonal icplx
+gives, and eliminated otherwise.  Either way the kernel is read from that
+matrix's entries, so the n^2 is a verdict, not a fact of the construction.
 
 The correspondence sends an operator rho with coefficient matrix
 A = rho . gram^-1 to
@@ -54,7 +56,8 @@ class CSMatSpace:
 
 def csmat(s: SelfDualRealModule) -> CSMatSpace:
     """The braiding's fixed vectors read off the swap's orbits, then the kernel
-    of icplx (x) icplx - I within them, by elimination."""
+    of icplx (x) icplx - I within them: read off when its rows hold one entry
+    each, eliminated otherwise."""
     n = split_eigenspaces(s).space.dim
     d = s.H.dim
     sym = _permutation_kernel(kron_swap(d, d))

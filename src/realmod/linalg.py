@@ -45,17 +45,20 @@ holding its pivot column rather than every row.  Its result is the unique
 reduced row echelon form, and `kernel_basis` returns the null space as the
 columns of one matrix, one per free column in ascending index order, so all
 derived bases are deterministic; a matrix whose rows each hold at most one
-entry, no two in one column, reduces to unit rows, so its kernel is read off
-its empty columns.  For a permutation P, `_permutation_kernel` reads the
-kernel of P - I off P's orbits: their indicators, by largest index, are the
-basis elimination gives.  `inverse` returns the transpose of a permutation,
-since PᵀP = I, and eliminates every other matrix.
+entry reduces to the unit rows of its occupied columns (the first row holding
+a column clears the others), so its kernel is read off its empty columns.
+For a permutation P, `_permutation_kernel` reads the kernel of P - I off P's
+orbits: their indicators, by largest index, are the basis elimination gives.
+`inverse` returns the transpose of a permutation, since PᵀP = I, and
+eliminates every other matrix.
 
 One block engine builds and reads every block matrix: `place` sets blocks
 into an all-zero frame and `Matrix.block` slices one out.  Both take their
 shape explicitly, so empty blocks and 0-dimensional frames need no special
 case.  `realify` builds its four real blocks without them: each pair of output
-rows in one pass over a row of each operand.
+rows in one pass over a row of each operand.  `kron` writes the block of rows
+that each row of A gives in one pass too, shifting B's rows scaled once per
+value, so it scales no row of its own.
 """
 
 from __future__ import annotations
@@ -124,17 +127,16 @@ def _scaled(row: tuple, x: tuple, shift: int = 0) -> tuple:
     return _canon(_products(row, x, shift))
 
 
-def _unit_columns(m: "Matrix", unit: bool = True) -> list | None:
+def _unit_columns(m: "Matrix") -> list | None:
     """The column of each row's entry when every row of m holds at most one
-    entry, that entry is exactly 1 (any value when not `unit`) and no two rows
-    share its column (None at an empty row); otherwise None, found at the
-    first row that fails."""
+    entry, that entry is exactly 1 and no two rows share its column (None at
+    an empty row); otherwise None, found at the first row that fails."""
     out, seen = [], set()
     for row in m.raw:
         if not row:
             out.append(None)
             continue
-        if len(row) > 1 or (unit and row[0][1:] != _ONE) or (j := row[0][0]) in seen:
+        if len(row) > 1 or row[0][1:] != _ONE or (j := row[0][0]) in seen:
             return None
         seen.add(j)
         out.append(j)
@@ -557,17 +559,23 @@ def block_diag(mats) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i1*b.rows + i2, j1*b.cols + j2).
 
-    The rows of B are scaled once per distinct value of A (1 keeps B's own
-    rows), and each entry of A then only shifts the columns of those rows.
-    A row of B whose entries are all 1 takes A's value as it is, already in
-    lowest terms, so `kron` with an identity factor forms no product.
+    Each row of A gives a block of b.rows output rows, written in one pass:
+    an empty row gives empty rows.  Otherwise the rows of B are scaled once
+    per distinct value of A (1 keeps B's own rows), and each entry of A then
+    only shifts the columns of those rows.  A row of B whose entries are all 1
+    takes A's value as it is, already in lowest terms, so `kron` with an
+    identity factor forms no product.
     """
     w = b.cols
     # the columns of each row of B whose entries are all 1, else None
     unit = [tuple([e[0] for e in brow]) if all(e[1:] == _ONE for e in brow) else None for brow in b.raw]
     scaled = {_ONE: b.raw}  # raw value of A -> the rows of B times it, None at a unit row
+    empty = ((),) * b.rows
     out = []
     for arow in a.raw:
+        if not arow:
+            out += empty
+            continue
         parts = []
         for x in arow:
             v = x[1:]
@@ -576,14 +584,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 rows = scaled[v] = tuple(None if cols is not None else _canon(_products(brow, v))
                                          for brow, cols in zip(b.raw, unit))
             parts.append((x[0] * w, v, rows))
-        for i, cols in enumerate(unit):
-            if cols is not None:
-                out.append(tuple([(s + j,) + v for s, v, _ in parts for j in cols]))
-            elif len(parts) == 1:
-                s, _, rows = parts[0]
-                out.append(_scaled(rows[i], _ONE, s))
-            else:
-                out.append(tuple(chain.from_iterable(_scaled(rows[i], _ONE, s) for s, _, rows in parts)))
+        if len(parts) == 1:
+            s, v, rows = parts[0]
+            out += [tuple([(s + j,) + v for j in cols]) if cols is not None
+                    else tuple([(s + j, p, q, r, t, e) for j, p, q, r, t, e in row]) if s else row
+                    for cols, row in zip(unit, rows)]
+        else:
+            out += [tuple([(s + j,) + v for s, v, _ in parts for j in cols]) if cols is not None
+                    else tuple([(s + j, p, q, r, t, e) for s, _, rows in parts for j, p, q, r, t, e in rows[i]])
+                    for i, cols in enumerate(unit)]
     return _new(a.rows * b.rows, a.cols * w, tuple(out))
 
 
@@ -698,13 +707,15 @@ def kernel_basis(m: Matrix) -> Matrix:
     m.cols x nullity matrix.
 
     One basis column per free column, in ascending free-column order, with a 1
-    in the free coordinate.  When every row of m holds at most one entry and
-    no two rows share its column, the reduced rows are the unit rows of those
-    columns, so the basis is read off the empty columns without elimination.
+    in the free coordinate.  When every row of m holds at most one entry, the
+    reduced rows are the unit rows of its occupied columns, whether or not
+    rows share one, so the basis is read off the empty columns without
+    elimination.
     """
-    if (lone := _unit_columns(m, unit=False)) is not None:
-        # each nonzero row scales to the unit row of its own column
-        pivots = sorted(j for j in lone if j is not None)
+    if all(len(row) <= 1 for row in m.raw):
+        # the first row holding a column scales to its unit row, which clears
+        # every later row holding that column
+        pivots = sorted({row[0][0] for row in m.raw if row})
         rows = [()] * len(pivots)  # what follows each reduced row's 1
     else:
         rows = list(m.raw)

@@ -68,10 +68,10 @@ def test_csmat_matches_the_two_kernel_reference():
         assert csmat(s).basis == _csmat_reference(s)
 
 
-def test_csmat_eliminates_only_the_icplx_kernel(monkeypatch):
-    # the braiding's fixed vectors are read off the swap's orbits; at n = 1
-    # the icplx kernel's matrix has one entry per row and column, so it is
-    # read off too
+def test_csmat_eliminates_the_icplx_kernel_only_for_a_dense_icplx(monkeypatch):
+    # the braiding's fixed vectors are read off the swap's orbits; a diagonal
+    # icplx leaves the icplx kernel's matrix one entry per row (swap partners
+    # share a column), so it is read off too, and a conjugated one is eliminated
     calls = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
@@ -79,7 +79,12 @@ def test_csmat_eliminates_only_the_icplx_kernel(monkeypatch):
         s = standard_selfdual(n)
         calls.clear()
         assert csmat(s).dim == n * n
-        assert len(calls) == (n > 1)
+        assert calls == []
+    moved = conjugate_selfdual(standard_selfdual(2), random_invertible(random.Random(53), 4))
+    split_eigenspaces(moved)  # memoized, so what follows is csmat's own work
+    calls.clear()
+    assert csmat(moved).dim == 4
+    assert calls
 
 
 def test_dimensions_survive_transport():

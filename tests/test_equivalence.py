@@ -28,8 +28,12 @@ from realmod.linalg import Matrix, hstack, inverse, solve
 from realmod.modules import RealModule, fixed_points
 from realmod.scalars import I, ONE, Scalar
 
-# seeded isometric pairs at every even dimension up to 6
-SPACES = [random_isometric_pair(random.Random(3800 + 10 * n + k), n) for n in (2, 4, 6) for k in range(4)]
+@pytest.fixture(scope="module")
+def spaces():
+    """Seeded isometric pairs at every even dimension up to 6, built when a
+    test first asks, so a fault in building them fails the tests that use
+    them instead of stopping the module's collection."""
+    return [random_isometric_pair(random.Random(3800 + 10 * n + k), n) for n in (2, 4, 6) for k in range(4)]
 
 
 def test_complexify_then_fix_is_the_identity_on_points():
@@ -124,11 +128,11 @@ def test_the_zero_space_carries_the_empty_gram():
     assert inner_to_hermitian_functorial(space) == HermitianSpace(0, zero)
 
 
-def test_each_route_checks_its_space_once(monkeypatch):
+def test_each_route_checks_its_space_once(monkeypatch, spaces):
     calls = []
     check = RealVS.check
     monkeypatch.setattr(RealVS, "check", lambda s: calls.append(s) or check(s))
-    for space in SPACES[:4]:
+    for space in spaces[:4]:
         calls.clear()
         fresh = RealVS(space.dim, space.g, space.J)
         assert len(calls) == 1  # construction checks the space; no route checks it again
@@ -142,11 +146,11 @@ def test_each_route_checks_its_space_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_the_hyperbolic_splitting_builds_one_source_and_one_target(monkeypatch):
+def test_the_hyperbolic_splitting_builds_one_source_and_one_target(monkeypatch, spaces):
     calls = []
     check = RealModule.check
     monkeypatch.setattr(RealModule, "check", lambda m: calls.append(m) or check(m))
-    for space in SPACES[:4]:
+    for space in spaces[:4]:
         fresh = RealVS(space.dim, space.g, space.J)
         for _ in range(2):  # the split is kept; each call builds its two modules
             calls.clear()
@@ -167,14 +171,14 @@ def test_the_complexification_is_a_self_dual_module_with_the_same_split():
         assert (split.frame, split.frame_inv, split.space) == (direct.frame, direct.frame_inv, direct.space)
 
 
-def test_the_functorial_route_builds_no_module_and_inverts_no_real_form(monkeypatch):
+def test_the_functorial_route_builds_no_module_and_inverts_no_real_form(monkeypatch, spaces):
     built, inverted = [], []
     check = hermitian.SelfDualRealModule.check
     monkeypatch.setattr(hermitian.SelfDualRealModule, "check", lambda s: built.append(s) or check(s))
     for module in (equivalence, hermitian, linalg):
         invert = module.inverse
         monkeypatch.setattr(module, "inverse", lambda m, invert=invert: inverted.append(m) or invert(m))
-    for space in SPACES:
+    for space in spaces:
         fresh = RealVS(space.dim, space.g, space.J)
         inner_to_hermitian_functorial(fresh)
         assert built == []
@@ -226,7 +230,7 @@ def test_j_transport_matches_gram_transport():
     assert inner_to_hermitian_formula(j_moved).gram == inner_to_hermitian_formula(space).gram
 
 
-def test_the_splitting_holds_for_rescaled_eigenbases(monkeypatch):
+def test_the_splitting_holds_for_rescaled_eigenbases(monkeypatch, spaces):
     # the split takes one kernel, the +i basis, and builds the -i basis as its
     # involution image; rescaling the +i basis by k + 2 on one split and by i
     # on the next changes both bases, which the maps must absorb
@@ -240,7 +244,7 @@ def test_the_splitting_holds_for_rescaled_eigenbases(monkeypatch):
         return basis @ Matrix.diagonal(factors)
 
     monkeypatch.setattr(hermitian, "kernel_basis", rescaled)
-    for space in SPACES:
+    for space in spaces:
         fresh = RealVS(space.dim, space.g, space.J)
         iso = hyperbolic_iso(fresh)
         assert (iso.forward.mat @ iso.inverse.mat).is_identity()
@@ -252,9 +256,9 @@ def test_the_splitting_holds_for_rescaled_eigenbases(monkeypatch):
     assert calls
 
 
-def test_the_splitting_depends_on_j_alone():
+def test_the_splitting_depends_on_j_alone(spaces):
     # without g the J-invariant form I + J^T J stands in; the maps do not change
-    for space in SPACES[:6]:
+    for space in spaces[:6]:
         bare = RealVS(space.dim, None, space.J)
         assert hyperbolic_iso(bare) == hyperbolic_iso(space)
         with pytest.raises(ValueError, match="^needs both g and J$"):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from realmod import linalg
 from realmod.errors import InvariantViolation, ShapeError, SingularMatrixError
+from realmod.hermitian import _internalize_raw, make_selfdual, random_hermitian_space
 from realmod.linalg import (
     Matrix,
     MatrixParseError,
@@ -190,6 +191,45 @@ def test_kron_with_an_identity_factor_forms_no_product(monkeypatch):
     assert calls == []
     kron(x, x)
     assert calls
+
+
+_KRON_VALUES = (ONE, ONE, -ONE, I, SQRT2, Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5), 1, 0, 1))
+
+
+def _kron_factor(rng, rows, cols):
+    """A rows×cols factor whose rows are each, at random, empty, one entry in
+    column 0 or in any column (1 or another value), all 1s, or mixed values."""
+    out = []
+    for _ in range(rows):
+        row = [ZERO] * cols
+        kind = rng.randrange(5)
+        where = ([] if kind == 0 else [0] if kind == 1 else [rng.randrange(cols)] if kind == 2
+                 else rng.sample(range(cols), rng.randrange(1, cols + 1)))
+        for j in where:
+            row[j] = ONE if kind == 3 else rng.choice(_KRON_VALUES)
+        out += row
+    return Matrix(rows, cols, out)
+
+
+def test_kron_writes_each_block_of_rows_without_scaling_a_row_at_a_time(monkeypatch):
+    # an empty row of A gives b.rows empty rows, a row of A with one entry
+    # gives B's rows scaled by it and shifted, and a row with several entries
+    # joins its shifted parts; a row of B of all 1s takes A's value
+    rng = random.Random(79)
+    cases = [(_kron_factor(rng, rng.randrange(5), rng.randrange(1, 5)),
+              _kron_factor(rng, rng.randrange(5), rng.randrange(1, 5))) for _ in range(150)]
+    for n in (2, 3):  # the three factors of `dagger_composite_dense` at d = 4 and d = 6
+        s = make_selfdual(random_hermitian_space(rng, n))
+        hom, eye = _internalize_raw(random_matrix(rng, n, n), s, s), Matrix.identity(2 * n)
+        cases += [(eye, vec(s.pairing).transpose()), (hom, eye), (eye, kron(hom, eye)), (vec(s.coev), eye)]
+    expect = [_naive_kron(a, b) for a, b in cases]
+    calls = []
+    scaled = linalg._scaled
+    monkeypatch.setattr(linalg, "_scaled", lambda *args: calls.append(args) or scaled(*args))
+    got = [kron(a, b) for a, b in cases]
+    assert calls == []
+    assert got == expect
+    assert all(_is_normal(x) for m in got for x in m.entries)
 
 
 @pytest.fixture
@@ -609,32 +649,35 @@ def test_elimination_visits_only_the_rows_holding_each_pivot_column(monkeypatch)
 
 
 def _lone_entries(rng, rows, cols):
-    """A rows×cols matrix with at most one nonzero in each row and in each
-    column, of any value, in random rows and columns."""
-    taken = rng.sample(range(cols), rng.randrange(min(rows, cols) + 1))
-    where = dict(zip(rng.sample(range(rows), len(taken)), taken))
+    """A rows×cols matrix with at most one nonzero in each row, of any value,
+    in random columns that rows may share; about a third of the rows are zero."""
     values = (I, SQRT2, Scalar(Fraction(1, 3)), -ONE, ONE, Scalar(Fraction(-2, 5), 1, 0, 1))
-    return Matrix(rows, cols, tuple(rng.choice(values) if where.get(i) == j else ZERO
+    where = [rng.randrange(cols) if cols and rng.random() < 0.67 else None for _ in range(rows)]
+    return Matrix(rows, cols, tuple(rng.choice(values) if where[i] == j else ZERO
                                     for i in range(rows) for j in range(cols)))
 
 
-def test_a_kernel_with_one_entry_per_row_and_column_is_read_off(monkeypatch):
-    # each nonzero row reduces to the unit row of its own column, so the basis
-    # is the unit vectors of the empty columns, as elimination gives it
+def test_a_kernel_with_at_most_one_entry_per_row_is_read_off(monkeypatch):
+    # the first row holding a column reduces to that column's unit row and
+    # clears the others, so the basis is the unit vectors of the empty
+    # columns, as elimination gives it
     rng = random.Random(71)
-    cases = [_lone_entries(rng, rng.randrange(6), rng.randrange(6)) for _ in range(60)]
+    cases = [_lone_entries(rng, rng.randrange(8), rng.randrange(6)) for _ in range(120)]
     cases += [Matrix(0, 0, ()), Matrix(0, 3, ()), Matrix(3, 0, ()), Matrix.zero(2, 3),
-              Matrix.diagonal([-2 * I, -2 * I, ZERO, ZERO])]  # the standard model's icplx - iI
-    # two one-entry rows in one column are eliminated
-    shared = [Matrix.from_rows([[0, I], [0, 3]]), Matrix.from_rows([[SQRT2, 0, 0], [0, 0, 1], [1, 0, 0]])]
-    expect = [_reference_kernel(m) for m in cases + shared]
+              Matrix.diagonal([-2 * I, -2 * I, ZERO, ZERO]),  # the standard model's icplx - iI
+              Matrix.from_rows([[0, I], [0, 3]]), Matrix.from_rows([[SQRT2, 0, 0], [0, 0, 1], [1, 0, 0]])]
+    assert any(len({r[0][0] for r in m.raw if r}) < sum(map(bool, m.raw)) for m in cases)  # shared columns
+    # a row with two entries is eliminated
+    paired = [Matrix.from_rows([[1, 1, 0], [0, 0, 2]]), Matrix.from_rows([[0, 0], [I, 1]]),
+              kron_swap(3, 3) - Matrix.identity(9)]
+    expect = [_reference_kernel(m) for m in cases + paired]
     calls = []
     rref = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(rows) or rref(rows))
     assert [kernel_basis(m) for m in cases] == expect[:len(cases)]
     assert calls == []
-    assert [kernel_basis(m) for m in shared] == expect[len(cases):]
-    assert len(calls) == len(shared)
+    assert [kernel_basis(m) for m in paired] == expect[len(cases):]
+    assert len(calls) == len(paired)
 
 
 def test_the_kernel_of_a_permutation_less_the_identity_is_read_off_its_orbits(monkeypatch):
