@@ -299,17 +299,17 @@ def dagger(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
 def dagger_composite_dense(g: Matrix, s1: SelfDualRealModule, s2: SelfDualRealModule) -> Matrix:
     """The same dualization composite with the Kronecker factors materialized.
 
-    The middle factor is n1*n2^2 x n1^2*n2, polynomial in the dimensions but
-    far larger than the contraction `dagger` uses; used to cross-check `dagger`
-    on small modules.
+    In (id1 (x) vec(pairing2)^T)(id1 (x) G (x) id2)(vec(coev1) (x) id2) the
+    id1 leg of the first two factors is contracted by the mixed-product law
+    (A (x) B)(C (x) D) = AC (x) BD: vec(pairing2)^T meets G (x) id2, n2^2 x
+    n1*n2, once, not n1 times.  Built only from `kron`, `vec` and `@`, never
+    from G^T; used to cross-check `dagger` on small modules.
     """
     hom_mat = _internalize_raw(g, s1, s2)
     n1, n2 = s1.H.dim, s2.H.dim
-    id1 = Matrix.identity(n1)
     id2 = Matrix.identity(n2)
-    composite = (kron(id1, vec(s2.pairing).transpose())
-                 @ kron(id1, kron(hom_mat, id2))
-                 @ kron(vec(s1.coev), id2))
+    leg = vec(s2.pairing).transpose() @ kron(hom_mat, id2)
+    composite = kron(Matrix.identity(n1), leg) @ kron(vec(s1.coev), id2)
     return externalize_map(composite, s2, s1)
 
 

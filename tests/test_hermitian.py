@@ -27,7 +27,7 @@ from realmod.hermitian import (
     split_eigenspaces,
     standard_selfdual,
 )
-from realmod.linalg import Matrix, inverse, vec
+from realmod.linalg import Matrix, inverse, kron, vec
 from realmod.modules import RealHom, random_invertible, random_matrix
 from realmod.quantization import quantize, quantize_set, random_realset
 from realmod.scalars import I, ONE, Scalar
@@ -227,16 +227,43 @@ def test_dagger_unitary_and_channel_assert_the_gram_oracle(monkeypatch):
             call()
 
 
-def test_dagger_agrees_with_the_dense_tensor_composite():
-    """The adjoint computed by reshaping equals the one assembled literally
-    from Kronecker products of the pairing, coevaluation, and the map."""
+def _literal_composite(g, s1, s2):
+    """The dualization composite as the literal triple Kronecker product,
+    the id1 leg carried through every factor; the reference the contracted
+    `dagger_composite_dense` must equal."""
+    hom = hermitian._internalize_raw(g, s1, s2)
+    id1, id2 = Matrix.identity(s1.H.dim), Matrix.identity(s2.H.dim)
+    composite = (kron(id1, vec(s2.pairing).transpose()) @ kron(id1, kron(hom, id2))
+                 @ kron(vec(s1.coev), id2))
+    return externalize_map(composite, s2, s1)
+
+
+def _stored(m):
+    return sum(len(row) for row in m.raw)
+
+
+def test_dagger_agrees_with_the_dense_tensor_composite(monkeypatch):
+    """The adjoint computed by reshaping equals the one assembled from Kronecker
+    products of the pairing, coevaluation, and the map, on standard and
+    conjugated models of every pair of dimensions up to 3, and that composite
+    equals the literal triple product; none of the factors it builds is as
+    large as the literal middle factor id1 (x) G (x) id2."""
     rng = random.Random(45)
-    for n in (1, 2):
-        h1 = random_hermitian_space(rng, n)
-        h2 = random_hermitian_space(rng, n)
-        s1, s2 = make_selfdual(h1), make_selfdual(h2)
-        g = random_matrix(rng, n, n)
-        assert dagger(g, s1, s2) == dagger_composite_dense(g, s1, s2)
+    built = []
+    monkeypatch.setattr(hermitian, "kron", lambda a, b: built.append(kron(a, b)) or built[-1])
+    for model in (lambda n: make_selfdual(random_hermitian_space(rng, n)), lambda n: random_selfdual(rng, n)):
+        for n1 in range(4):
+            for n2 in range(4):
+                s1, s2 = model(n1), model(n2)
+                g = random_matrix(rng, n2, n1)
+                expect = dagger(g, s1, s2)
+                assert _literal_composite(g, s1, s2) == expect
+                built.clear()
+                assert dagger_composite_dense(g, s1, s2) == expect
+                if n1 and n2:
+                    hom = hermitian._internalize_raw(g, s1, s2)
+                    id1, id2 = Matrix.identity(s1.H.dim), Matrix.identity(s2.H.dim)
+                    assert max(map(_stored, built)) < _stored(kron(id1, kron(hom, id2)))
 
 
 def test_internalize_map_between_spaces_of_different_dimension():

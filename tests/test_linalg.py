@@ -218,10 +218,12 @@ def test_kron_writes_each_block_of_rows_without_scaling_a_row_at_a_time(monkeypa
     rng = random.Random(79)
     cases = [(_kron_factor(rng, rng.randrange(5), rng.randrange(1, 5)),
               _kron_factor(rng, rng.randrange(5), rng.randrange(1, 5))) for _ in range(150)]
-    for n in (2, 3):  # the three factors of `dagger_composite_dense` at d = 4 and d = 6
+    for n in (2, 3):  # the three factors of `dagger_composite_dense` at d = 4 and d = 6,
+        # and the literal middle factor eye (x) hom (x) eye as a many-row B
         s = make_selfdual(random_hermitian_space(rng, n))
         hom, eye = _internalize_raw(random_matrix(rng, n, n), s, s), Matrix.identity(2 * n)
-        cases += [(eye, vec(s.pairing).transpose()), (hom, eye), (eye, kron(hom, eye)), (vec(s.coev), eye)]
+        leg = vec(s.pairing).transpose() @ kron(hom, eye)
+        cases += [(hom, eye), (eye, leg), (vec(s.coev), eye), (eye, kron(hom, eye))]
     expect = [_naive_kron(a, b) for a, b in cases]
     calls = []
     scaled = linalg._scaled

@@ -1,6 +1,7 @@
 """`tools/record_bench.py` flags a record taken from a checkout whose tracked
 files differ from HEAD, so its git sha does not name the code that ran, and
-names the code of `src/` and `bench/` by a hash of their files."""
+names the code of `src/` and `bench/` by a hash of their files and whether
+its runs import realmod from source."""
 
 import importlib.util
 import shutil
@@ -70,3 +71,19 @@ def test_a_tree_hash_names_the_python_files_under_its_directory(tmp_path):
     b.with_name("c.py").rename(b)
     (two / "src" / "new.py").write_text("")
     assert tree_sha256(two / "src") != src
+
+
+def test_a_record_says_whether_the_runs_may_import_realmod_from_source(tmp_path):
+    bytecode_state = _load_tool().bytecode_state
+    cache = tmp_path / "src" / "realmod" / "__pycache__"
+    assert bytecode_state(tmp_path, {}) == {"dont_write_bytecode": False, "pyc_before": False}
+    cache.mkdir(parents=True)
+    (cache / "notes.txt").write_text("not bytecode\n")
+    assert bytecode_state(tmp_path, {"PYTHONDONTWRITEBYTECODE": "1"}) == {
+        "dont_write_bytecode": True, "pyc_before": False}
+    (cache / "linalg.cpython-311.pyc").write_bytes(b"")
+    assert bytecode_state(tmp_path, {"PYTHONDONTWRITEBYTECODE": "1"}) == {
+        "dont_write_bytecode": True, "pyc_before": True}
+    # set to the empty string counts as unset, as it does for the interpreter
+    assert bytecode_state(tmp_path, {"PYTHONDONTWRITEBYTECODE": ""}) == {
+        "dont_write_bytecode": False, "pyc_before": True}

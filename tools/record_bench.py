@@ -17,7 +17,11 @@ plus the git sha of the checkout and the Python version (from the bench's
 from its HEAD, so the sha does not name the code that ran (null when the
 checkout is not a git work tree), and `src_sha256` and `bench_sha256`, which
 name the code of `src/` and `bench/` whatever commit holds it (see
-`tree_sha256`).  `--checkout` defaults to the checkout holding this script, so
+`tree_sha256`), and `bytecode`: whether PYTHONDONTWRITEBYTECODE is set
+in the environment the runs inherit and whether the checkout's
+`src/realmod/__pycache__` held a `.pyc` before the first run, which decide
+whether the bench's setup probes import realmod from source (see
+`bytecode_state`).  `--checkout` defaults to the checkout holding this script, so
 a baseline is recorded by pointing it at a clone of the earlier commit.
 Stdlib only.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -78,6 +83,14 @@ def tree_sha256(directory: Path) -> str:
     return digest.hexdigest()
 
 
+def bytecode_state(checkout: Path, environ=os.environ) -> dict:
+    """Whether the runs may write bytecode and whether realmod's is already there:
+    with PYTHONDONTWRITEBYTECODE set (to any nonempty value) and no `.pyc`,
+    every setup probe compiles realmod from source."""
+    return {"dont_write_bytecode": bool(environ.get("PYTHONDONTWRITEBYTECODE")),
+            "pyc_before": any((checkout / "src" / "realmod" / "__pycache__").glob("*.pyc"))}
+
+
 def summarize(runs: list) -> dict:
     return {
         "seeds": list(SEEDS),
@@ -98,6 +111,7 @@ def main(argv=None) -> int:
     out_path = Path.cwd() / f"BENCH_{args.label}.json"
     changed = dirty(checkout)
     hashes = {f"{name}_sha256": tree_sha256(checkout / name) for name in ("src", "bench")}
+    bytecode = bytecode_state(checkout)
     runs = {w: [] for w in WORKLOADS}
     for seed in SEEDS:
         for workload in WORKLOADS:
@@ -113,6 +127,7 @@ def main(argv=None) -> int:
         **hashes,
         "python": env.get("python", "unavailable"),
         "nproc": env.get("nproc"),
+        "bytecode": bytecode,
         "command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "reference_ms": runs[WORKLOADS[0]][0]["reference_ms"],
         "workloads": {w: summarize(rs) for w, rs in runs.items()},
