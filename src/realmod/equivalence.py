@@ -105,10 +105,10 @@ def _complex_basis(space: RealVS) -> Matrix:
     return place(n, len(chosen), [(k, j, Matrix.identity(1)) for j, k in enumerate(chosen)])
 
 
-def _formula_space(space: RealVS, sel: Matrix) -> HermitianSpace:
+def _formula_gram(space: RealVS, sel: Matrix) -> Matrix:
     """Gram of <v|w> = g(v,w) + i g(Jv,w) on the columns of sel."""
     form = space.g + I * (space.J.transpose() @ space.g)
-    return HermitianSpace(sel.cols, sel.transpose() @ form @ sel)
+    return sel.transpose() @ form @ sel
 
 
 def _complex_split(space: RealVS) -> EigenSplit:
@@ -161,7 +161,8 @@ def diagonalized_complex_structure(space: RealVS) -> Matrix:
 def inner_to_hermitian_formula(space: RealVS) -> HermitianSpace:
     """Gram of <v|w> = g(v,w) + i g(Jv,w) on the deterministic complex basis."""
     _require_g_and_j(space)
-    return _formula_space(space, _complex_basis(space))
+    sel = _complex_basis(space)
+    return HermitianSpace(sel.cols, _formula_gram(space, sel))
 
 
 def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
@@ -178,7 +179,7 @@ def inner_to_hermitian_functorial(space: RealVS) -> HermitianSpace:
     sel = _complex_basis(space)
     t = Scalar(2) * (data.frame_inv.block(half, 0, half, n) @ sel)
     result = HermitianSpace(half, Fraction(1, 2) * (t.conj_transpose() @ data.space.gram @ t))
-    if result != _formula_space(space, sel):
+    if result.gram != _formula_gram(space, sel):
         raise InvariantViolation("functorial and formula routes disagree")
     return result
 

@@ -334,10 +334,6 @@ def hadamard() -> Matrix:
     return Matrix.from_rows([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]])
 
 
-def phase_gate() -> Matrix:
-    return Matrix.diagonal([ONE, I])
-
-
 def standard_selfdual(n: int) -> SelfDualRealModule:
     return make_selfdual(HermitianSpace(n, Matrix.identity(n)))
 

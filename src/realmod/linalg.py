@@ -111,20 +111,23 @@ def _canon(terms) -> tuple:
     return tuple(out)
 
 
-def _products(row, x: tuple, shift: int = 0):
-    """x * each entry of `row`, unnormalized, with its column moved by shift."""
+def _products(row, x: tuple):
+    """x * each entry of `row`, unnormalized."""
     fa, fb, fc, fd, fe = x
     # the product formula of Scalar.__mul__, on raw numerators
-    return ((j + shift, fa * a + 2 * (fb * b - fd * d) - fc * c, fa * b + fb * a - fc * d - fd * c,
+    return ((j, fa * a + 2 * (fb * b - fd * d) - fc * c, fa * b + fb * a - fc * d - fd * c,
              fa * c + fc * a + 2 * (fb * d + fd * b), fa * d + fb * c + fc * b + fd * a, fe * e)
             for j, a, b, c, d, e in row)
 
 
-def _scaled(row: tuple, x: tuple, shift: int = 0) -> tuple:
-    """x * row, normalized, with columns moved by shift; x is a nonzero raw value."""
-    if x == _ONE:
-        return row if not shift else tuple((j + shift, a, b, c, d, e) for j, a, b, c, d, e in row)
-    return _canon(_products(row, x, shift))
+def _scaled(row: tuple, x: tuple) -> tuple:
+    """x * row, normalized; x is a nonzero raw value."""
+    return row if x == _ONE else _canon(_products(row, x))
+
+
+def _shifted(row: tuple, shift: int) -> tuple:
+    """row with each column moved by shift."""
+    return tuple((j + shift, a, b, c, d, e) for j, a, b, c, d, e in row) if shift else row
 
 
 def _unit_columns(m: "Matrix") -> list | None:
@@ -357,8 +360,7 @@ class Matrix:
         for row in self.raw[r0:r0 + rows]:
             lo = bisect_left(row, (c0,))
             hi = bisect_left(row, (c0 + cols,), lo)
-            out.append(row[lo:hi] if not c0 else
-                       tuple((j - c0, a, b, c, d, e) for j, a, b, c, d, e in row[lo:hi]))
+            out.append(_shifted(row[lo:hi], -c0))
         return _new(rows, cols, tuple(out))
 
     def col(self, j: int) -> tuple:
@@ -524,7 +526,7 @@ def place(rows: int, cols: int, blocks) -> Matrix:
                 target[:] = [e for e in target if not c0 <= e[0] < hi]
                 unsorted.add(i)
             if row:
-                target += _scaled(row, _ONE, c0)
+                target += _shifted(row, c0)
     return _new(rows, cols, tuple(tuple(sorted(r)) if i in unsorted else tuple(r)
                                   for i, r in enumerate(out)))
 
@@ -758,7 +760,7 @@ def inverse(m: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     # each reduced row is 1 at its pivot, then entries of the right half only
-    return _new(n, n, tuple(_scaled(row[1:], _ONE, -n) for row in rows))
+    return _new(n, n, tuple(_shifted(row[1:], -n) for row in rows))
 
 
 def solve(a: Matrix, b: Matrix):

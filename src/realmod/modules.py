@@ -76,11 +76,6 @@ def is_real_hom(source: RealModule, target: RealModule, mat: Matrix) -> bool:
     return mat @ source.inv == target.inv @ mat.conj()
 
 
-def tensor_unit() -> RealModule:
-    """The monoidal unit: the complex line with plain conjugation."""
-    return RealModule(1, Matrix.identity(1))
-
-
 def tensor(m1: RealModule, m2: RealModule) -> RealModule:
     return RealModule(m1.dim * m2.dim, kron(m1.inv, m2.inv))
 

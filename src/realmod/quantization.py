@@ -12,12 +12,13 @@ each monoid axiom is checked as a matrix identity, and commutativity follows
 from the unit laws in dimension 2.
 
 Quantization takes a fixed-point-free Real set, reflects its trivial line
-bundle, and equips the result with the multiplication-by-i endomorphism
+bundle, and equips the result with multiplication by i as one diagonal matrix
 (+i on each orbit representative's line, -i on the partner's) and the pairing
-that matches each point with its partner at weight one.  The result is a
-self-dual module whose extracted Hermitian space is the standard inner product
-on the orbit set.  Points fixed by tau admit no equivariant complex structure
-and are rejected.
+that matches each point with its partner at weight one.  The self-dual
+module's construction is where that complex structure is checked, once.  The
+result's extracted Hermitian space is the standard inner product on the orbit
+set.  Points fixed by tau admit no equivariant complex structure and are
+rejected.
 """
 
 from __future__ import annotations
@@ -276,17 +277,6 @@ def reflect_map(bmap: RealBundleMap) -> RealHom:
 # -- quantization ------------------------------------------------------------------
 
 
-def imaginary_unit_endo(base: RealSet) -> RealBundleMap:
-    """Multiplication by i on the trivial line bundle: +i on each orbit
-    representative, -i on its partner.  Needs tau fixed-point-free."""
-    if base.fixed_points():
-        raise InvariantViolation("points fixed by the involution admit no complex structure")
-    bundle = trivial_line_bundle(base)
-    reps = set(base.orbit_representatives())
-    mats = tuple(Matrix.from_rows([[I if x in reps else -I]]) for x in range(base.size))
-    return RealBundleMap(bundle, bundle, identity_base_map(base), mats)
-
-
 def quantize_set(base: RealSet) -> SelfDualRealModule:
     """Self-dual module of a fixed-point-free Real set.
 
@@ -294,8 +284,11 @@ def quantize_set(base: RealSet) -> SelfDualRealModule:
     orbit line has unit norm; the extracted Hermitian space is asserted to be
     the identity gram on the orbits.
     """
-    hom = reflect_map(imaginary_unit_endo(base))  # i on the reflected line bundle
-    module, icplx = hom.source, hom.mat
+    if base.fixed_points():
+        raise InvariantViolation("points fixed by the involution admit no complex structure")
+    module = reflect(trivial_line_bundle(base))
+    reps = set(base.orbit_representatives())
+    icplx = Matrix.diagonal([I if x in reps else -I for x in range(base.size)])  # i on the reflected lines
     # the pairing is the tau permutation, symmetric since tau is involutive;
     # a real permutation matrix of an involution is its own inverse, so it is
     # the coevaluation too (the snake identities of the check confirm it)

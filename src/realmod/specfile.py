@@ -92,17 +92,11 @@ class Stanza(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class SpecFile:
     stanzas: tuple
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    declared: dict = field(repr=False, compare=False)  # kind -> {name: stanza}, as parse_spec resolved them
 
     def find(self, kind: str, name: str):
-        """The first stanza of `kind` named `name`, or None.  The index, kind ->
-        {name: stanza}, is the one `parse_spec` built, or is built here once."""
-        if "declared" not in self._memo:
-            declared = {}
-            for st in self.stanzas:
-                declared.setdefault(st.kind, {}).setdefault(st.name, st)
-            self._memo["declared"] = declared
-        return self._memo["declared"].get(kind, {}).get(name)
+        """The stanza of `kind` named `name`, or None."""
+        return self.declared[kind].get(name)
 
 
 _TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace(), on which str.split() splits
@@ -207,7 +201,7 @@ def _gate(f: dict, declared: dict, matrices: tuple) -> dict:
 
 
 def _realset(f: dict, declared: dict, matrices: tuple) -> dict:
-    size = _parse_int(f["size"], "size")
+    size = _parse_int(f["size"], "size", minimum=1)
     tau = []
     at = 0
     for part in f["tau"].split(","):
@@ -329,6 +323,4 @@ def parse_spec(text: str) -> SpecFile:
         declared[st.kind][st.name] = st
         stanzas.append(st)
 
-    spec = SpecFile(tuple(stanzas))
-    spec._memo["declared"] = declared
-    return spec
+    return SpecFile(tuple(stanzas), declared)

@@ -2,6 +2,9 @@
 one of its laws raises the exception, with the message, that its `check`
 raises, so no object that exists has skipped its laws."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import realmod
@@ -72,6 +75,9 @@ def test_an_object_that_breaks_a_law_cannot_be_built(cls, build, exc, message):
 
 
 def test_the_table_covers_every_public_checked_type():
-    checked = {obj for obj in vars(realmod).values() if isinstance(obj, type) and hasattr(obj, "check")}
+    layers = [importlib.import_module(f"realmod.{m.name}") for m in pkgutil.iter_modules(realmod.__path__)]
+    checked = {obj for layer in layers for name, obj in vars(layer).items()
+               if isinstance(obj, type) and obj.__module__ == layer.__name__
+               and not name.startswith("_") and hasattr(obj, "check")}
     assert checked == {row[0] for row in INVALID}
     assert len(INVALID) == len(checked) == 10

@@ -146,6 +146,20 @@ def test_each_route_checks_its_space_once(monkeypatch, spaces):
         assert len(calls) == 1
 
 
+def test_the_functorial_route_builds_two_hermitian_spaces(monkeypatch, spaces):
+    # the split's extracted space and the result; the formula route adds a
+    # gram to compare, not a third space
+    calls = []
+    check = HermitianSpace.check
+    monkeypatch.setattr(HermitianSpace, "check", lambda h: calls.append(h) or check(h))
+    for space in spaces:
+        fresh = RealVS(space.dim, space.g, space.J)
+        for _ in range(2):
+            calls.clear()
+            result = inner_to_hermitian_functorial(fresh)
+            assert len(calls) == 2 and calls[-1] is result
+
+
 def test_the_hyperbolic_splitting_builds_one_source_and_one_target(monkeypatch, spaces):
     calls = []
     check = RealModule.check

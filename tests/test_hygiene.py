@@ -5,20 +5,23 @@ cycle), the modules import each other without a cycle, no module uses a bare
 class with a `check` runs it in `__post_init__`, the one place a `.check()`
 call may appear (an object that exists has passed its laws, so no caller
 checks it again), the package's `__all__` lists exactly the names its
-`__init__.py` imports, and every stanza kind the input format declares has
-exactly one builder in the command line's table.
+`__init__.py` imports, each of which README's example or the bench reads from
+the package root, and every stanza kind the input format declares has exactly
+one builder in the command line's table.
 
 Stdlib only.  `__init__.py` is exempt from the unused-name scan: its imports
 are the public re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import realmod
 from realmod import cli, specfile
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "realmod"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "realmod"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -193,6 +196,34 @@ def test_the_package_exports_exactly_the_names_it_imports():
 def test_the_scan_sees_every_reexport():
     tree = ast.parse("from .a import b, c as d\nimport os\ndef f():\n    from .e import g\n")
     assert _reexports(tree) == ["b", "d"]
+
+
+def _readme_imports(text: str) -> set:
+    """The names README's `python` blocks import from the package root."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    return {alias.name for block in blocks for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "realmod"
+            for alias in node.names}
+
+
+def _root_reads(text: str) -> set:
+    """The names a bench file reads off the package root, bound as `realmod`
+    or `rm`; a probe script held in a string counts too."""
+    return set(re.findall(r"\b(?:realmod|rm)\.(\w+)", text))
+
+
+def test_every_export_has_a_reader():
+    readers = _readme_imports((ROOT / "README.md").read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        readers |= _root_reads(path.read_text(encoding="utf-8"))
+    assert sorted(set(realmod.__all__) - readers) == []
+
+
+def test_the_scans_see_a_readme_import_and_a_root_read():
+    text = ("```python\nfrom realmod import a, b as c\nfrom realmod.x import d\nimport realmod\n```\n"
+            "```sh\nfrom realmod import e\n```\n")
+    assert _readme_imports(text) == {"a", "b"}
+    assert _root_reads("rm = self.realmod\nrm.f(realmod.g)\n'realmod.h'\nfarm.i\n") == {"f", "g", "h"}
 
 
 def test_every_stanza_kind_has_one_builder():

@@ -17,9 +17,10 @@ from realmod.modules import (
     random_real_module,
     tensor,
     tensor_hom,
-    tensor_unit,
 )
 from realmod.scalars import I, ONE, Scalar
+
+UNIT = RealModule(1, Matrix.identity(1))  # the monoidal unit: the line with plain conjugation
 
 
 def swap2() -> RealModule:
@@ -51,7 +52,7 @@ def test_hom_condition_is_equivariance():
     assert not is_real_hom(m, m, I * Matrix.identity(2))
     # a matrix of the wrong shape is no map between the modules at all
     assert not is_real_hom(m, m, Matrix.identity(3))
-    assert not is_real_hom(m, tensor_unit(), Matrix.identity(2))
+    assert not is_real_hom(m, UNIT, Matrix.identity(2))
     with pytest.raises(InvariantViolation, match=r"^equivariance: mat\*inv_src != inv_tgt\*conj\(mat\)$"):
         RealHom(m, m, I * Matrix.identity(2))
 
@@ -64,7 +65,7 @@ def test_tensor_carries_the_involution():
     assert t.dim == 6
     assert t.inv == kron(a.inv, b.inv)
     t.check()
-    assert tensor(a, tensor_unit()).dim == a.dim
+    assert tensor(a, UNIT).dim == a.dim
 
 
 def test_tensor_of_homs_is_a_hom():

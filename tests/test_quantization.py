@@ -8,7 +8,7 @@ from realmod import quantization
 from realmod.errors import InvariantViolation
 from realmod.hermitian import extract_hermitian
 from realmod.linalg import Matrix, inverse, kron
-from realmod.modules import RealModule, is_real_hom, random_matrix
+from realmod.modules import RealHom, RealModule, is_real_hom, random_matrix
 from realmod.quantization import (
     RealBundle,
     RealBundleMap,
@@ -17,7 +17,6 @@ from realmod.quantization import (
     external_tensor,
     free_realset,
     identity_base_map,
-    imaginary_unit_endo,
     internal_complex,
     pushforward,
     quantize,
@@ -26,9 +25,10 @@ from realmod.quantization import (
     random_realset,
     reflect,
     reflect_map,
+    trivial_line_bundle,
     trivial_realset,
 )
-from realmod.scalars import ONE, Scalar
+from realmod.scalars import I, ONE, Scalar
 
 
 def test_internal_complex_is_a_commutative_monoid_with_conjugation():
@@ -151,12 +151,46 @@ def test_reflect_map_is_equivariant():
     assert is_real_hom(reflect(b1), reflect(b2), hom.mat)
 
 
-def test_imaginary_unit_endo_needs_a_free_involution():
-    base = free_realset(2)
-    endo = imaginary_unit_endo(base)
-    endo.check()
-    with pytest.raises(InvariantViolation):
-        imaginary_unit_endo(trivial_realset(1))
+def _reference_quantize_set(base: RealSet) -> tuple:
+    """(module, icplx, pairing, coevaluation) of the quantization, built
+    through the bundle calculus: multiplication by i as a bundle map on the
+    trivial line bundle (+i over each orbit representative, -i over its
+    partner), reflected to an equivariant hom; the partner pairing is the
+    reflected involution, and so is its coevaluation."""
+    line = trivial_line_bundle(base)
+    reps = set(base.orbit_representatives())
+    mats = tuple(Matrix.from_rows([[I if x in reps else -I]]) for x in range(base.size))
+    hom = reflect_map(RealBundleMap(line, line, identity_base_map(base), mats))
+    return hom.source, hom.mat, hom.source.inv, hom.source.inv
+
+
+def _free_realsets() -> list:
+    rng = random.Random(67)
+    return [free_realset(n) for n in range(5)] + [
+        random_realset(rng, 2 * rng.randrange(1, 5), free=True) for _ in range(20)]
+
+
+def test_quantize_set_agrees_with_the_bundle_calculus():
+    for base in _free_realsets():
+        s = quantize_set(base)
+        assert (s.H, s.icplx, s.pairing, s.coev) == _reference_quantize_set(base)
+
+
+def test_quantize_set_builds_no_intermediate_checked_map(monkeypatch):
+    built = []
+    for cls in (RealSetMap, RealBundleMap, RealHom):
+        monkeypatch.setattr(cls, "check", lambda obj, check=cls.check: built.append(obj) or check(obj))
+    _reference_quantize_set(free_realset(1))
+    assert [type(obj) for obj in built] == [RealSetMap, RealBundleMap, RealHom]  # the counter counts
+    built.clear()
+    for base in _free_realsets():
+        quantize_set(base)
+    assert built == []
+
+
+def test_quantize_set_needs_a_free_involution():
+    with pytest.raises(InvariantViolation, match="^points fixed by the involution admit no complex structure$"):
+        quantize_set(trivial_realset(1))
 
 
 def test_quantize_single_point():
@@ -177,12 +211,12 @@ def test_quantize_extracts_identity_gram():
         assert extract_hermitian(s).gram.is_identity()
 
 
-def test_quantize_reflects_its_line_bundle_only_through_the_endo(monkeypatch):
+def test_quantize_reflects_its_line_bundle_once(monkeypatch):
     calls = []
     real = quantization.reflect
     monkeypatch.setattr(quantization, "reflect", lambda b: calls.append(b) or real(b))
     quantize(3)
-    assert len(calls) == 1  # the endo's source, which is also its target
+    assert calls == [trivial_line_bundle(free_realset(3))]
 
 
 def test_quantize_set_of_a_scrambled_free_involution():

@@ -457,8 +457,8 @@ TABLE = {
         lambda: quantization.pushforward(quantization.identity_base_map(quantization.trivial_realset(2)),
                                          quantization.trivial_line_bundle(quantization.trivial_realset(1))),
         InvariantViolation),
-    "quantization.imaginary_unit_endo: points fixed by the involution admit no complex structure": Raises(
-        lambda: quantization.imaginary_unit_endo(quantization.trivial_realset(1)), InvariantViolation),
+    "quantization.quantize_set: points fixed by the involution admit no complex structure": Raises(
+        lambda: quantization.quantize_set(quantization.trivial_realset(1)), InvariantViolation),
     "quantization.quantize_set: quantization did not produce the standard inner product": Mutation(
         "hermitian.kernel_basis", lambda orig: lambda mat: Scalar(2) * orig(mat),
         lambda: quantization.quantize(1), InvariantViolation),
