@@ -9,10 +9,18 @@ rows, `==` is a tuple comparison and `hash` agrees with it.
 
 Every kernel reads and writes raw rows: `@` and `kron`, the entrywise
 operations, the block engine and elimination.  Scalars appear only at the API
-edge: `Matrix(rows, cols, entries)`, `from_rows` and `parse_matrix` convert
-them in, and `entries`, `m[i, j]`, `row`, `col`, `trace` and `det` convert
-them out (an absent entry reads as the shared ZERO).  `format_matrix` prints
-the raw rows directly, writing `0` for each absent column.
+edge: `Matrix(rows, cols, entries)` and `from_rows` convert them in, and
+`entries`, `m[i, j]`, `row`, `col`, `trace` and `det` convert them out (an
+absent entry reads as the shared ZERO).  `format_matrix` prints the raw rows
+directly, writing `0` for each absent column.  This module is the one that
+knows matrix text.  `_matrix_shape` accepts text of `SCALAR_PATTERN` cells
+whose rows all have one length, every `format_matrix` output among it, and
+gives its shape; `parse_matrix` reads accepted text in one `findall` of a
+term pattern, building raw rows with no Scalar and no call per cell.  Text
+marked as accepted (a `_Shaped` string) is read without checking it again, so
+text `specfile` validated is read once.  Any other text goes to the per-cell
+scanner, which parses each cell with `parse_scalar` and positions every
+error.
 When B selects columns (each row of B holds at most one entry, exactly 1, and
 no two rows share its column: an identity, a permutation or a selection), `@`
 moves each entry of A to B's column for its row and drops those whose row of B
@@ -63,6 +71,7 @@ value, so it scales no row of its own.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -70,7 +79,8 @@ from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar, _canonical as _scalar, _format_raw, parse_scalar, ScalarParseError
+from .scalars import (ONE, SCALAR_PATTERN, ZERO, Scalar, _canonical as _scalar, _format_raw, parse_scalar,
+                      ScalarParseError)
 
 _ONE, _MINUS_ONE = (1, 0, 0, 0, 1), (-1, 0, 0, 0, 1)  # the raw values (na, nb, nc, nd, den) of ±1
 
@@ -904,30 +914,117 @@ def format_matrix(m: Matrix) -> str:
     return ";".join(out)
 
 
+# Matrix text the one-pass reader takes: `SCALAR_PATTERN` cells (no
+# whitespace, bounded digit runs, nonzero denominators) joined by ',' and ';'.
+_MATRIX = re.compile(f"{SCALAR_PATTERN}(?:[,;]{SCALAR_PATTERN})*")
+
+
+class _Shaped(str):
+    """Matrix text that `_matrix_shape` accepted: `parse_matrix` reads it
+    without checking it again."""
+
+    __slots__ = ()
+
+
+def _matrix_shape(text: str):
+    """(rows, cols) of a matrix text that `_MATRIX` accepts and whose rows all
+    have one length, else None.  `parse_matrix` reads every such text in one
+    pass."""
+    if not _MATRIX.fullmatch(text):
+        return None
+    rows = text.split(";")
+    commas = rows[0].count(",")
+    for row in rows:
+        if row.count(",") != commas:
+            return None
+    return len(rows), commas + 1
+
+
+# One term of text `_MATRIX` accepts: the separator that ends the cell before
+# it, its sign, numerator, denominator and marker.  Its digit runs are the ones
+# `_MATRIX` bounds, so every int() stays within the interpreter's limit.
+_TERM = re.compile(r"([,;]?)([+-]?)([0-9]*)(?:/([0-9]+))?\*?(i\*r2|r2\*i|i|r2|)")
+
+
+def _read_shaped(text: str) -> Matrix:
+    """The Matrix of a text that `_matrix_shape` accepts, from one `findall`.
+
+    Each term is added into its cell's four numerators over a running common
+    denominator, as `parse_scalar` does.  A separator, or the empty match that
+    ends the list, closes the cell, which is normalized once."""
+    rows = []
+    row = []
+    j = 0
+    a = b = c = d = 0  # numerators of 1, r2, i, i*r2 over den, for cell j
+    den = 1
+    for sep, sign, p, q, marker in _TERM.findall(text):
+        if sep or not (p or marker):
+            if a or b or c or d:
+                g = gcd(a, b, c, d, den)
+                row.append((j, a, b, c, d, den) if g == 1 else (j, a // g, b // g, c // g, d // g, den // g))
+            if sep == ",":
+                j += 1
+            else:
+                rows.append(tuple(row))
+                if not sep:
+                    break
+                row = []
+                j = 0
+            a = b = c = d = 0
+            den = 1
+        p = int(p) if p else 1
+        if sign == "-":
+            p = -p
+        if not q:
+            p *= den
+        else:
+            q = int(q)
+            if q != den:
+                g = gcd(den, q)
+                u = q // g
+                a, b, c, d = a * u, b * u, c * u, d * u
+                p *= den // g
+                den *= u
+        if not marker:
+            a += p
+        elif marker == "i":
+            c += p
+        elif marker == "r2":
+            b += p
+        else:  # i*r2 or r2*i
+            d += p
+    return _new(len(rows), j + 1, tuple(rows))
+
+
 def parse_matrix(text: str) -> Matrix:
+    """The Matrix of `text`: rows joined by ';', entries by ','.
+
+    Text that `_matrix_shape` accepts, canonical text among it, is read in one
+    pass by `_read_shaped`; a `_Shaped` string has been accepted already and is
+    not checked again.  Any other text (whitespace, a denominator with a
+    leading zero, literals longer than `_MATRIX` allows, malformed or ragged
+    rows) is parsed cell by cell with `parse_scalar`, so that every error has
+    its message and position."""
+    if type(text) is _Shaped or _matrix_shape(text) is not None:
+        return _read_shaped(text)
     rows = []
     ncols = None
     pos = 0
-    seen = {}  # cell text -> raw value, or () for zero, within this matrix only
     for row_text in text.split(";"):
         row = []
         col_pos = pos
-        j = 0
-        for cell in row_text.split(","):
-            x = seen.get(cell)
-            if x is None:
-                try:
-                    s = parse_scalar(cell)
-                except ScalarParseError as e:
-                    raise MatrixParseError(str(e), col_pos + e.offset) from None
-                x = seen[cell] = (s.na, s.nb, s.nc, s.nd, s.den) if s.na or s.nb or s.nc or s.nd else ()
-            if x:
-                row.append((j,) + x)
-            j += 1
+        cells = row_text.split(",")
+        for j, cell in enumerate(cells):
+            try:
+                s = parse_scalar(cell)
+            except ScalarParseError as e:
+                raise MatrixParseError(str(e), col_pos + e.offset) from None
+            if s:
+                row.append((j, s.na, s.nb, s.nc, s.nd, s.den))
             col_pos += len(cell) + 1
         if ncols is None:
-            ncols = j
-        elif j != ncols:
+            ncols = len(cells)
+        elif len(cells) != ncols:
             raise MatrixParseError("ragged matrix rows", pos)
         rows.append(tuple(row))
         pos += len(row_text) + 1

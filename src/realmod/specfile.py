@@ -31,8 +31,13 @@ once with `str.split()`, which splits on the same whitespace as `_tokens`; an
 error records the token it lies in, and the line is scanned for token columns
 only when that error is raised.  Every matrix is validated, with its shape,
 when the file is parsed, so a malformed matrix is a positioned error even in a
-stanza no command reads.  It is converted to a `Matrix` only when a command
-first reads it from `Stanza.fields`, and that conversion is kept on the stanza.
+stanza no command reads.  `linalg._matrix_shape` validates it: text it accepts
+is kept as it is, and any other text is handed to `parse_matrix` at once,
+whose per-cell scanner converts it or raises a positioned error.  Kept text
+is converted to a `Matrix` only when a command first reads it from
+`Stanza.fields`: marked as accepted (`linalg._Shaped`), it goes to
+`parse_matrix`'s one-pass reader without a second check, and the conversion
+is kept on the stanza.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import MatrixParseError, parse_matrix
-from .scalars import MAX_LITERAL_LENGTH, SCALAR_PATTERN
+from .linalg import MatrixParseError, _Shaped, _matrix_shape, parse_matrix
+from .scalars import MAX_LITERAL_LENGTH
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 SPACE_KINDS = ("hermitian",)  # the kinds whose object is a HermitianSpace, what `on=` names
@@ -68,8 +73,8 @@ class _Fields(Mapping):
 
     def __getitem__(self, key):
         value = self._values[key]
-        if key in _MATRIX_KEYS and type(value) is str:
-            value = self._values[key] = parse_matrix(value)
+        if key in _MATRIX_KEYS and type(value) is str:  # text `_matrix_shape` accepted
+            value = self._values[key] = parse_matrix(_Shaped(value))
         return value
 
     def __iter__(self):
@@ -137,22 +142,6 @@ def _parse_int(text: str, key: str, offset: int = 0, minimum: int = 0) -> int:
     if value < minimum:
         raise _Bad(f"integer must be at least {minimum}", key, offset)
     return value
-
-
-_MATRIX = re.compile(f"{SCALAR_PATTERN}(?:[,;]{SCALAR_PATTERN})*")
-
-
-def _matrix_shape(text: str):
-    """(rows, cols) of a matrix text that `_MATRIX` accepts and whose rows all
-    have one length, else None.  `parse_matrix` accepts every such text."""
-    if not _MATRIX.fullmatch(text):
-        return None
-    rows = text.split(";")
-    commas = rows[0].count(",")
-    for row in rows:
-        if row.count(",") != commas:
-            return None
-    return len(rows), commas + 1
 
 
 def _parse_mat(text: str, key: str) -> tuple:

@@ -37,7 +37,7 @@ from realmod.linalg import (
     vstack,
 )
 from realmod.modules import random_invertible, random_matrix
-from realmod.scalars import I, ONE, SQRT2, ZERO, Scalar, format_scalar
+from realmod.scalars import MAX_LITERAL_LENGTH, I, ONE, SQRT2, ZERO, Scalar, format_scalar, parse_scalar
 
 
 def test_constructors_and_shape_checks():
@@ -1075,6 +1075,61 @@ def test_matrix_parse_errors():
         parse_matrix("1,2;3,zz")
     except MatrixParseError as exc:
         assert exc.offset == 6
+
+
+def _per_cell(text):
+    """The reference reading of matrix text: `parse_scalar` on each cell."""
+    return Matrix.from_rows([[parse_scalar(cell) for cell in row.split(",")] for row in text.split(";")])
+
+
+# terms of matrix text: well-formed ones (digit runs at the fast path's bound
+# among them) and near misses, joined by a separator, an operator or junk
+_RUN = (MAX_LITERAL_LENGTH - 1) // 2
+_TERMS = ("0", "-0", "1", "12", "1/3", "2/4", "-1/2*i", "+i", "i", "r2", "i*r2", "r2*i", "3/4*r2",
+          "5*i*r2", "1+1", "9" * _RUN, f"1/{'9' * _RUN}") * 3 + (
+          "9" * (_RUN + 1), "2/03", "7/0", "1*i*i", "r2*r2", "", "٣", "1 ", "ii", "1/", "*i")
+_SEPARATORS = "+-,;+-,;*/ "
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_TERMS)), max_size=8)
+       .map(lambda parts: "".join(sep + term for sep, term in parts)[1:]))
+@settings(derandomize=True, max_examples=2000, deadline=None)
+def test_fast_validation_accepts_only_what_parse_matrix_parses_to_that_shape(text):
+    shape = linalg._matrix_shape(text)
+    if shape is not None:
+        expected = _per_cell(text)
+        assert expected.shape == shape
+        assert linalg._read_shaped(text) == expected
+        assert parse_matrix(text) == expected == parse_matrix(linalg._Shaped(text))
+    else:
+        try:
+            m = parse_matrix(text)
+        except MatrixParseError:
+            return
+        assert m == _per_cell(text)
+
+
+def test_canonical_matrix_text_takes_the_fast_path(monkeypatch):
+    rng = random.Random(13)
+    cases = []
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = random_matrix(rng, rows, cols, span=rng.choice((1, 3, 10 ** 12)))
+        cases.append((m, format_matrix(m), _per_cell(format_matrix(m))))
+    # the longest literal the fast path takes
+    longest = f"{'7' * _RUN}/{'3' * _RUN}*i"
+    cases.append((_per_cell(longest), longest, _per_cell(longest)))
+    monkeypatch.setattr(linalg, "parse_scalar", None)  # the per-cell scanner cannot run
+    for k, (m, text, expected) in enumerate(cases):
+        assert linalg._matrix_shape(text) == m.shape, k
+        assert linalg._read_shaped(text) == expected == m, k
+        assert parse_matrix(text) == m and parse_matrix(linalg._Shaped(text)) == m, k
+    monkeypatch.undo()
+    # the shortest literals the fast path leaves to the per-cell scanner
+    for slow in (f"{'7' * (_RUN + 1)}", f"1/{'3' * (_RUN + 1)}", "1/03", "1 ,2"):
+        assert linalg._matrix_shape(slow) is None
+        assert parse_matrix(slow) == _per_cell(slow)
+        assert parse_matrix(slow).shape == (1, 2 if "," in slow else 1)
 
 
 # -- the sparse storage against a per-entry Scalar reference ---------------------------

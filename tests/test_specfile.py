@@ -1,18 +1,13 @@
 """Parsing and cross-validation of the declarative input format."""
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from realmod import cli, specfile
+from realmod import cli, linalg, specfile
 from realmod.errors import InvariantViolation
-from realmod.linalg import format_matrix, parse_matrix
-from realmod.modules import random_matrix
+from realmod.linalg import parse_matrix
 from realmod.quantization import RealSet
 from realmod.scalars import MAX_LITERAL_LENGTH
-from realmod.specfile import SpecFileError, _matrix_shape, _tokens, parse_spec
+from realmod.specfile import SpecFileError, _tokens, parse_spec
 
 GOOD = """\
 # a comment
@@ -263,37 +258,6 @@ def test_the_docstring_lists_each_kind_with_its_schema_keys_in_order():
     assert list(_docstring_kinds().items()) == [(kind, row[:2]) for kind, row in specfile._SCHEMA.items()]
 
 
-# terms of matrix text: well-formed ones (digit runs at the fast path's bound
-# among them) and near misses, joined by a separator, an operator or junk
-_RUN = (MAX_LITERAL_LENGTH - 1) // 2
-_TERMS = ("0", "1", "12", "1/3", "-1/2*i", "i", "r2", "i*r2", "r2*i", "3/4*r2", "5*i*r2",
-          "9" * _RUN, f"1/{'9' * _RUN}") * 3 + (
-          "9" * (_RUN + 1), "2/03", "7/0", "1*i*i", "r2*r2", "", "٣", "1 ", "ii", "1/", "*i")
-_SEPARATORS = "+-,;+-,;*/ "
-
-
-@given(st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_TERMS)), max_size=8)
-       .map(lambda parts: "".join(sep + term for sep, term in parts)[1:]))
-@settings(derandomize=True, max_examples=2000, deadline=None)
-def test_fast_validation_accepts_only_what_parse_matrix_parses_to_that_shape(text):
-    shape = _matrix_shape(text)
-    if shape is not None:
-        assert parse_matrix(text).shape == shape
-
-
-def test_canonical_matrix_text_takes_the_fast_path():
-    rng = random.Random(13)
-    for k in range(2000):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = random_matrix(rng, rows, cols, span=rng.choice((1, 3, 10 ** 12)))
-        assert _matrix_shape(format_matrix(m)) == (rows, cols), k
-    # the longest literal the fast path takes, and the shortest ones it leaves to parse_matrix
-    assert _matrix_shape(f"{'7' * _RUN}/{'3' * _RUN}*i") == (1, 1)
-    for slow in (f"{'7' * (_RUN + 1)}", f"1/{'3' * (_RUN + 1)}", "1/03", "1 ,2"):
-        assert _matrix_shape(slow) is None
-        assert parse_matrix(slow).shape == (1, 2 if "," in slow else 1)
-
-
 SPACES = """\
 module m dim=2 inv=0,1;1,0
 hermitian h dim=2 gram=1,0;0,-1
@@ -318,6 +282,32 @@ def test_a_gate_command_parses_only_the_matrices_it_reads(monkeypatch):
     assert sorted(parsed) == ["1,0;0,-1", "5/3,4/3;4/3,5/3"]  # the gate and its gram
     assert cli.run(spec, "unitary", "u")[1] == 0
     assert len(parsed) == 2  # converted once, kept on the stanza
+
+
+class _CountingPattern:
+    """A compiled pattern that counts its `fullmatch` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.pattern.fullmatch(text)
+
+
+def test_validated_matrix_text_is_read_without_a_second_check_or_parse_scalar(monkeypatch):
+    pattern = _CountingPattern(linalg._MATRIX)
+    monkeypatch.setattr(linalg, "_MATRIX", pattern)
+    scalars, parsed = [], []
+    monkeypatch.setattr(linalg, "parse_scalar", lambda text: scalars.append(text))
+    monkeypatch.setattr(specfile, "parse_matrix", lambda text: parsed.append(text) or parse_matrix(text))
+    spec = parse_spec(SPACES)
+    assert pattern.calls == 6  # one per matrix field, at parse time
+    assert cli.run(spec, "dagger", "u")[1] == 0
+    assert cli.run(spec, "channel", "c") == (["channel c: FAIL (state is not gram-self-adjoint)"], 1)
+    assert sorted(parsed) == ["1,0;0,-1", "1,1/2;0,1", "5/3,4/3;4/3,5/3"]  # each matrix they read, once
+    assert pattern.calls == 6
+    assert scalars == []
 
 
 @pytest.mark.parametrize("line, expected", [
