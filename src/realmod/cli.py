@@ -249,17 +249,19 @@ def run(spec: SpecFile | None, command: str, target: str | None = None,
         return [f"{head}: FAIL ({exc})"], 1
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="realmod",
+    description="Exact involutive-module toolkit: check, extract, quantize, self-test.")
+_PARSER.add_argument("--input", help="spec file path")
+_PARSER.add_argument("--command", required=True,
+                     help=" | ".join((*_COMMANDS, "selftest")))
+_PARSER.add_argument("--target", help="object name the command acts on")
+_PARSER.add_argument("--seed", type=int, default=0, help="property-test seed (default 0)")
+_PARSER.add_argument("--cases", type=int, default=100, help="property-test case budget (default 100)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="realmod",
-        description="Exact involutive-module toolkit: check, extract, quantize, self-test.")
-    parser.add_argument("--input", help="spec file path")
-    parser.add_argument("--command", required=True,
-                        help=" | ".join((*_COMMANDS, "selftest")))
-    parser.add_argument("--target", help="object name the command acts on")
-    parser.add_argument("--seed", type=int, default=0, help="property-test seed (default 0)")
-    parser.add_argument("--cases", type=int, default=100, help="property-test case budget (default 100)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     spec = None
     if args.input is not None:

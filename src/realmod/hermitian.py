@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolation, ShapeError, SingularMatrixError
 from .linalg import (
     Matrix,
+    _new,
     block_diag,
     hstack,
     inverse,
@@ -49,8 +50,8 @@ from .linalg import (
     place,
     vec,
 )
-from .modules import RealModule, RealHom, is_real_hom, random_invertible
-from .scalars import I, INV_SQRT2, ONE, Scalar
+from .modules import RealModule, RealHom, is_real_hom, random_invertible, random_signs
+from .scalars import I, INV_SQRT2, Scalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,14 +343,16 @@ def random_hermitian_space(rng: random.Random, n: int) -> HermitianSpace:
     """t^dagger D t for invertible t and diagonal signs D: conjugate-symmetric,
     invertible, with varied signature."""
     t = random_invertible(rng, n)
-    d = Matrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
-    return HermitianSpace(n, t.conj_transpose() @ d @ t)
+    return HermitianSpace(n, t.conj_transpose() @ random_signs(rng, n) @ t)
 
 
 def random_selfdual(rng: random.Random, n: int) -> SelfDualRealModule:
     base = make_selfdual(random_hermitian_space(rng, n))
     t = random_invertible(rng, 2 * n)
     return conjugate_selfdual(base, t)
+
+
+_I_POWERS = ((1, 0, 0, 0, 1), (0, 0, 1, 0, 1), (-1, 0, 0, 0, 1), (0, 0, -1, 0, 1))  # raw i**k, k = 0..3
 
 
 def random_unitary_word(rng: random.Random, n: int) -> Matrix:
@@ -361,10 +364,9 @@ def random_unitary_word(rng: random.Random, n: int) -> Matrix:
         if kind == 0:
             perm = list(range(n))
             rng.shuffle(perm)
-            mat = Matrix.from_rows(
-                [[ONE if j == perm[i] else Scalar() for j in range(n)] for i in range(n)])
+            mat = _new(n, n, tuple(((j, 1, 0, 0, 0, 1),) for j in perm))
         elif kind == 1:
-            mat = Matrix.diagonal([I ** rng.randrange(4) for _ in range(n)])
+            mat = _new(n, n, tuple(((j,) + _I_POWERS[rng.randrange(4)],) for j in range(n)))
         else:
             mat = block_diag([hadamard(), Matrix.identity(n - 2)])
         out = mat @ out

@@ -19,8 +19,8 @@ gives its shape; `parse_matrix` reads accepted text in one `findall` of a
 term pattern, building raw rows with no Scalar and no call per cell.  Text
 marked as accepted (a `_Shaped` string) is read without checking it again, so
 text `specfile` validated is read once.  Any other text goes to the per-cell
-scanner, which parses each cell with `parse_scalar` and positions every
-error.
+scanner `_scan_cells`, which parses each cell with `parse_scalar` and positions
+every error; `specfile` hands it the text its check rejected directly.
 When B selects columns (each row of B holds at most one entry, exactly 1, and
 no two rows share its column: an identity, a permutation or a selection), `@`
 moves each entry of A to B's column for its row and drops those whose row of B
@@ -904,7 +904,9 @@ class MatrixParseError(ValueError):
 
 
 def format_matrix(m: Matrix) -> str:
-    """Rows joined by ';', entries by ','; entries in canonical scalar form."""
+    """Rows joined by ';', entries by ','; entries in canonical scalar form.
+    With no rows it prints "", and with r rows and no columns r - 1 semicolons:
+    `parse_matrix` reads neither back ("empty scalar"), and "" has no width."""
     out = []
     for row in m.raw:
         cells = ["0"] * m.cols
@@ -1003,10 +1005,15 @@ def parse_matrix(text: str) -> Matrix:
     pass by `_read_shaped`; a `_Shaped` string has been accepted already and is
     not checked again.  Any other text (whitespace, a denominator with a
     leading zero, literals longer than `_MATRIX` allows, malformed or ragged
-    rows) is parsed cell by cell with `parse_scalar`, so that every error has
+    rows) is parsed cell by cell by `_scan_cells`, so that every error has
     its message and position."""
     if type(text) is _Shaped or _matrix_shape(text) is not None:
         return _read_shaped(text)
+    return _scan_cells(text)
+
+
+def _scan_cells(text: str) -> Matrix:
+    """The Matrix of text `_matrix_shape` rejects, cell by cell with `parse_scalar`."""
     rows = []
     ncols = None
     pos = 0

@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CompositionError, InvariantViolation
 from .linalg import (
     Matrix,
+    _new,
+    _products,
     inverse,
     kernel_basis,
     kron,
     kron_swap,
     realify,
 )
-from .scalars import I, ONE, SQRT2, ZERO, Scalar
+from .scalars import I, Scalar, _canonical, _make
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,21 +115,44 @@ def fixed_points(m: RealModule) -> Matrix:
 # -- seeded generators for property suites ----------------------------------------
 
 
-def random_scalar(rng: random.Random, span: int = 9) -> Scalar:
-    def rat():
-        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def _random_raw(rng: random.Random, span: int) -> tuple:
+    """The raw value (na, nb, nc, nd, den), in lowest terms, of four draws p/q,
+    each p in [-span, span] and q in [1, span], in coordinate order."""
+    draw = rng.randint
+    a, p = draw(-span, span), draw(1, span)
+    b, q = draw(-span, span), draw(1, span)
+    c, r = draw(-span, span), draw(1, span)
+    d, s = draw(-span, span), draw(1, span)
+    den = lcm(p, q, r, s)
+    a, b, c, d = a * (den // p), b * (den // q), c * (den // r), d * (den // s)
+    g = gcd(a, b, c, d, den)
+    return (a, b, c, d, den) if g == 1 else (a // g, b // g, c // g, d // g, den // g)
 
-    return Scalar(rat(), rat(), rat(), rat())
+
+def random_scalar(rng: random.Random, span: int = 9) -> Scalar:
+    return _canonical(*_random_raw(rng, span))
 
 
 def random_real_scalar(rng: random.Random) -> Scalar:
-    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                  Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    draw = rng.randint
+    a, p, b, q = draw(-9, 9), draw(1, 9), draw(-9, 9), draw(1, 9)
+    return _make(a * q, b * p, 0, 0, p * q)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> Matrix:
-    return Matrix(rows, cols,
-                  tuple(random_scalar(rng, span) for _ in range(rows * cols)))
+    """Row-major `random_scalar` entries, drawn straight into raw rows."""
+    out = []
+    for _ in range(rows):
+        row = [(j,) + _random_raw(rng, span) for j in range(cols)]
+        out.append(tuple(x for x in row if x[1] or x[2] or x[3] or x[4]))
+    return _new(rows, cols, tuple(out))
+
+
+# The raw values of 1, -1, sqrt2, -sqrt2, i, -i, i*sqrt2, -i*sqrt2, the shear
+# offsets of `random_invertible` in the order it draws them (the first four when real)
+_OFFSETS = ((1, 0, 0, 0, 1), (-1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, -1, 0, 0, 1),
+            (0, 0, 1, 0, 1), (0, 0, -1, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, -1, 1))
+_UNITS = _OFFSETS[:2] + _OFFSETS[4:6]  # 1, -1, i, -i; the first two when real
 
 
 def random_invertible(rng: random.Random, n: int, real: bool = False) -> Matrix:
@@ -135,29 +160,32 @@ def random_invertible(rng: random.Random, n: int, real: bool = False) -> Matrix:
 
     Every factor is unimodular, so the determinant is a unit and the inverse
     stays in the same small ring; downstream exact arithmetic does not blow up
-    the way inverting a dense random matrix would.
+    the way inverting a dense random matrix would.  Its raw rows stay in
+    Z[i, sqrt2], over denominator 1, so they need no gcd.
     """
     if n == 0:
         return Matrix.identity(0)
-    units = (ONE, -ONE) if real else (ONE, -ONE, I, -I)
-    isqrt2 = I * SQRT2
-    offs = (ONE, -ONE, SQRT2, -SQRT2) if real else \
-        (ONE, -ONE, SQRT2, -SQRT2, I, -I, isqrt2, -isqrt2)
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    offs, units = (_OFFSETS[:4], _UNITS[:2]) if real else (_OFFSETS, _UNITS)
+    rows = [[(j, int(i == j), 0, 0, 0, 1) for j in range(n)] for i in range(n)]
     for _ in range(2 * n + 2):
         op = rng.randrange(3)
         if op == 0 and n >= 2:
             i, j = rng.sample(range(n), 2)
             s = rng.choice(offs)
-            rows[i] = [rows[i][k] + s * rows[j][k] for k in range(n)]
+            rows[i] = [(k, a + p, b + q, c + r, d + t, 1)
+                       for (k, a, b, c, d, _), (_, p, q, r, t, _) in zip(rows[i], _products(rows[j], s))]
         elif op == 1:
             i = rng.randrange(n)
-            u = rng.choice(units)
-            rows[i] = [u * x for x in rows[i]]
+            rows[i] = list(_products(rows[i], rng.choice(units)))
         elif n >= 2:
             i, j = rng.sample(range(n), 2)
             rows[i], rows[j] = rows[j], rows[i]
-    return Matrix.from_rows(rows)
+    return _new(n, n, tuple(tuple(x for x in row if x[1] or x[2] or x[3] or x[4]) for row in rows))
+
+
+def random_signs(rng: random.Random, n: int) -> Matrix:
+    """The n x n diagonal of random signs +-1."""
+    return _new(n, n, tuple(((j, rng.choice((1, -1)), 0, 0, 0, 1),) for j in range(n)))
 
 
 def random_involution(rng: random.Random, dim: int) -> Matrix:
@@ -167,8 +195,7 @@ def random_involution(rng: random.Random, dim: int) -> Matrix:
     result is always a valid involution matrix.
     """
     p = random_invertible(rng, dim)
-    d = Matrix.diagonal([rng.choice((1, -1)) for _ in range(dim)])
-    return p @ d @ inverse(p.conj())
+    return p @ random_signs(rng, dim) @ inverse(p.conj())
 
 
 def random_real_module(rng: random.Random, dim: int) -> RealModule:

@@ -2,7 +2,8 @@
 
 Grammar: one stanza per line, `<kind> <name> key=value ...`; `#` starts a
 comment; blank lines are skipped.  Matrices and scalars use the same textual
-forms the library prints, so every emitted object parses back bit-exactly.
+forms the library prints, so every emitted scalar, and every matrix with rows
+and columns, parses back bit-exactly (see `format_matrix` for the others).
 Errors carry exact 1-based line and column positions.
 
 Stanza kinds and their keys:
@@ -32,9 +33,9 @@ error records the token it lies in, and the line is scanned for token columns
 only when that error is raised.  Every matrix is validated, with its shape,
 when the file is parsed, so a malformed matrix is a positioned error even in a
 stanza no command reads.  `linalg._matrix_shape` validates it: text it accepts
-is kept as it is, and any other text is handed to `parse_matrix` at once,
-whose per-cell scanner converts it or raises a positioned error.  Kept text
-is converted to a `Matrix` only when a command first reads it from
+is kept as it is, and any other text is handed at once to the per-cell scanner
+`linalg._scan_cells`, which converts it or raises a positioned error.  Kept
+text is converted to a `Matrix` only when a command first reads it from
 `Stanza.fields`: marked as accepted (`linalg._Shaped`), it goes to
 `parse_matrix`'s one-pass reader without a second check, and the conversion
 is kept on the stanza.
@@ -47,7 +48,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import MatrixParseError, _Shaped, _matrix_shape, parse_matrix
+from .linalg import MatrixParseError, _scan_cells, _Shaped, _matrix_shape, parse_matrix
 from .scalars import MAX_LITERAL_LENGTH
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -146,12 +147,12 @@ def _parse_int(text: str, key: str, offset: int = 0, minimum: int = 0) -> int:
 
 def _parse_mat(text: str, key: str) -> tuple:
     """(value, shape): the text itself if `_matrix_shape` accepts it, else the
-    Matrix `parse_matrix` makes of it, whose errors keep their position."""
+    Matrix the per-cell scanner makes of it, whose errors keep their position."""
     shape = _matrix_shape(text)
     if shape is not None:
         return text, shape
     try:
-        m = parse_matrix(text)
+        m = _scan_cells(text)
     except MatrixParseError as exc:
         raise _Bad(str(exc), key, exc.offset) from None
     return m, m.shape

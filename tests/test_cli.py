@@ -388,6 +388,22 @@ def test_main_end_to_end(capsys, tmp_path):
     assert out.startswith("error:") and "line 1" in out
 
 
+def test_consecutive_main_calls_share_no_state(capsys, monkeypatch):
+    path = str(DATA / "qubit.spec")
+    assert cli.main(["--input", path, "--command", "dagger", "--target", "had"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--input", path, "--command", "dagger"]) == 2
+    assert capsys.readouterr().out == "error: command 'dagger' needs --target\n"
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args: calls.append(args) or ([], 0))
+    cli.main(["--command", "selftest", "--target", "x", "--seed", "7", "--cases", "3"])
+    cli.main(["--command", "selftest"])
+    assert calls == [(None, "selftest", "x", 7, 3), (None, "selftest", None, 0, 100)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--input", path])
+    assert exc.value.code == 2 and "--command" in capsys.readouterr().err
+
+
 def test_a_spec_that_is_not_utf8_is_a_positioned_input_error(capsys, tmp_path):
     path = tmp_path / "bad.spec"
     cases = (

@@ -26,7 +26,7 @@ from realmod.hermitian import (
     split_eigenspaces,
     standard_selfdual,
 )
-from realmod.linalg import Matrix, inverse, kron, vec
+from realmod.linalg import Matrix, block_diag, inverse, kron, vec
 from realmod.modules import RealHom, random_invertible, random_matrix
 from realmod.quantization import quantize, quantize_set, random_realset
 from realmod.scalars import I, ONE, Scalar
@@ -368,3 +368,41 @@ def test_pseudo_unitary_for_an_indefinite_form():
     s = make_selfdual(h)
     boost = Scalar(3).inv() * Matrix.from_rows([[5, 4], [4, 5]])
     assert is_unitary(boost, s, s)
+
+
+# -- the seeded generators against their Scalar-built references ------------------
+
+
+def _random_hermitian_space(rng, n):
+    t = random_invertible(rng, n)
+    d = Matrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
+    return HermitianSpace(n, t.conj_transpose() @ d @ t)
+
+
+def _random_unitary_word(rng, n):
+    out = Matrix.identity(n)
+    for _ in range(4):
+        kind = rng.randrange(3 if n >= 2 else 2)
+        if kind == 0:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            mat = Matrix.from_rows(
+                [[ONE if j == perm[i] else Scalar() for j in range(n)] for i in range(n)])
+        elif kind == 1:
+            mat = Matrix.diagonal([I ** rng.randrange(4) for _ in range(n)])
+        else:
+            mat = block_diag([hadamard(), Matrix.identity(n - 2)])
+        out = mat @ out
+    return out
+
+
+@pytest.mark.parametrize("generator, reference, dims", [
+    (random_hermitian_space, _random_hermitian_space, range(7)),
+    (random_unitary_word, _random_unitary_word, range(7)),
+])
+def test_the_seeded_generators_match_their_scalar_references(generator, reference, dims):
+    for seed in range(2000):
+        n = dims[seed % len(dims)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert generator(rng, n) == reference(ref, n), (seed, n)
+        assert rng.getstate() == ref.getstate(), (seed, n)

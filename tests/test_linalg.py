@@ -1058,6 +1058,17 @@ def test_format_matrix_is_per_entry_format_scalar():
     assert format_matrix(Matrix.zero(0, 3)) == ""
 
 
+def test_format_matrix_parses_back_at_every_shape_with_rows_and_columns():
+    rng = random.Random(29)
+    for rows, cols in itertools.product(range(1, 5), repeat=2):
+        for m in (Matrix.zero(rows, cols), _sparse_matrix(rng, rows, cols), random_matrix(rng, rows, cols, span=9)):
+            assert parse_matrix(format_matrix(m)) == m
+    # with no rows or no columns the printed form is text no parser reads
+    for m in (Matrix.zero(0, 3), Matrix.zero(3, 0)):
+        with pytest.raises(MatrixParseError, match="^empty scalar$"):
+            parse_matrix(format_matrix(m))
+
+
 def test_format_matrix_builds_no_fraction(monkeypatch):
     m = Matrix.from_rows([[Scalar(Fraction(1, 3), 0, Fraction(-1, 2)), 0], [SQRT2, Fraction(5, 7)]])
     calls = []

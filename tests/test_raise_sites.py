@@ -375,9 +375,9 @@ TABLE = {
     "linalg.inertia: inertia of a non-Hermitian matrix": Raises(
         lambda: linalg.inertia(m([[I]])), InvariantViolation),
     "linalg.realify: mat and conj_part must share a shape": Raises(lambda: linalg.realify(ID1, ID2), ShapeError),
-    "linalg.parse_matrix: MatrixParseError(str(e), col_pos + e.offset)": Raises(
+    "linalg._scan_cells: MatrixParseError(str(e), col_pos + e.offset)": Raises(
         lambda: linalg.parse_matrix("1,x"), MatrixParseError, "unexpected character 'x'"),
-    "linalg.parse_matrix: ragged matrix rows": Raises(lambda: linalg.parse_matrix("1,2;3"), MatrixParseError),
+    "linalg._scan_cells: ragged matrix rows": Raises(lambda: linalg.parse_matrix("1,2;3"), MatrixParseError),
     # -- modules
     "modules.RealModule.check: involution matrix must be {self.dim}x{self.dim}, got {self.inv.rows}x{self.inv.cols}":
         Raises(lambda: RealModule(2, ID3), InvariantViolation, "involution matrix must be 2x2, got 3x3"),

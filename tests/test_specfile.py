@@ -310,6 +310,14 @@ def test_validated_matrix_text_is_read_without_a_second_check_or_parse_scalar(mo
     assert scalars == []
 
 
+def test_a_rejected_matrix_field_is_matched_once(monkeypatch):
+    pattern = _CountingPattern(linalg._MATRIX)
+    monkeypatch.setattr(linalg, "_MATRIX", pattern)
+    spec = parse_spec("hermitian h dim=1 gram=2/02")  # a zero-led denominator: the per-cell scanner reads it
+    assert pattern.calls == 1
+    assert spec.stanzas[0].fields["gram"] == parse_matrix("1")
+
+
 @pytest.mark.parametrize("line, expected", [
     ("hermitian bad dim=2 gram=1,0;0\n", "ragged matrix rows (line 8, column 30)"),
     ("hermitian bad dim=2 gram=1,0;0,1/0\n", "zero denominator (line 8, column 32)"),
