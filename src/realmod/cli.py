@@ -16,19 +16,15 @@ Commands:
     quantize   build a quantize stanza: module, icplx, gram, certificates
     selftest   run the seeded property suites (no input file required)
 
-Every stanza's object is built in one place, the table `_BUILD` (kind ->
-builder): a module, realvs, hermitian or realset stanza gives its checked
-object, a gate gives (matrix, space) with the space its `on=` resolved to, a
-channel gives (gate, state, space) once the state is gram-self-adjoint, a
-quantize stanza gives its quantized structure and a check stanza its target's
-object.  A reference is built from the (kind, name) that `specfile` resolved
-it to.  `check` runs the builder of each stanza and the commands, declared
-once in `_COMMANDS`, take their objects from `_Build` only, so `check` asserts
-every law whose failure makes a command exit 1; `channel` reads its stanza's
-gate and state without the channel builder, as `density.channel` tests the
-state law itself.  Each command builds each object once: `run` makes one
-`_Build` table, and every stanza that names a built object, or one whose
-builder failed, reads it from there.
+Every stanza's object is built once per command, in `_BUILD` (kind ->
+builder), from the (kind, name) `specfile` resolved each reference to: a
+module, realvs or realset stanza gives its checked object, a space (hermitian
+or quantize) its checked self-dual model, split taken, a gate (matrix, model),
+a channel (gate, state, model) once the state is gram-self-adjoint, a check
+stanza its target's object.  `check` runs each stanza's builder and the
+commands, in `_COMMANDS`, read `_Build` only, so `check` builds every model a
+command reads and asserts every law whose failure makes it exit 1 (`channel`
+skips the channel builder: `density.channel` tests the state law itself).
 
 Exit codes: 0 all verdicts passed, 1 a verdict failed, 2 input error.
 """
@@ -56,26 +52,32 @@ class _InputError(Exception):
 
 
 def _channel_inputs(build: _Build, f: dict) -> tuple:
-    """(gate, state, space) of a channel stanza's fields, the state untested."""
-    gate, space = build(*f["gate"])
-    return gate, build(*f["rho"])[0], space  # the state is on the gate's space, as parsing ensured
+    """(gate, state, model) of a channel stanza's fields, the state untested."""
+    gate, s = build(*f["gate"])
+    return gate, build(*f["rho"])[0], s  # the state is on the gate's space, as parsing ensured
 
 
 def _build_channel(build: _Build, f: dict) -> tuple:
-    gate, rho, space = _channel_inputs(build, f)
-    if not space.is_self_adjoint(rho):  # the law `density.channel` asserts on its state
+    gate, rho, s = _channel_inputs(build, f)
+    if not extract_hermitian(s).is_self_adjoint(rho):  # the law `density.channel` asserts on its state
         raise InvariantViolation("state is not gram-self-adjoint")
-    return gate, rho, space
+    return gate, rho, s
+
+
+def _build_hermitian(build: _Build, f: dict):
+    s = make_selfdual(HermitianSpace(f["dim"], f["gram"]))
+    extract_hermitian(s)  # takes the split, with its make/extract round trip, as `quantize` does
+    return s
 
 
 # kind -> builder(build, fields): the stanza's object, every law of it checked
 _BUILD = {
     "module": lambda build, f: RealModule(f["dim"], f["inv"]),
     "realvs": lambda build, f: RealVS(f["dim"], f["g"], f["J"]),
-    "hermitian": lambda build, f: HermitianSpace(f["dim"], f["gram"]),
+    "hermitian": _build_hermitian,
     "gate": lambda build, f: (f["mat"], build(*f["on"])),
     "realset": lambda build, f: RealSet(f["size"], f["tau"]),
-    "quantize": lambda build, f: quantize(len(f["basis"])),  # builds and checks the whole structure
+    "quantize": lambda build, f: quantize(f["dim"]),  # builds and checks the whole structure, split taken
     "channel": _build_channel,
     "check": lambda build, f: build(*f["target"]),
 }
@@ -106,7 +108,7 @@ class _Build:
         return st
 
     def stanza(self, st):
-        key = (st.kind, len(st.fields["basis"]) if st.kind == "quantize" else st.name)
+        key = (st.kind, st.fields["dim"] if st.kind == "quantize" else st.name)
         obj = self._objects.get(key)
         if obj is None:
             try:
@@ -140,13 +142,10 @@ def _cmd_check(build: _Build, target: str | None) -> tuple[list[str], int]:
 
 
 def _cmd_hermitian(build: _Build, target: str) -> tuple[list[str], int]:
-    kinds = [kind for kind in ("quantize", "hermitian") if build.spec.find(kind, target) is not None]
-    if len(kinds) > 1:
-        raise _InputError(f"{target!r} names both a quantize and a hermitian stanza; rename one")
-    if not kinds:
+    st = build.spec.find("quantize", target) or build.spec.find("hermitian", target)  # one at most, as parsed
+    if st is None:
         raise _InputError(f"no quantize or hermitian stanza named {target!r}")
-    built = build(kinds[0], target)
-    h = extract_hermitian(built if kinds[0] == "quantize" else make_selfdual(built))
+    h = extract_hermitian(build.stanza(st))
     lines = [
         f"hermitian {target}: dim={h.dim}",
         f"gram={format_matrix(h.gram)}",
@@ -157,8 +156,7 @@ def _cmd_hermitian(build: _Build, target: str) -> tuple[list[str], int]:
 
 
 def _cmd_dagger(build: _Build, target: str) -> tuple[list[str], int]:
-    mat, space = build("gate", target)
-    s = make_selfdual(space)
+    mat, s = build("gate", target)
     lines = [
         f"dagger {target}: mat={format_matrix(dagger(mat, s, s))}",
         "adjoint-law: ok",  # dagger asserts it, as its agreement with the gram oracle
@@ -168,16 +166,14 @@ def _cmd_dagger(build: _Build, target: str) -> tuple[list[str], int]:
 
 
 def _cmd_unitary(build: _Build, target: str) -> tuple[list[str], int]:
-    mat, space = build("gate", target)
-    s = make_selfdual(space)
+    mat, s = build("gate", target)
     if is_unitary(mat, s, s):
         return [f"unitary {target}: yes"], 0
     return [f"unitary {target}: no (g†g ≠ id)"], 1
 
 
 def _cmd_channel(build: _Build, target: str) -> tuple[list[str], int]:
-    gate, rho, space = _channel_inputs(build, build.find("channel", target).fields)
-    s = make_selfdual(space)
+    gate, rho, s = _channel_inputs(build, build.find("channel", target).fields)
     out = apply_channel(gate, rho, s)
     preserved = out.trace() == rho.trace()
     lines = [

@@ -17,14 +17,14 @@ Stanza kinds and their keys:
     channel   <name> gate=<gate> rho=<gate>
     check     <name> target=<name> [kind=<kind>]
 
-Names are unique per kind and every reference must already be defined
-(definition before use).  A `gate` names a square matrix on a declared space,
-a stanza of a kind in `SPACE_KINDS`; states for `channel` are declared the
-same way.  Each reference is resolved once, by `_resolve`, when its line is
-parsed: the fields `on`, `gate`, `rho` and `target` hold the (kind, name) of
-the stanza they name, so a reader looks it up without knowing which kinds the
-key allows.  `_SCHEMA` declares each kind's keys in the order above, its
-optional and matrix keys, and its validator.
+Names are unique per kind, a space name (`SPACE_KINDS`) to one space kind,
+and every reference must already be defined (definition before use).  A
+`gate` names a square matrix on a declared space, of its Hilbert dimension
+`dim` (a quantize stanza's label count), and so does a `channel` state.  Each
+reference is resolved once, by `_resolve`, when its line is parsed: `on`,
+`gate`, `rho` and `target` hold the (kind, name) they name, so a reader looks
+it up without knowing which kinds the key allows.  `_SCHEMA` gives each kind's
+keys in the order above, its optional and matrix keys, and its validator.
 
 Lines break only at CR LF, CR and LF, as in Python's tokenizer: the other
 breaks of `str.splitlines` are whitespace within a line.  Each line is split
@@ -52,7 +52,7 @@ from .linalg import MatrixParseError, _scan_cells, _Shaped, _matrix_shape, parse
 from .scalars import MAX_LITERAL_LENGTH
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-SPACE_KINDS = ("hermitian",)  # the kinds whose object is a HermitianSpace, what `on=` names
+SPACE_KINDS = ("hermitian", "quantize")  # the kinds whose object is a self-dual model, what `on=` names
 
 
 class SpecFileError(ValueError):
@@ -215,7 +215,7 @@ def _quantize(f: dict, declared: dict, matrices: tuple) -> dict:
             raise _Bad(f"duplicate basis label {part!r}", "basis", at)
         seen.add(part)
         at += len(part) + 1
-    return {"basis": tuple(parts)}
+    return {"basis": tuple(parts), "dim": len(parts)}  # dim: the Hilbert dimension, what `_gate` reads
 
 
 def _channel(f: dict, declared: dict, matrices: tuple) -> dict:
@@ -269,6 +269,10 @@ def _stanza(toks: list, declared: dict, lineno: int) -> Stanza:
         raise _Bad(f"bad name {name!r}", 1)
     if name in declared[kind]:
         raise _Bad(f"duplicate {kind} name {name!r}", 1)
+    if kind in SPACE_KINDS:
+        for other in SPACE_KINDS:
+            if name in declared[other]:
+                raise _Bad(f"space name {name!r} is taken by a {other} stanza", 1)
     keys, optional, matrices, validate = _SCHEMA[kind]
     fields = {}
     for i in range(2, len(toks)):

@@ -134,14 +134,34 @@ def test_check_fails_a_channel_whose_state_the_channel_command_rejects():
 
 
 def test_a_command_checks_its_self_dual_structure_once(monkeypatch):
-    calls = []
+    calls, splits = [], []
     check = hermitian.SelfDualRealModule.check
     monkeypatch.setattr(hermitian.SelfDualRealModule, "check", lambda s: calls.append(s) or check(s))
+    split = hermitian._split
+    monkeypatch.setattr(hermitian, "_split", lambda *args: splits.append(args) or split(*args))
     for name, command, target in RUNS:
         if command != "check":
             calls.clear()
             lines, _ = cli.run(load(name), command, target)
             assert len(calls) == 1, (command, target, lines)
+    # `check` builds every model a command reads, and takes its split: one
+    # model per hermitian stanza, holding that stanza's space, and one per
+    # quantize basis size, as `test_check_builds_each_object_once_per_command`
+    for path in CORPUS:
+        spec = parse_spec(path.read_text())
+        spaces = [st for st in spec.stanzas if st.kind == "hermitian"]
+        sizes = {st.fields["dim"] for st in spec.stanzas if st.kind == "quantize"}
+        for target in [None] + [st.name for st in spec.stanzas if st.kind in specfile.SPACE_KINDS]:
+            calls.clear()
+            splits.clear()
+            assert cli.run(spec, "check", target)[1] == 0
+            assert len(splits) == len(calls) and all("eigen" in s._memo for s in calls), (path.name, target)
+            if target is not None:
+                assert len(calls) == 1, (path.name, target)
+                continue
+            grams = [s._memo["space"].gram for s in calls if "space" in s._memo]
+            assert len(grams) == len(spaces) and all(any(g is st.fields["gram"] for g in grams) for st in spaces)
+            assert len(calls) - len(grams) == len(sizes), path.name
 
 
 def test_a_gate_command_checks_its_hermitian_space_once(monkeypatch):
@@ -521,13 +541,15 @@ def _fuzz_spec(draw):
     dim = draw(_mostly(st.just(str(n)), st.sampled_from(("0", "3", "-1", "٢", "²"))))
     forms = ("1", "2", "-1") if n == 1 else ("1,0;0,1", "1,0;0,-1", "2,1*i;-1*i,1", "0,1;1,0")
     states = ("1", "1/2") if n == 1 else ("1/2,0;0,1/2", "1,0;0,0", "1/2,1/2*i;-1/2*i,1/2")
+    basis = draw(_mostly(st.just(("a", "a,b")[n - 1]), st.sampled_from(("a", "a,b", "a,b,c", "a,a"))))
+    on = draw(st.sampled_from(("h", "q")))
     templates = [  # each stanza refers only to those before it; one or more per kind
         f"hermitian h dim={dim} gram={draw(_fuzz_matrix(n, forms))}",
-        f"gate g on=h mat={draw(_fuzz_matrix(n, forms))}",
-        f"gate r on=h mat={draw(_fuzz_matrix(n, states))}",
+        f"quantize {draw(_mostly(st.just('q'), st.just('h')))} basis={basis}",  # h: a space name taken twice
+        f"gate g on={on} mat={draw(_fuzz_matrix(n, forms))}",
+        f"gate r on={draw(_mostly(st.just(on), st.sampled_from(('h', 'q'))))} mat={draw(_fuzz_matrix(n, states))}",
         "channel c gate=g rho=r",
-        f"check k target={draw(st.sampled_from(('h', 'g', 'c', 'x')))}",
-        f"quantize q basis={draw(st.sampled_from(('a', 'a,b', 'a,b,c', 'a,a')))}",
+        f"check k target={draw(st.sampled_from(('h', 'q', 'g', 'c', 'x')))}",
         f"module m dim={dim} inv={draw(_fuzz_matrix(n, forms))}",
         f"realvs v dim={dim} g={draw(_fuzz_matrix(n, forms))} J={draw(_fuzz_matrix(n, forms))}",
         f"realset s size={dim} tau={draw(_mostly(st.sampled_from(('0', '1,0', '0,1', '٠'))))}",

@@ -231,9 +231,6 @@ TABLE = {
         "# nothing", "check", None, "error: spec file declares no stanzas", 2),
     "cli._cmd_check: no stanza named {target!r}": Reports(
         QUBIT, "check", "nope", "error: no stanza named 'nope'", 2),
-    "cli._cmd_hermitian: {target!r} names both a quantize and a hermitian stanza; rename one": Reports(
-        "quantize q basis=a\n" + QUBIT, "hermitian", "q",
-        "error: 'q' names both a quantize and a hermitian stanza; rename one", 2),
     "cli._cmd_hermitian: no quantize or hermitian stanza named {target!r}": Reports(
         QUBIT, "hermitian", "nope", "error: no quantize or hermitian stanza named 'nope'", 2),
     "cli._cmd_selftest: --cases must be at least 1, got {cases}": Reports(
@@ -512,7 +509,7 @@ TABLE = {
     "specfile._square: {key} must be dim x dim": Raises(
         spec_error("module m dim=2 inv=1"), SpecFileError, "inv must be dim x dim (line 1, column 20)"),
     "specfile._resolve: unknown {' or '.join(kinds)} {name!r}": Raises(
-        spec_error("gate g on=q mat=1"), SpecFileError, "unknown hermitian 'q' (line 1, column 11)"),
+        spec_error("gate g on=q mat=1"), SpecFileError, "unknown hermitian or quantize 'q' (line 1, column 11)"),
     "specfile._gate: mat must be {d}x{d} for {f['on']}": Raises(
         spec_error(QUBIT + "gate g on=q mat=1,0"), SpecFileError, "mat must be 1x1 for q (line 3, column 17)"),
     "specfile._realset: tau must list size entries": Raises(
@@ -542,6 +539,9 @@ TABLE = {
     "specfile._stanza: duplicate {kind} name {name!r}": Raises(
         spec_error("module m dim=1 inv=1\nmodule m dim=1 inv=1"), SpecFileError,
         "duplicate module name 'm' (line 2, column 8)"),
+    "specfile._stanza: space name {name!r} is taken by a {other} stanza": Raises(
+        spec_error(QUBIT + "quantize q basis=a"), SpecFileError,
+        "space name 'q' is taken by a hermitian stanza (line 3, column 10)"),
     "specfile._stanza: expected key=value, got {toks[i]!r}": Raises(
         spec_error("module m dim"), SpecFileError, "expected key=value, got 'dim' (line 1, column 10)"),
     "specfile._stanza: unknown key {key!r} for {kind}": Raises(

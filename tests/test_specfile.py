@@ -148,7 +148,7 @@ CHANNEL_SPACES = ("hermitian a dim=1 gram=1\nhermitian b dim=1 gram=2\n"
     ("realvs v dim=2 g=1 J=x\n", "unexpected character 'x'", 1, 22),  # every matrix parses before a shape is checked
     ("hermitian h dim=2 gram=1\n", "gram must be dim x dim", 1, 24),
     (TWO + "gate u on=h mat=1\n", "mat must be 2x2 for h", 2, 17),
-    (TWO + "gate u on=k mat=1\n", "unknown hermitian 'k'", 2, 11),
+    (TWO + "gate u on=k mat=1\n", "unknown hermitian or quantize 'k'", 2, 11),
     (TWO + "gate u mat=1,0;0,oops on=h\n", "unexpected character 'o'", 2, 18),
     ("realset s size=-1 tau=0\n", "integer must be at least 1", 1, 16),
     ("realset s size=0 tau=0\n", "integer must be at least 1", 1, 16),  # no tau lists no entry
@@ -171,6 +171,23 @@ def test_every_error_keeps_its_message_line_and_column(text, message, line, col)
         parse_spec(text)
     assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
     assert str(info.value) == f"{message} (line {line}, column {col})"
+
+
+def test_a_space_name_belongs_to_one_space_kind(capsys, tmp_path):
+    # a gate's `on=` and the hermitian command name a space by name alone, so
+    # the second declaration of a space name is the error, whichever kind
+    path = tmp_path / "twice.spec"
+    for text, other, line, col in (
+            ("hermitian q dim=1 gram=1\n# the same name again\n  quantize q basis=a\n", "hermitian", 3, 12),
+            ("quantize h basis=a,b\ngate g on=h mat=1,0;0,1\nhermitian h dim=1 gram=1\n", "quantize", 3, 11)):
+        path.write_text(text)
+        assert cli.main(["--input", str(path), "--command", "check"]) == 2
+        assert capsys.readouterr().out == (
+            f"error: space name {text.split()[1]!r} is taken by a {other} stanza (line {line}, column {col})\n")
+    # a space name may still name a stanza of any other kind
+    spec = parse_spec("quantize q basis=a\ngate q on=q mat=1\nmodule q dim=1 inv=1\ncheck k target=q kind=gate\n")
+    assert cli.run(spec, "check") == ([
+        "check quantize q: ok", "check gate q: ok", "check module q: ok", "check gate q: ok"], 0)
 
 
 def test_matrix_cell_errors_point_into_the_line():
